@@ -13,11 +13,11 @@ import numpy as np
 from gradmine import (
     SpaceKind,
     build_space,
-    decode,
     encode,
     enumerate_valid,
     is_valid,
     to_pattern,
+    valid_candidate_count,
 )
 
 # Each attribute owns two adjacent bits: "10" means increasing, "01"
@@ -29,13 +29,13 @@ space = build_space(3)
 print(f"numeric space for 3 attributes: [{space.lower}, {space.upper}]")
 
 # Decode one candidate by hand.  101000 reads as: age "10" (up),
-# sessions "10" (up), marks "00" (absent).
-vector = decode(40, space)
-pattern = to_pattern(vector)
-print(f"40 -> {vector} -> {pattern.render(names)}")
+# sessions "10" (up), marks "00" (absent).  The integer is decoded
+# directly; the bit string is only for display.
+pattern = to_pattern(40, space)
+print(f"40 -> {40:06b} -> {pattern.render(names)}")
 
 # Encoding is the inverse walk.
-print(f"back again: {encode(vector)}")
+print(f"back again: {encode(pattern, 3)}")
 
 # Not every integer is a pattern.  "11" fields (both directions at
 # once) and fewer than two active attributes are rejected.  The bitmap
@@ -48,12 +48,12 @@ for x in (0, 4, 15, 40):
 valid = enumerate_valid(space)
 print(f"\nall {len(valid)} valid candidates for 3 attributes:")
 for x in valid:
-    print(f"  {x:3d}  {decode(x, space)}  {to_pattern(decode(x, space)).render(names)}")
+    print(f"  {x:3d}  {x:06b}  {to_pattern(x, space).render(names)}")
 
 # The count follows a closed form: 3^m - 2m - 1.  Each attribute is
 # up/down/absent (3^m), minus the single-item and empty selections.
 for m in (2, 3, 4, 5):
-    print(f"m={m}: {3**m - 2 * m - 1} valid candidates")
+    print(f"m={m}: {valid_candidate_count(m)} valid candidates")
 
 # Why bother with the numeric interval at all?  The full bitmap range
 # [0, 4^m - 1] contains the same valid candidates but vastly more

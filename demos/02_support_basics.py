@@ -14,7 +14,6 @@ from gradmine import (
     Dataset,
     build_space,
     concordant_count_brute,
-    decode,
     fitness_of,
     object_pair_count,
     support,
@@ -38,7 +37,7 @@ print(f"{d.n} objects -> {object_pair_count(d)} unordered pairs")
 space = build_space(d.m)
 
 # Candidate 40 is {age+, sessions+}: "the older, the more sessions".
-pattern = to_pattern(decode(40, space))
+pattern = to_pattern(40, space)
 print(f"\ncandidate 40 = {pattern.render(names)}")
 
 # A pair is concordant when one row beats the other on every item in

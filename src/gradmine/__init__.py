@@ -9,10 +9,8 @@ algorithm, particle swarm).  A benchmark harness compares the miners
 across candidate spaces with an exact signed-rank test.
 """
 
-from .baseline import graank_mine
 from .dataset import Dataset, DatasetError, load_dataset, object_pair_count
 from .encoding import (
-    BitVector,
     Direction,
     EnumerationLimitError,
     GradualItem,
@@ -22,12 +20,11 @@ from .encoding import (
     SearchSpace,
     SpaceKind,
     build_space,
-    decode,
     encode,
     enumerate_valid,
     is_valid,
-    pattern_to_vector,
     to_pattern,
+    valid_candidate_count,
 )
 from .fitness import (
     ConcordanceIndex,
@@ -58,6 +55,7 @@ from .search import (
     Trajectory,
     TrajectoryStep,
     ga_grad,
+    graank_mine,
     ls_grad,
     pso_grad,
     rs_grad,
@@ -71,7 +69,6 @@ __all__ = [
     "BenchCell",
     "BenchReport",
     "BenchSpec",
-    "BitVector",
     "ConcordanceIndex",
     "Dataset",
     "DatasetError",
@@ -92,7 +89,6 @@ __all__ = [
     "build_space",
     "concordant_count",
     "concordant_count_brute",
-    "decode",
     "encode",
     "enumerate_valid",
     "fitness_of",
@@ -103,7 +99,6 @@ __all__ = [
     "load_dataset",
     "ls_grad",
     "object_pair_count",
-    "pattern_to_vector",
     "pso_grad",
     "rs_grad",
     "run_benchmark",
@@ -112,6 +107,7 @@ __all__ = [
     "space_comparison",
     "support",
     "to_pattern",
+    "valid_candidate_count",
     "wilcoxon_signed_rank",
     "write_report_csv",
     "write_report_json",

@@ -26,14 +26,15 @@ from .encoding import (
     EnumerationLimitError,
     GradualPattern,
     build_space,
-    decode,
     enumerate_valid,
     to_pattern,
+    valid_candidate_count,
 )
 from .harness import (
     SPACE_KINDS,
     BenchSpec,
     run_benchmark,
+    scatter_extract,
     space_comparison,
     write_report_csv,
     write_report_json,
@@ -113,7 +114,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     space = build_space(d.m, SPACE_KINDS[args.space])
     try:
         result = run_miner(algo, d, space, config)
-    except EnumerationLimitError as exc:
+    except Exception as exc:  # exit 1, never a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -181,7 +182,7 @@ def cmd_space(args: argparse.Namespace) -> int:
         names = list(d.attribute_names)
 
     space = build_space(m, SPACE_KINDS[args.space])
-    print(f"bounds: [{space.lower}, {space.upper}], valid: {3**m - 2 * m - 1}")
+    print(f"bounds: [{space.lower}, {space.upper}], valid: {valid_candidate_count(m)}")
     if args.list_valid:
         try:
             candidates = enumerate_valid(space)
@@ -189,10 +190,9 @@ def cmd_space(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         for x in candidates:
-            bits = decode(x, space)
-            pattern = to_pattern(bits)
+            pattern = to_pattern(x, space)
             assert isinstance(pattern, GradualPattern)
-            print(f"{x}\t{bits}\t{pattern.render(names)}")
+            print(f"{x}\t{x:0{2 * m}b}\t{pattern.render(names)}")
     return 0
 
 
@@ -238,11 +238,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 continue
             tag = f"{cell.dataset}_{cell.algorithm}_{cell.space or 'full'}"
             for rep, steps in enumerate(cell.trajectories):
-                rows = (
-                    (s.iteration, s.candidate, s.fitness if s.valid else None, s.valid)
-                    for s in steps
-                )
-                write_scatter_csv(scatter_dir / f"{tag}_rep{rep}.csv", rows)
+                write_scatter_csv(scatter_dir / f"{tag}_rep{rep}.csv", scatter_extract(steps))
 
     for failure in report.failures:
         print(f"dataset failed: {failure.path}: {failure.error}", file=sys.stderr)

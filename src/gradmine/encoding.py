@@ -4,6 +4,8 @@ A candidate over ``m`` attributes is a string of ``2m`` bits read big-endian.
 Attribute 0 owns the two most significant bits; within each pair the first
 bit means "increasing" and the second "decreasing".  For three attributes,
 ``101000`` therefore stands for {attr0+, attr1+} and equals decimal 40.
+Candidates stay plain integers throughout: decoding reads the pairs with
+bit masks, and ``format(x, f"0{2 * m}b")`` gives the bit string for display.
 
 Two integer domains share this layout:
 
@@ -126,26 +128,6 @@ PatternOrInvalid = Union[GradualPattern, InvalidCandidate]
 
 
 @dataclass(frozen=True)
-class BitVector:
-    """A ``2m``-bit candidate encoding; ``bits[0]`` is most significant."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.bits) < 4 or len(self.bits) % 2:
-            raise ValueError("bit vector length must be an even number >= 4")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-
-    @property
-    def m(self) -> int:
-        return len(self.bits) // 2
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
-@dataclass(frozen=True)
 class SearchSpace:
     """An inclusive integer interval whose points decode to candidates."""
 
@@ -172,59 +154,60 @@ def build_space(m: int, kind: SpaceKind = SpaceKind.NUMERIC) -> SearchSpace:
     return SearchSpace(kind, m, 0, 2 ** (2 * m) - 1)
 
 
-def decode(x: int, space: SearchSpace) -> BitVector:
-    """The big-endian ``2m``-bit representation of an in-bounds integer."""
+def valid_candidate_count(m: int) -> int:
+    """How many integers decode to patterns over ``m`` attributes:
+    3^m attribute states minus the empty one and the 2m single items."""
+    return 3**m - 2 * m - 1
+
+
+def _down_mask(m: int) -> int:
+    # 0b0101...01: the "decreasing" bit of every attribute.  The
+    # "increasing" mask is this shifted left by one.
+    return ((1 << (2 * m)) - 1) // 3
+
+
+def to_pattern(x: int, space: SearchSpace) -> PatternOrInvalid:
+    """Decode an in-bounds integer into a pattern, or report why it is
+    unusable.
+
+    Bit ``2m-1-2i`` marks (attribute i, up) and bit ``2m-2-2i``
+    (attribute i, down).  A conflict (both bits of one attribute) takes
+    precedence over having fewer than two items.
+    """
     if not space.contains(x):
         raise ValueError(
             f"{x} outside [{space.lower}, {space.upper}] of the {space.kind.value} space"
         )
-    width = 2 * space.m
-    return BitVector(tuple((x >> (width - 1 - j)) & 1 for j in range(width)))
-
-
-def encode(b: BitVector) -> int:
-    """The integer whose binary expansion equals the bit vector."""
-    value = 0
-    for bit in b.bits:
-        value = (value << 1) | bit
-    return value
-
-
-def to_pattern(b: BitVector) -> PatternOrInvalid:
-    """Decode a bit vector into a pattern, or report why it is unusable.
-
-    Bit ``2i`` marks (attribute i, up) and bit ``2i+1`` (attribute i, down).
-    A conflict (both bits of one attribute) takes precedence over having
-    fewer than two items.
-    """
-    items: list[GradualItem] = []
-    for i in range(b.m):
-        up, down = b.bits[2 * i], b.bits[2 * i + 1]
-        if up and down:
-            return InvalidCandidate(InvalidReason.CONFLICT)
-        if up:
-            items.append(GradualItem(i, Direction.UP))
-        elif down:
-            items.append(GradualItem(i, Direction.DOWN))
-    if len(items) < 2:
+    down = _down_mask(space.m)
+    if (x & (down << 1)) >> 1 & x:
+        return InvalidCandidate(InvalidReason.CONFLICT)
+    if ((x | x >> 1) & down).bit_count() < 2:
         return InvalidCandidate(InvalidReason.TOO_FEW_ITEMS)
+    top = 2 * space.m - 1
+    items: list[GradualItem] = []
+    while x:
+        # Highest set bit first, so items come out in attribute order.
+        pos = x.bit_length() - 1
+        x ^= 1 << pos
+        attr, is_down = divmod(top - pos, 2)
+        items.append(GradualItem(attr, Direction.DOWN if is_down else Direction.UP))
     return GradualPattern(tuple(items))
 
 
-def pattern_to_vector(pattern: GradualPattern, m: int) -> BitVector:
+def encode(pattern: GradualPattern, m: int) -> int:
     """Inverse of :func:`to_pattern` for a given attribute count."""
     if pattern.attribute_indexes()[-1] >= m:
         raise ValueError("pattern references an attribute beyond the space")
-    bits = [0] * (2 * m)
+    x = 0
     for item in pattern.items:
-        offset = 0 if item.direction is Direction.UP else 1
-        bits[2 * item.attribute_index + offset] = 1
-    return BitVector(tuple(bits))
+        offset = 2 * item.attribute_index + (item.direction is Direction.DOWN)
+        x |= 1 << (2 * m - 1 - offset)
+    return x
 
 
 def is_valid(x: int, space: SearchSpace) -> bool:
     """True iff the in-bounds integer decodes to a gradual pattern."""
-    return isinstance(to_pattern(decode(x, space)), GradualPattern)
+    return isinstance(to_pattern(x, space), GradualPattern)
 
 
 def _valid_integers(m: int) -> Iterator[int]:

@@ -27,7 +27,6 @@ from .encoding import (
     InvalidCandidate,
     PatternOrInvalid,
     SearchSpace,
-    decode,
     to_pattern,
 )
 
@@ -125,7 +124,7 @@ def support(pattern: GradualPattern, d: Dataset) -> float:
 
 def evaluate_with_index(x: int, space: SearchSpace, index: ConcordanceIndex) -> Evaluation:
     """Like :func:`fitness_of` but reusing a prebuilt index."""
-    pattern = to_pattern(decode(x, space))
+    pattern = to_pattern(x, space)
     if isinstance(pattern, InvalidCandidate):
         return Evaluation(x, pattern, 0, 0.0, INFINITE_FITNESS)
     pairs = index.count(pattern)

@@ -23,13 +23,7 @@ import numpy as np
 from scipy.stats import norm, rankdata
 
 from .dataset import Dataset, DatasetError, load_dataset
-from .encoding import (
-    EnumerationLimitError,
-    SpaceKind,
-    build_space,
-    encode,
-    pattern_to_vector,
-)
+from .encoding import SpaceKind, build_space, encode
 from .search import (
     ALGORITHMS,
     SearchConfig,
@@ -191,8 +185,8 @@ class BenchCell:
     ``space`` is None for the exhaustive miner, which is space-blind and
     runs once.  Pattern and invalid-candidate counts are distinct-over-
     all-repetitions, so they are comparable across repetition counts.
-    ``error`` is set (and the numbers zeroed) when the cell could not
-    run, e.g. enumeration beyond the attribute guard.
+    ``error`` is set (and the numbers zeroed) when any run of the cell
+    raised, e.g. enumeration beyond the attribute guard.
     """
 
     dataset: str
@@ -227,10 +221,7 @@ class BenchReport:
 
 
 def _frequent_ints(result: SearchResult, m: int) -> dict[int, float]:
-    return {
-        encode(pattern_to_vector(pattern, m)): support
-        for pattern, support in result.frequent_patterns
-    }
+    return {encode(pattern, m): support for pattern, support in result.frequent_patterns}
 
 
 def _invalid_ints(result: SearchResult) -> set[int]:
@@ -280,7 +271,7 @@ def _run_cell(
                     tracemalloc.stop()
             else:
                 result = run_miner(algorithm, d, space, config)
-        except EnumerationLimitError as exc:
+        except Exception as exc:  # one failing cell never aborts the grid
             return _error_cell(dataset, algorithm, space_name, seeds, str(exc))
         wall_times.append(result.wall_time)
         frequent.update(_frequent_ints(result, d.m))
@@ -337,17 +328,16 @@ def run_benchmark(spec: BenchSpec) -> BenchReport:
 ScatterRow = tuple[int, int, float | None, bool]
 
 
-def scatter_extract(result: SearchResult) -> tuple[ScatterRow, ...]:
+def scatter_extract(steps: Sequence[TrajectoryStep]) -> tuple[ScatterRow, ...]:
     """One (iteration, position, fitness, valid) row per objective call.
 
     The infinite-fitness sentinel becomes a missing fitness so the rows
     plot cleanly; such rows always carry valid=False.
     """
-    if not result.trajectory.steps:
+    if not steps:
         raise ValueError("trajectory is empty")
     return tuple(
-        (s.iteration, s.candidate, s.fitness if s.valid else None, s.valid)
-        for s in result.trajectory.steps
+        (s.iteration, s.candidate, s.fitness if s.valid else None, s.valid) for s in steps
     )
 
 

@@ -13,7 +13,7 @@ and particle swarm optimization ("pso").  All of them
 
 :func:`run_miner` additionally wraps the exhaustive sweep under the same
 result type so the benchmark harness drives all five miners through one
-door.
+door; :func:`graank_mine` is that sweep's frequent set on its own.
 
 Objective-call budgets are part of the contract: rs makes T calls, ls
 makes T+1 (the starting point counts), ga makes npop + 4T (two offspring
@@ -32,15 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dataset import Dataset
-from .encoding import (
-    BitVector,
-    GradualPattern,
-    SearchSpace,
-    build_space,
-    decode,
-    encode,
-    enumerate_valid,
-)
+from .encoding import GradualPattern, SearchSpace, build_space, enumerate_valid
 from .fitness import ConcordanceIndex, Evaluation, evaluate_with_index
 
 #: Names accepted by :func:`run_miner` (and the CLI's --algo flag).
@@ -238,11 +230,10 @@ def _fitness_order(e: Evaluation) -> tuple[float, int]:
 
 def _mutate(rng: np.random.Generator, candidate: int, s: SearchSpace, c: SearchConfig) -> int:
     # Bit flips first, then an integer-scale Gaussian nudge; both respect
-    # the interval by rounding and clamping.
-    bits = decode(candidate, s).bits
-    flips = rng.random(len(bits)) < c.mutation_rate
-    flipped = BitVector(tuple(b ^ int(f) for b, f in zip(bits, flips)))
-    return _round_clamp(encode(flipped) + float(rng.normal(0.0, c.mutation_scale)), s)
+    # the interval by rounding and clamping.  flips[0] is the top bit.
+    flips = np.packbits(rng.random(2 * s.m) < c.mutation_rate)
+    mask = int.from_bytes(flips.tobytes(), "big") >> ((-2 * s.m) % 8)
+    return _round_clamp((candidate ^ mask) + float(rng.normal(0.0, c.mutation_scale)), s)
 
 
 def ga_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
@@ -267,13 +258,14 @@ def ga_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
     for t in range(1, c.max_iterations + 1):
         p1, p2 = heapq.nsmallest(2, pop, key=_fitness_order)
         if float(rng.random()) < c.crossover_rate:
-            point = int(rng.integers(1, nbits))
-            b1 = decode(p1.candidate, s).bits
-            b2 = decode(p2.candidate, s).bits
-            # Recombined bits can leave a numeric-space interval, so the
-            # children are clamped back in like every other move.
-            c1 = _clamp(encode(BitVector(b1[:point] + b2[point:])), s)
-            c2 = _clamp(encode(BitVector(b2[:point] + b1[point:])), s)
+            # The first ``point`` bits come from one parent, the rest from
+            # the other.  Recombined bits can leave a numeric-space
+            # interval, so the children are clamped back in like every
+            # other move.
+            low = (1 << (nbits - int(rng.integers(1, nbits)))) - 1
+            x1, x2 = p1.candidate, p2.candidate
+            c1 = _clamp((x1 & ~low) | (x2 & low), s)
+            c2 = _clamp((x2 & ~low) | (x1 & low), s)
         else:
             c1, c2 = p1.candidate, p2.candidate
         ev1 = rec.record(t, c1)
@@ -344,6 +336,21 @@ def _graank_sweep(d: Dataset, c: SearchConfig) -> SearchResult:
     for t, x in enumerate(enumerate_valid(space), start=1):
         best = _keep_best(best, rec.record(t, x))
     return _finish(rec, best, t0)
+
+
+def graank_mine(d: Dataset, sigma: float) -> tuple[tuple[GradualPattern, float], ...]:
+    """Every pattern of the dataset with support >= ``sigma``.
+
+    This is the completeness reference the stochastic miners are judged
+    against: whatever frequent set a seeded search reports must be a
+    subset of this output, with identical supports.  Patterns with zero
+    concordant pairs are excluded even at sigma = 0; they carry no
+    information and the searchers treat them as unusable.  Output is
+    sorted by descending support, then ascending candidate integer.
+    Raises ``EnumerationLimitError`` when the attribute count makes
+    enumeration unreasonable.
+    """
+    return _graank_sweep(d, SearchConfig(sigma=sigma)).frequent_patterns
 
 
 _MINERS: dict[str, Callable[[Dataset, SearchSpace, SearchConfig], SearchResult]] = {

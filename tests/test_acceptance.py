@@ -27,14 +27,12 @@ from gradmine import (
     SpaceKind,
     build_space,
     concordant_count_brute,
-    decode,
     encode,
     enumerate_valid,
     fitness_of,
     graank_mine,
     is_valid,
     object_pair_count,
-    pattern_to_vector,
     run_miner,
     support,
     to_pattern,
@@ -92,12 +90,15 @@ def test_a01_three_attribute_candidate_table():
     assert (space.lower, space.upper) == (5, 42)
     assert enumerate_valid(space) == [row[0] for row in THREE_ATTR_TABLE]
     for x, bits, pattern in THREE_ATTR_TABLE:
-        vector = decode(x, space)
-        assert str(vector) == bits
-        assert to_pattern(vector) == pattern
-        assert encode(pattern_to_vector(pattern, 3)) == x
+        assert f"{x:06b}" == bits
+        assert to_pattern(x, space) == pattern
+        assert encode(pattern, 3) == x
     for x in range(space.lower, space.upper + 1):
-        assert encode(decode(x, space)) == x
+        p = to_pattern(x, space)
+        if isinstance(p, GradualPattern):
+            assert encode(p, 3) == x
+        else:
+            assert not _oracle_valid(x, 3)
     assert time.perf_counter() - started < 1.0
 
 
@@ -127,7 +128,7 @@ def test_a03_worked_support_example(course_dataset):
     space = build_space(3)
     d = course_dataset
     target = _pat("0+", "1+")  # candidate 40
-    assert to_pattern(decode(40, space)) == target
+    assert to_pattern(40, space) == target
     assert concordant_count_brute(target, d) == 4
     assert ConcordanceIndex(d).count(target) == 4
     assert support(target, d) == pytest.approx(2 / 3, abs=1e-9)
@@ -137,7 +138,7 @@ def test_a03_worked_support_example(course_dataset):
     # do not survive a literal strict pair count; both independent
     # routes here agree on 3, 3, 1 and 0 concordant pairs.
     for x, expected in ((10, 3), (42, 3), (33, 1), (26, 0)):
-        p = to_pattern(decode(x, space))
+        p = to_pattern(x, space)
         assert concordant_count_brute(p, d) == expected
         assert ConcordanceIndex(d).count(p) == expected
     sentinel = fitness_of(26, space, d)
@@ -159,7 +160,7 @@ def test_a04_oracle_agreement_and_invariants():
         space = build_space(m)
         counts = {}
         for x in enumerate_valid(space):
-            p = to_pattern(decode(x, space))
+            p = to_pattern(x, space)
             got = index.count(p)
             assert got == concordant_count_brute(p, d)
             counts[p] = got
@@ -184,13 +185,11 @@ def test_a05_heuristic_soundness():
         d = random_dataset(rng, n, m, ties=bool(trial % 2))
         sigma = sigmas[trial % 3]
         space = build_space(m)
-        exhaustive = {
-            encode(pattern_to_vector(p, m)): s for p, s in graank_mine(d, sigma)
-        }
+        exhaustive = {encode(p, m): s for p, s in graank_mine(d, sigma)}
         total = object_pair_count(d)
         brute = {}
         for x in enumerate_valid(space):
-            pairs = concordant_count_brute(to_pattern(decode(x, space)), d)
+            pairs = concordant_count_brute(to_pattern(x, space), d)
             if pairs > 0 and pairs / total >= sigma:
                 brute[x] = pairs / total
         assert exhaustive == pytest.approx(brute, abs=1e-12)
@@ -199,7 +198,7 @@ def test_a05_heuristic_soundness():
                 config = SearchConfig(max_iterations=20, seed=seed, sigma=sigma)
                 result = run_miner(algo, d, space, config)
                 for pattern, s in result.frequent_patterns:
-                    x = encode(pattern_to_vector(pattern, m))
+                    x = encode(pattern, m)
                     assert x in exhaustive
                     assert s == pytest.approx(exhaustive[x], abs=1e-12)
 
@@ -227,7 +226,7 @@ def test_a06_convergence_rates():
     d = Dataset(("x0", "x1", "x2"), np.array(CONVERGENCE_ROWS, dtype=float))
     space = build_space(3)
     counts = {
-        x: concordant_count_brute(to_pattern(decode(x, space)), d)
+        x: concordant_count_brute(to_pattern(x, space), d)
         for x in enumerate_valid(space)
     }
     best_count = max(counts.values())

@@ -7,17 +7,17 @@ from conftest import random_dataset
 from gradmine import (
     Dataset,
     EnumerationLimitError,
+    SearchConfig,
     build_space,
     concordant_count_brute,
-    decode,
     encode,
     enumerate_valid,
     graank_mine,
     object_pair_count,
-    pattern_to_vector,
+    run_miner,
     to_pattern,
+    valid_candidate_count,
 )
-from gradmine.baseline import evaluated_candidate_count
 
 
 def brute_frequent(d, sigma):
@@ -26,7 +26,7 @@ def brute_frequent(d, sigma):
     total = object_pair_count(d)
     out = {}
     for x in enumerate_valid(space):
-        p = to_pattern(decode(x, space))
+        p = to_pattern(x, space)
         pairs = concordant_count_brute(p, d)
         if pairs > 0 and pairs / total >= sigma:
             out[x] = pairs / total
@@ -35,7 +35,7 @@ def brute_frequent(d, sigma):
 
 def test_course_halfsupport(course_dataset):
     got = graank_mine(course_dataset, 0.5)
-    as_ints = {encode(pattern_to_vector(p, 3)): s for p, s in got}
+    as_ints = {encode(p, 3): s for p, s in got}
     assert as_ints[40] == pytest.approx(2 / 3)
     assert as_ints[20] == pytest.approx(2 / 3)  # the complement rule
     assert len(got) == 8
@@ -57,7 +57,7 @@ def test_sigma_zero_excludes_zero_count(course_dataset):
 
 def test_sorted_by_support_then_candidate(course_dataset):
     got = graank_mine(course_dataset, 0.0)
-    keys = [(-s, encode(pattern_to_vector(p, 3))) for p, s in got]
+    keys = [(-s, encode(p, 3)) for p, s in got]
     assert keys == sorted(keys)
 
 
@@ -72,7 +72,7 @@ def test_random_datasets_match_brute(course_dataset):
     for trial in range(10):
         d = random_dataset(rng, 6, 3, ties=True)
         sigma = (0.0, 0.3, 0.6)[trial % 3]
-        got = {encode(pattern_to_vector(p, 3)): s for p, s in graank_mine(d, sigma)}
+        got = {encode(p, 3): s for p, s in graank_mine(d, sigma)}
         assert got == pytest.approx(brute_frequent(d, sigma))
 
 
@@ -90,7 +90,9 @@ def test_wide_dataset_hits_guard():
 
 
 def test_evaluated_candidate_count(course_dataset):
-    assert evaluated_candidate_count(course_dataset) == 20
+    assert valid_candidate_count(course_dataset.m) == 20
     rng = np.random.default_rng(4)
     d4 = Dataset(tuple("abcd"), rng.random((4, 4)))
-    assert evaluated_candidate_count(d4) == len(enumerate_valid(build_space(4)))
+    assert valid_candidate_count(d4.m) == len(enumerate_valid(build_space(4)))
+    sweep = run_miner("graank", d4, build_space(4), SearchConfig())
+    assert sweep.trajectory.evaluations == valid_candidate_count(4)

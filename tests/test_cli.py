@@ -39,6 +39,16 @@ class TestMine:
         assert main(["mine", "--data", "no/such.csv"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_miner_failure_is_runtime_error(self, course_csv, capsys, monkeypatch):
+        def fail(*args):
+            raise ValueError("high is out of bounds for int64")
+
+        monkeypatch.setattr("gradmine.cli.run_miner", fail)
+        assert main(["mine", "--data", str(course_csv), "--algo", "ga"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: high is out of bounds for int64\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("algo", ["rs", "ls", "ga", "pso"])
     def test_seeded_runs_are_byte_identical(self, course_csv, capsys, algo):
         argv = ["mine", "--data", str(course_csv), "--algo", algo, "--seed", "3"]

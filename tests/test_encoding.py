@@ -1,9 +1,10 @@
-"""Candidate encoding: spaces, bit vectors, patterns, validity."""
+"""Candidate encoding: spaces, integer <-> pattern, validity."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradmine import (
-    BitVector,
     Direction,
     EnumerationLimitError,
     GradualItem,
@@ -12,17 +13,22 @@ from gradmine import (
     InvalidReason,
     SpaceKind,
     build_space,
-    decode,
     encode,
     enumerate_valid,
     is_valid,
-    pattern_to_vector,
     to_pattern,
 )
 
 
-def bv(text: str) -> BitVector:
-    return BitVector(tuple(int(ch) for ch in text))
+def decode_bits(text: str):
+    """Decode a bit string in the full bitmap space of its width."""
+    return to_pattern(int(text, 2), build_space(len(text) // 2, SpaceKind.BITMAP))
+
+
+def gp(*items: str) -> GradualPattern:
+    """A pattern from "<attribute><direction>" strings such as "0+"."""
+    dirs = {"+": Direction.UP, "-": Direction.DOWN}
+    return GradualPattern(tuple(GradualItem(int(s[:-1]), dirs[s[-1]]) for s in items))
 
 
 class TestSpaces:
@@ -49,39 +55,36 @@ class TestSpaces:
 class TestDecodeEncode:
     def test_known_values(self):
         s = build_space(3)
-        assert str(decode(40, s)) == "101000"
-        assert str(decode(5, s)) == "000101"
-        assert str(decode(63, build_space(3, SpaceKind.BITMAP))) == "111111"
+        assert to_pattern(40, s) == gp("0+", "1+")  # 101000
+        assert to_pattern(5, s) == gp("1-", "2-")  # 000101
+        assert to_pattern(63, build_space(3, SpaceKind.BITMAP)) == InvalidCandidate(
+            InvalidReason.CONFLICT
+        )  # 111111
 
     def test_encode_known_values(self):
-        assert encode(bv("101010")) == 42
-        assert encode(bv("000110")) == 6
-        assert encode(bv("010101")) == 21
+        assert encode(gp("0+", "1+", "2+"), 3) == 42  # 101010
+        assert encode(gp("1-", "2+"), 3) == 6  # 000110
+        assert encode(gp("0-", "1-", "2-"), 3) == 21  # 010101
+        assert encode(gp("0+", "1+"), 4) == 0b10100000
 
     def test_round_trip_whole_interval(self):
         for kind in SpaceKind:
             s = build_space(3, kind)
             for x in range(s.lower, s.upper + 1):
-                assert encode(decode(x, s)) == x
+                p = to_pattern(x, s)
+                if isinstance(p, GradualPattern):
+                    assert encode(p, 3) == x
 
     def test_out_of_bounds(self):
         s = build_space(3)
         for x in (4, 43, -1):
             with pytest.raises(ValueError):
-                decode(x, s)
-
-    def test_bit_vector_validation(self):
-        with pytest.raises(ValueError):
-            BitVector((1, 0, 1))  # odd length
-        with pytest.raises(ValueError):
-            BitVector((1, 2, 0, 0))  # not binary
-        with pytest.raises(ValueError):
-            BitVector((1, 0))  # below two attributes
+                to_pattern(x, s)
 
 
 class TestToPattern:
     def test_two_item_pattern(self):
-        p = to_pattern(bv("100010"))
+        p = decode_bits("100010")
         assert isinstance(p, GradualPattern)
         assert p.items == (
             GradualItem(0, Direction.UP),
@@ -89,32 +92,32 @@ class TestToPattern:
         )
 
     def test_conflict(self):
-        p = to_pattern(bv("001111"))
+        p = decode_bits("001111")
         assert isinstance(p, InvalidCandidate)
         assert p.reason is InvalidReason.CONFLICT
 
     def test_single_item(self):
-        p = to_pattern(bv("000100"))
+        p = decode_bits("000100")
         assert isinstance(p, InvalidCandidate)
         assert p.reason is InvalidReason.TOO_FEW_ITEMS
 
     def test_conflict_wins_over_too_few(self):
         # One conflicting attribute and nothing else: report the conflict.
-        p = to_pattern(bv("110000"))
+        p = decode_bits("110000")
         assert isinstance(p, InvalidCandidate)
         assert p.reason is InvalidReason.CONFLICT
 
     def test_inverse_mapping(self):
         s = build_space(3)
         for x in enumerate_valid(s):
-            p = to_pattern(decode(x, s))
+            p = to_pattern(x, s)
             assert isinstance(p, GradualPattern)
-            assert encode(pattern_to_vector(p, 3)) == x
+            assert encode(p, 3) == x
 
-    def test_pattern_to_vector_range_check(self):
+    def test_encode_range_check(self):
         p = GradualPattern((GradualItem(0, Direction.UP), GradualItem(4, Direction.UP)))
         with pytest.raises(ValueError):
-            pattern_to_vector(p, 3)
+            encode(p, 3)
 
 
 class TestGradualPattern:
@@ -185,6 +188,53 @@ class TestValidity:
     def test_complement_symmetry(self):
         s = build_space(3)
         for x in enumerate_valid(s):
-            p = to_pattern(decode(x, s))
-            comp = encode(pattern_to_vector(p.complement(), 3))
+            p = to_pattern(x, s)
+            comp = encode(p.complement(), 3)
             assert s.contains(comp) and is_valid(comp, s)
+
+
+def field_oracle(x: int, m: int):
+    """Decode straight from the 2-bit fields, independently of the masks:
+    11 anywhere is a conflict, 10 is up, 01 is down, 00 is absent."""
+    fields = [(x >> (2 * (m - 1 - i))) & 3 for i in range(m)]
+    if 3 in fields:
+        return InvalidCandidate(InvalidReason.CONFLICT)
+    items = [
+        GradualItem(i, Direction.UP if f == 2 else Direction.DOWN)
+        for i, f in enumerate(fields)
+        if f
+    ]
+    if len(items) < 2:
+        return InvalidCandidate(InvalidReason.TOO_FEW_ITEMS)
+    return GradualPattern(tuple(items))
+
+
+@st.composite
+def candidates(draw):
+    """(x, space) for m in 2..64 and either space kind.  x is a uniform
+    in-bounds integer (almost always invalid for large m) or is built from
+    random fields, without 11 half of the time so valid patterns are common."""
+    m = draw(st.integers(2, 64))
+    space = build_space(m, draw(st.sampled_from(SpaceKind)))
+    if draw(st.booleans()):
+        return draw(st.integers(space.lower, space.upper)), space
+    fields = draw(st.lists(st.integers(0, draw(st.sampled_from((2, 3)))), min_size=m, max_size=m))
+    x = sum(f << (2 * (m - 1 - i)) for i, f in enumerate(fields))
+    return min(max(x, space.lower), space.upper), space
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(candidates())
+    def test_to_pattern_matches_field_oracle(self, case):
+        x, space = case
+        assert to_pattern(x, space) == field_oracle(x, space.m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(candidates())
+    def test_encode_inverts_to_pattern(self, case):
+        x, space = case
+        p = to_pattern(x, space)
+        if isinstance(p, GradualPattern):
+            assert encode(p, space.m) == x
+            assert is_valid(x, space)

@@ -17,7 +17,6 @@ from gradmine import (
     build_space,
     concordant_count,
     concordant_count_brute,
-    decode,
     enumerate_valid,
     fitness_of,
     is_frequent,
@@ -98,14 +97,14 @@ class TestOracleAgreement:
             d = random_dataset(rng, n, m, ties=bool(trial % 2))
             space = space_cache.setdefault(m, build_space(m))
             for x in enumerate_valid(space):
-                p = to_pattern(decode(x, space))
+                p = to_pattern(x, space)
                 assert concordant_count(p, d) == concordant_count_brute(p, d)
 
     def test_index_reuse_matches_one_shot(self, course_dataset):
         index = ConcordanceIndex(course_dataset)
         space = build_space(3)
         for x in enumerate_valid(space):
-            p = to_pattern(decode(x, space))
+            p = to_pattern(x, space)
             assert index.count(p) == concordant_count(p, course_dataset)
 
 
@@ -116,7 +115,7 @@ class TestProperties:
             d = random_dataset(rng, 8, 5, ties=True)
             space = build_space(5)
             for x in enumerate_valid(space):
-                p = to_pattern(decode(x, space))
+                p = to_pattern(x, space)
                 if len(p) < 3:
                     continue
                 whole = concordant_count(p, d)
@@ -132,7 +131,7 @@ class TestProperties:
         for _ in range(10):
             d = random_dataset(rng, 6, 3, ties=True)
             for x in enumerate_valid(space):
-                p = to_pattern(decode(x, space))
+                p = to_pattern(x, space)
                 assert concordant_count(p, d) == concordant_count(p.complement(), d)
 
     def test_fitness_support_consistency(self, course_dataset):

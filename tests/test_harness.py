@@ -195,6 +195,28 @@ class TestRunBenchmark:
         assert cell.error is not None
         assert cell.wall_times == ()
 
+    def test_any_cell_failure_recorded_as_cell_error(self, tmp_path):
+        # Searchers cannot draw positions beyond int64 yet, so every run
+        # on a 40-column table raises; the course table must still run.
+        rng = np.random.default_rng(9)
+        wide = tmp_path / "wide.csv"
+        write_csv(wide, tuple(f"c{i}" for i in range(40)), rng.random((3, 40)).tolist())
+        course = tmp_path / "course.csv"
+        write_csv(course, COURSE_NAMES, COURSE_ROWS)
+        spec = BenchSpec(
+            datasets=(str(wide), str(course)),
+            algorithms=("rs", "pso"),
+            repetitions=2,
+            max_iterations=5,
+        )
+        report = run_benchmark(spec)
+        assert len(report.cells) == 4
+        for cell in report.cells:
+            if cell.dataset == "wide":
+                assert cell.error is not None and cell.wall_times == ()
+            else:
+                assert cell.error is None and len(cell.wall_times) == 2
+
     def test_memory_measurement_optional(self, two_csvs):
         spec = BenchSpec(
             datasets=(str(two_csvs[0]),),
@@ -210,7 +232,7 @@ class TestRunBenchmark:
 class TestScatter:
     def test_rows_mirror_trajectory(self, course_dataset):
         r = rs_grad(course_dataset, build_space(3), SearchConfig(max_iterations=25, seed=2))
-        rows = scatter_extract(r)
+        rows = scatter_extract(r.trajectory.steps)
         assert len(rows) == 25
         for (it, pos, fit, valid), step in zip(rows, r.trajectory.steps):
             assert (it, pos) == (step.iteration, step.candidate)
@@ -222,7 +244,7 @@ class TestScatter:
     def test_empty_trajectory_rejected(self):
         empty = SearchResult(None, 0.0, math.inf, (), Trajectory(()), 0.0)
         with pytest.raises(ValueError):
-            scatter_extract(empty)
+            scatter_extract(empty.trajectory.steps)
 
 
 def _report_fixture(tmp_path):
@@ -262,7 +284,7 @@ class TestWriters:
     def test_scatter_csv(self, tmp_path, course_dataset):
         r = rs_grad(course_dataset, build_space(3), SearchConfig(max_iterations=10, seed=4))
         out = tmp_path / "scatter.csv"
-        write_scatter_csv(out, scatter_extract(r))
+        write_scatter_csv(out, scatter_extract(r.trajectory.steps))
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "iteration,position,fitness,valid"
         assert len(lines) == 11

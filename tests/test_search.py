@@ -18,7 +18,6 @@ from gradmine import (
     graank_mine,
     ls_grad,
     object_pair_count,
-    pattern_to_vector,
     pso_grad,
     rs_grad,
     run_miner,
@@ -122,7 +121,7 @@ class TestRandomSearch:
         d = Dataset(("a", "b", "c"), np.array([[1.0, 2.0, 9.0], [2.0, 1.0, 5.0]]))
         r = rs_grad(d, space, SearchConfig(max_iterations=20, seed=0))
         last_valid = [st for st in r.trajectory.steps if st.valid][-1]
-        assert encode(pattern_to_vector(r.best_pattern, 3)) == last_valid.candidate
+        assert encode(r.best_pattern, 3) == last_valid.candidate
 
 
 class TestLocalSearch:
