@@ -261,7 +261,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f" n={outcome.n} zeros_dropped={outcome.zeros_dropped}"
             )
     print(f"wrote {out_dir / 'report.json'} and {out_dir / 'report.csv'}")
-    return 0
+    failed = report.failures or any(cell.error is not None for cell in report.cells)
+    return 1 if failed else 0
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:

@@ -12,9 +12,13 @@ import csv
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .fitness import ConcordanceIndex
 
 #: Cell contents treated as missing values (case-sensitive, overridable).
 DEFAULT_MISSING_TOKENS = ("", "NaN", "nan", "?", "NA")
@@ -65,6 +69,14 @@ class Dataset:
     @property
     def m(self) -> int:
         return self.values.shape[1]
+
+    @cached_property
+    def index(self) -> "ConcordanceIndex":
+        """The concordance index of this dataset, built on first use and
+        then shared by every count against it."""
+        from .fitness import ConcordanceIndex
+
+        return ConcordanceIndex(self)
 
 
 def object_pair_count(d: Dataset) -> int:

@@ -9,8 +9,9 @@ concordant pairs, get an infinite fitness sentinel: searchers compare
 against them but never keep them.
 
 Two counting routes are provided on purpose: :class:`ConcordanceIndex`
-(vectorised, reusable) and :func:`concordant_count_brute` (a literal
-pair-by-pair scan kept as the reference the fast path is tested against).
+(bit-packed, built once per dataset as ``Dataset.index``) and
+:func:`concordant_count_brute` (a literal pair-by-pair scan kept as the
+reference the fast path is tested against).
 """
 
 from __future__ import annotations
@@ -57,37 +58,48 @@ def _check_indexes(pattern: GradualPattern, d: Dataset) -> None:
 
 
 class ConcordanceIndex:
-    """Per-attribute strict-order matrices, built once per dataset.
+    """Bit-packed strict-order rows, one pair per attribute.
 
-    ``lt[a][i, j]`` is True when attribute ``a`` strictly increases from
-    object ``i`` to object ``j``; a pattern's ordered concordance is the
-    AND over its items (transposing for decreasing items).  Each unordered
-    concordant pair is True in exactly one orientation, so summing the
-    ordered matrix counts unordered pairs directly.
+    Row ``2a`` packs the n x n matrix "attribute ``a`` strictly increases
+    from object ``i`` to object ``j``" line by line, eight objects ``j``
+    to a byte; row ``2a + 1`` packs "strictly decreases", which is the
+    first matrix transposed.  A pattern's ordered concordance is the AND
+    of its items' rows.  Each unordered concordant pair is set in exactly
+    one orientation, so the set bits count unordered pairs directly.
+    Padding bits, at the end of each line and of each row, are zero in
+    every row and never count.  Rows are stored as 64-bit words, so the
+    index takes ``2 * m * n * ceil(n / 8)`` bytes plus at most 7 per row.
     """
 
     def __init__(self, d: Dataset) -> None:
         self.m = d.m
         self.pair_count = object_pair_count(d)
-        self._lt = np.asarray(d.values[:, None, :] < d.values[None, :, :])
+        row_bytes = d.n * ((d.n + 7) // 8)
+        self._rows = np.zeros((2 * d.m, (row_bytes + 7) // 8), dtype=np.uint64)
+        packed = self._rows.view(np.uint8)
+        # One attribute at a time, so the transient boolean matrices take
+        # n * n bytes, not m * n * n.
+        for a, col in enumerate(np.ascontiguousarray(d.values.T)):
+            packed[2 * a, :row_bytes] = np.packbits(col[:, None] < col, axis=1).ravel()
+            packed[2 * a + 1, :row_bytes] = np.packbits(col[:, None] > col, axis=1).ravel()
 
     def count(self, pattern: GradualPattern) -> int:
-        if pattern.attribute_indexes()[-1] >= self.m:
-            raise ValueError("attribute index out of range for this dataset")
-        holds: np.ndarray | None = None
-        for item in pattern.items:
-            mat = self._lt[:, :, item.attribute_index]
-            if item.direction is Direction.DOWN:
-                mat = mat.T
-            holds = mat if holds is None else holds & mat
-        assert holds is not None
-        return int(holds.sum())
+        last = pattern.attribute_indexes()[-1]
+        if last >= self.m:
+            raise ValueError(f"attribute index {last} out of range for m={self.m}")
+        first, second, *rest = (
+            self._rows[2 * it.attribute_index + (it.direction is Direction.DOWN)]
+            for it in pattern.items
+        )
+        holds = first & second
+        for row in rest:
+            holds &= row
+        return int(np.bitwise_count(holds).sum())
 
 
 def concordant_count(pattern: GradualPattern, d: Dataset) -> int:
     """Unordered object pairs respecting every item of the pattern."""
-    _check_indexes(pattern, d)
-    return ConcordanceIndex(d).count(pattern)
+    return d.index.count(pattern)
 
 
 def concordant_count_brute(pattern: GradualPattern, d: Dataset) -> int:
@@ -135,7 +147,7 @@ def evaluate_with_index(x: int, space: SearchSpace, index: ConcordanceIndex) -> 
 
 def fitness_of(x: int, space: SearchSpace, d: Dataset) -> Evaluation:
     """Evaluate one integer position of the search space against a dataset."""
-    return evaluate_with_index(x, space, ConcordanceIndex(d))
+    return evaluate_with_index(x, space, d.index)
 
 
 def is_frequent(e: Evaluation, sigma: float) -> bool:

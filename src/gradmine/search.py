@@ -33,7 +33,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .encoding import GradualPattern, SearchSpace, build_space, enumerate_valid
-from .fitness import ConcordanceIndex, Evaluation, evaluate_with_index
+from .fitness import Evaluation, evaluate_with_index
 
 #: Names accepted by :func:`run_miner` (and the CLI's --algo flag).
 ALGORITHMS = ("rs", "ls", "ga", "pso", "graank")
@@ -138,7 +138,7 @@ class _Recorder:
             raise ValueError(f"sigma must be in [0, 1], got {sigma}")
         self.space = space
         self.sigma = sigma
-        self._index = ConcordanceIndex(d)
+        self._index = d.index
         self._memo: dict[int, Evaluation] = {}
         self._steps: list[TrajectoryStep] = []
         self._frequent: dict[int, Evaluation] = {}

@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gradmine import Dataset
+from gradmine import (
+    Dataset,
+    build_space,
+    concordant_count_brute,
+    enumerate_valid,
+    object_pair_count,
+    to_pattern,
+)
 
 # Four course participants: age, counselling sessions attended, final marks.
 COURSE_NAMES = ("age", "sessions", "marks")
@@ -30,6 +37,20 @@ def random_dataset(rng: np.random.Generator, n: int, m: int, ties: bool = False)
     else:
         values = rng.random((n, m))
     return Dataset(tuple(f"col{i}" for i in range(m)), values)
+
+
+def brute_frequent(d: Dataset, sigma: float) -> dict[int, float]:
+    """Independent route to the exhaustive miner's output: raw pair scans
+    over every valid candidate, keyed by candidate integer."""
+    space = build_space(d.m)
+    total = object_pair_count(d)
+    out = {}
+    for x in enumerate_valid(space):
+        p = to_pattern(x, space)
+        pairs = concordant_count_brute(p, d)
+        if pairs > 0 and pairs / total >= sigma:
+            out[x] = pairs / total
+    return out
 
 
 def write_csv(path, names, rows, delimiter=",") -> None:

@@ -3,34 +3,18 @@
 import numpy as np
 import pytest
 
-from conftest import random_dataset
+from conftest import brute_frequent, random_dataset
 from gradmine import (
     Dataset,
     EnumerationLimitError,
     SearchConfig,
     build_space,
-    concordant_count_brute,
     encode,
     enumerate_valid,
     graank_mine,
-    object_pair_count,
     run_miner,
-    to_pattern,
     valid_candidate_count,
 )
-
-
-def brute_frequent(d, sigma):
-    """Independent route: raw pair scans over every valid candidate."""
-    space = build_space(d.m)
-    total = object_pair_count(d)
-    out = {}
-    for x in enumerate_valid(space):
-        p = to_pattern(x, space)
-        pairs = concordant_count_brute(p, d)
-        if pairs > 0 and pairs / total >= sigma:
-            out[x] = pairs / total
-    return out
 
 
 def test_course_halfsupport(course_dataset):

@@ -1,9 +1,14 @@
 """End-to-end command-line behaviour via main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gradmine
 from gradmine.cli import main
 
 
@@ -182,3 +187,35 @@ class TestBench:
         ]
         assert main(argv) == 0
         assert "wilcoxon rs: skipped" in capsys.readouterr().out
+
+    def test_failed_cell_or_dataset_exits_1(self, tmp_path, course_csv, capsys, monkeypatch):
+        real = gradmine.harness.run_miner
+
+        def fail_ls(algorithm, *args):
+            if algorithm == "ls":
+                raise RuntimeError("boom")
+            return real(algorithm, *args)
+
+        monkeypatch.setattr(gradmine.harness, "run_miner", fail_ls)
+        out_dir = tmp_path / "out"
+        argv = ["bench", "--algos", "rs", "ls", "--reps", "1", "--iters", "5"]
+        assert main([*argv, "--data", str(course_csv), "--out-dir", str(out_dir)]) == 1
+        assert "cell failed: course/ls/numeric: boom" in capsys.readouterr().err
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert [c["error"] for c in report["cells"]] == [None, "boom"]
+        assert len((out_dir / "report.csv").read_text().splitlines()) == 3
+
+        monkeypatch.setattr(gradmine.harness, "run_miner", real)
+        missing = str(tmp_path / "missing.csv")
+        assert main([*argv, "--data", str(course_csv), missing, "--out-dir", str(out_dir)]) == 1
+        assert "dataset failed:" in capsys.readouterr().err
+        assert (out_dir / "report.json").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle; the command's start-up must not pay for it.
+    src = str(Path(gradmine.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    code = "import gradmine.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dataset
 from gradmine import (
@@ -106,6 +108,61 @@ class TestOracleAgreement:
         for x in enumerate_valid(space):
             p = to_pattern(x, space)
             assert index.count(p) == concordant_count(p, course_dataset)
+
+
+@st.composite
+def tied_tables(draw):
+    """Small tables whose cells come from ``{0..levels}``: levels=0 gives
+    an all-tie table, and one column may be forced constant."""
+    n = draw(st.integers(2, 19))
+    m = draw(st.integers(2, 4))
+    levels = draw(st.sampled_from((0, 1, 3, 1000)))
+    cells = draw(st.lists(st.integers(0, levels), min_size=n * m, max_size=n * m))
+    values = np.array(cells, dtype=float).reshape(n, m)
+    constant = draw(st.none() | st.integers(0, m - 1))
+    if constant is not None:
+        values[:, constant] = 7.0
+    return Dataset(tuple(f"col{i}" for i in range(m)), values)
+
+
+class TestPackedIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(tied_tables())
+    @example(Dataset(("a", "b"), np.array([[1.0, 4.0], [2.0, 3.0]])))
+    @example(Dataset(("a", "b", "c"), np.zeros((9, 3))))
+    def test_count_matches_brute_and_complement(self, d):
+        index = ConcordanceIndex(d)
+        space = build_space(d.m)
+        for x in enumerate_valid(space):
+            p = to_pattern(x, space)
+            pairs = index.count(p)
+            assert pairs == concordant_count_brute(p, d)
+            assert pairs == index.count(p.complement())
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 64, 65])
+    def test_footprint_is_packed(self, n):
+        # 2m rows of n lines of ceil(n/8) bytes, each row rounded up to
+        # whole 64-bit words.
+        d = random_dataset(np.random.default_rng(n), n, 3)
+        rows = ConcordanceIndex(d)._rows
+        assert 2 * 3 * n * ((n + 7) // 8) <= rows.nbytes
+        assert rows.nbytes < 2 * 3 * (n * ((n + 7) // 8) + 8)
+
+    def test_dataset_builds_its_index_once(self, course_dataset, monkeypatch):
+        builds = []
+        init = ConcordanceIndex.__init__
+
+        def counting_init(self, d):
+            builds.append(d)
+            init(self, d)
+
+        monkeypatch.setattr(ConcordanceIndex, "__init__", counting_init)
+        p = pat((0, UP), (1, UP))
+        concordant_count(p, course_dataset)
+        support(p, course_dataset)
+        fitness_of(40, build_space(3), course_dataset)
+        assert len(builds) == 1 and builds[0] is course_dataset
+        assert course_dataset.index is course_dataset.index
 
 
 class TestProperties:

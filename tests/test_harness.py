@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from conftest import COURSE_NAMES, COURSE_ROWS, write_csv
@@ -25,7 +27,9 @@ from gradmine import (
     write_report_json,
     write_scatter_csv,
 )
-from gradmine.harness import EXACT_LIMIT, _exact_two_sided_p
+import gradmine.harness
+from gradmine.fitness import ConcordanceIndex
+from gradmine.harness import EXACT_LIMIT, _exact_two_sided_p, _midranks
 
 
 def oracle_p(diffs):
@@ -81,6 +85,15 @@ class TestWilcoxon:
         ranks = rankdata(np.abs(diffs), method="average")
         exact = _exact_two_sided_p(out.statistic, ranks)
         assert out.p_value == pytest.approx(exact, abs=0.02)
+
+
+@given(
+    st.lists(st.integers(0, 4), min_size=1, max_size=40)
+    | st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40)
+)
+def test_midranks_match_scipy_average_ranks(values):
+    x = np.array(values, dtype=float)
+    assert np.array_equal(_midranks(x), rankdata(x, method="average"))
 
 
 class TestBenchSpec:
@@ -173,6 +186,34 @@ class TestRunBenchmark:
         graank = next(c for c in r1.cells if c.algorithm == "graank")
         for c in r1.cells:
             assert c.valid_pattern_count <= graank.valid_pattern_count
+
+    def test_index_built_once_per_dataset_before_its_runs(self, two_csvs, monkeypatch):
+        # A build inside a run would be timed as part of that cell.
+        events = []
+        init = ConcordanceIndex.__init__
+        run_miner = gradmine.harness.run_miner
+
+        def counting_init(self, d):
+            events.append(f"build n={d.n}")
+            init(self, d)
+
+        def logging_run_miner(algorithm, d, *args):
+            events.append(f"run n={d.n}")
+            return run_miner(algorithm, d, *args)
+
+        monkeypatch.setattr(ConcordanceIndex, "__init__", counting_init)
+        monkeypatch.setattr(gradmine.harness, "run_miner", logging_run_miner)
+        spec = BenchSpec(
+            datasets=tuple(str(p) for p in two_csvs),
+            algorithms=("rs", "ls", "graank"),
+            spaces=("numeric", "bitmap"),
+            repetitions=2,
+            max_iterations=5,
+        )
+        report = run_benchmark(spec)
+        assert len(report.cells) == 2 * 5
+        runs = 2 * 2 * 2 + 1
+        assert events == ["build n=4"] + ["run n=4"] * runs + ["build n=6"] + ["run n=6"] * runs
 
     def test_load_failure_recorded(self, two_csvs):
         spec = BenchSpec(

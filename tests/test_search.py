@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_dataset
+from conftest import brute_frequent, random_dataset
 from gradmine import (
     Dataset,
     SearchConfig,
@@ -15,7 +15,6 @@ from gradmine import (
     encode,
     fitness_of,
     ga_grad,
-    graank_mine,
     ls_grad,
     object_pair_count,
     pso_grad,
@@ -204,8 +203,12 @@ class TestRunMiner:
     def test_graank_matches_baseline(self, course_dataset, space):
         c = SearchConfig(max_iterations=3, seed=0, sigma=0.5)
         r = run_miner("graank", course_dataset, space, c)
-        assert r.frequent_patterns == graank_mine(course_dataset, 0.5)
         assert r.trajectory.evaluations == 20  # ignores max_iterations
+        tied = random_dataset(np.random.default_rng(5), 11, 4, ties=True)
+        for d, sigma in ((course_dataset, 0.5), (tied, 0.0), (tied, 0.15), (tied, 0.3)):
+            r = run_miner("graank", d, build_space(d.m), SearchConfig(sigma=sigma))
+            got = {encode(p, d.m): s for p, s in r.frequent_patterns}
+            assert got == brute_frequent(d, sigma)
 
     def test_graank_ignores_space_kind(self, course_dataset):
         c = SearchConfig(sigma=0.5)
