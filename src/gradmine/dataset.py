@@ -38,9 +38,13 @@ class DatasetError(ValueError):
     """A data file could not be turned into a usable matrix."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """An n-objects by m-attributes matrix of finite reals, with names."""
+    """An n-objects by m-attributes matrix of finite reals, with names.
+
+    Two datasets are equal when their names and values are; the cached
+    :attr:`index` plays no part.  Datasets are not hashable.
+    """
 
     attribute_names: tuple[str, ...]
     values: np.ndarray
@@ -61,6 +65,13 @@ class Dataset:
         values.flags.writeable = False
         object.__setattr__(self, "attribute_names", tuple(self.attribute_names))
         object.__setattr__(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self.attribute_names == other.attribute_names and np.array_equal(
+            self.values, other.values
+        )
 
     @property
     def n(self) -> int:

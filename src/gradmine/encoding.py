@@ -24,9 +24,8 @@ errors, because searchers must be able to land on them and move on.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 #: Largest attribute count for which exhaustive candidate enumeration is
 #: allowed (3**m states; beyond this the walk is no longer desk-scale).
@@ -210,22 +209,16 @@ def is_valid(x: int, space: SearchSpace) -> bool:
     return isinstance(to_pattern(x, space), GradualPattern)
 
 
-def _valid_integers(m: int) -> Iterator[int]:
-    # Per attribute: absent, up (bit 2i) or down (bit 2i+1); at least two
-    # items present.  Walks 3**m states instead of the full interval.
-    width = 2 * m
-    weights = [
-        (0, 1 << (width - 1 - 2 * i), 1 << (width - 2 - 2 * i)) for i in range(m)
-    ]
-    for states in itertools.product((0, 1, 2), repeat=m):
-        present = sum(1 for s in states if s)
-        if present < 2:
-            continue
-        yield sum(weights[i][s] for i, s in enumerate(states))
-
-
 def enumerate_valid(space: SearchSpace) -> list[int]:
     """All in-bounds integers that decode to patterns, in ascending order."""
-    if space.m > MAX_ENUM_ATTRIBUTES:
-        raise EnumerationLimitError(space.m, MAX_ENUM_ATTRIBUTES)
-    return sorted(_valid_integers(space.m))
+    m = space.m
+    if m > MAX_ENUM_ATTRIBUTES:
+        raise EnumerationLimitError(m, MAX_ENUM_ATTRIBUTES)
+    # Attribute by attribute, most significant first, each prefix takes
+    # the states absent, down, up: ascending within the attribute's two
+    # bits, so the 3**m integers come out ascending without a sort.
+    xs = [0]
+    for i in range(m):
+        down = 1 << (2 * (m - i) - 2)
+        xs = [x | state for x in xs for state in (0, down, down << 1)]
+    return [x for x in xs if x.bit_count() >= 2]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -95,6 +96,31 @@ class ConcordanceIndex:
         for row in rest:
             holds &= row
         return int(np.bitwise_count(holds).sum())
+
+    def counts(self) -> Iterator[tuple[int, int]]:
+        """``(candidate, concordant pairs)`` for every valid candidate over
+        the index's ``m`` attributes, in ascending candidate order.
+
+        A depth-first walk over the attributes, each taking the states
+        absent, down and up; in the integer layout of ``encoding`` that
+        is ascending order.  The AND of the rows chosen so far is shared
+        by every candidate below it, so each present item costs one AND
+        and each candidate of two or more items one popcount.
+        """
+        rows, m = self._rows, self.m
+
+        def walk(a: int, x: int, holds: np.ndarray | None, items: int):
+            if a == m:
+                if items >= 2:
+                    yield x, int(np.bitwise_count(holds).sum())
+                return
+            yield from walk(a + 1, x, holds, items)
+            up = 1 << (2 * (m - a) - 1)
+            for bit, row in ((up >> 1, rows[2 * a + 1]), (up, rows[2 * a])):
+                joined = row if holds is None else holds & row
+                yield from walk(a + 1, x | bit, joined, items + 1)
+
+        return walk(0, 0, None, 0)
 
 
 def concordant_count(pattern: GradualPattern, d: Dataset) -> int:

@@ -32,8 +32,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dataset import Dataset
-from .encoding import GradualPattern, SearchSpace, build_space, enumerate_valid
-from .fitness import Evaluation, evaluate_with_index
+from .encoding import (
+    MAX_ENUM_ATTRIBUTES,
+    EnumerationLimitError,
+    GradualPattern,
+    SearchSpace,
+    build_space,
+    to_pattern,
+)
+from .fitness import INFINITE_FITNESS, Evaluation, evaluate_with_index
 
 #: Names accepted by :func:`run_miner` (and the CLI's --algo flag).
 ALGORITHMS = ("rs", "ls", "ga", "pso", "graank")
@@ -185,8 +192,26 @@ def _round_clamp(value: float, s: SearchSpace) -> int:
     return _clamp(int(round(float(value))), s)
 
 
+#: numpy's integer draws take an int64 ``high`` (exclusive), so spaces
+#: whose upper bound reaches this (m >= 32) are drawn by :func:`_wide_uniform`.
+_INT64_HIGH = 2**63
+
+
+def _wide_uniform(rng: np.random.Generator, s: SearchSpace) -> int:
+    # Rejection sampling over the fewest bits that cover the interval, so
+    # fewer than two tries are needed on average.
+    bits = (s.size - 1).bit_length()
+    nbytes = (bits + 7) // 8
+    while True:
+        v = int.from_bytes(rng.bytes(nbytes), "big") >> (8 * nbytes - bits)
+        if v < s.size:
+            return s.lower + v
+
+
 def _uniform_candidate(rng: np.random.Generator, s: SearchSpace) -> int:
-    return int(rng.integers(s.lower, s.upper + 1))
+    if s.upper < _INT64_HIGH:
+        return int(rng.integers(s.lower, s.upper + 1))
+    return _wide_uniform(rng, s)
 
 
 def rs_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
@@ -293,7 +318,10 @@ def pso_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(c.seed)
     rec = _Recorder(d, s, c.sigma)
-    positions = [int(v) for v in rng.integers(s.lower, s.upper + 1, size=c.nparticles)]
+    if s.upper < _INT64_HIGH:
+        positions = [int(v) for v in rng.integers(s.lower, s.upper + 1, size=c.nparticles)]
+    else:
+        positions = [_wide_uniform(rng, s) for _ in range(c.nparticles)]
     velocities = [0.0] * c.nparticles
     pbest = list(positions)
     gbest = pbest[0]
@@ -327,15 +355,39 @@ def pso_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
 
 
 def _graank_sweep(d: Dataset, c: SearchConfig) -> SearchResult:
-    # One pass over every decodable candidate of the dataset's own
-    # numeric space; iteration numbers are just the sweep order.
+    # One pass over every valid candidate of the dataset's own numeric
+    # space, in ascending order; iteration numbers are just the sweep
+    # order.  Only the frequent candidates and the best are decoded.
     t0 = time.perf_counter()
+    if d.m > MAX_ENUM_ATTRIBUTES:
+        raise EnumerationLimitError(d.m, MAX_ENUM_ATTRIBUTES)
     space = build_space(d.m)
-    rec = _Recorder(d, space, c.sigma)
-    best: Evaluation | None = None
-    for t, x in enumerate(enumerate_valid(space), start=1):
-        best = _keep_best(best, rec.record(t, x))
-    return _finish(rec, best, t0)
+    index = d.index
+    steps: list[TrajectoryStep] = []
+    frequent: list[tuple[int, float]] = []
+    best, best_pairs, best_fitness = None, 0, math.inf
+    for t, (x, pairs) in enumerate(index.counts(), start=1):
+        if pairs == 0:
+            steps.append(TrajectoryStep(t, x, INFINITE_FITNESS, False))
+            continue
+        fitness = 1.0 / pairs
+        steps.append(TrajectoryStep(t, x, fitness, True))
+        # "<=" so a later candidate with equal fitness wins, as in _keep_best.
+        if fitness <= best_fitness:
+            best, best_pairs, best_fitness = x, pairs, fitness
+        sup = pairs / index.pair_count
+        if sup >= c.sigma:
+            frequent.append((x, sup))
+    frequent.sort(key=lambda e: (-e[1], e[0]))
+    patterns = tuple((to_pattern(x, space), sup) for x, sup in frequent)
+    return SearchResult(
+        None if best is None else to_pattern(best, space),
+        best_pairs / index.pair_count,
+        best_fitness,
+        patterns,
+        Trajectory(tuple(steps)),
+        time.perf_counter() - t0,
+    )
 
 
 def graank_mine(d: Dataset, sigma: float) -> tuple[tuple[GradualPattern, float], ...]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from gradmine import (
     Dataset,
@@ -36,6 +37,21 @@ def random_dataset(rng: np.random.Generator, n: int, m: int, ties: bool = False)
         values = rng.integers(0, 4, size=(n, m)).astype(float)
     else:
         values = rng.random((n, m))
+    return Dataset(tuple(f"col{i}" for i in range(m)), values)
+
+
+@st.composite
+def tied_tables(draw, max_m: int = 4):
+    """Small tables whose cells come from ``{0..levels}``: levels=0 gives
+    an all-tie table, and one column may be forced constant."""
+    n = draw(st.integers(2, 19))
+    m = draw(st.integers(2, max_m))
+    levels = draw(st.sampled_from((0, 1, 3, 1000)))
+    cells = draw(st.lists(st.integers(0, levels), min_size=n * m, max_size=n * m))
+    values = np.array(cells, dtype=float).reshape(n, m)
+    constant = draw(st.none() | st.integers(0, m - 1))
+    if constant is not None:
+        values[:, constant] = 7.0
     return Dataset(tuple(f"col{i}" for i in range(m)), values)
 
 

@@ -2,19 +2,42 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_frequent, random_dataset
+import gradmine.encoding
+import gradmine.fitness
+import gradmine.search
+from conftest import COURSE_NAMES, COURSE_ROWS, brute_frequent, random_dataset, tied_tables
 from gradmine import (
     Dataset,
     EnumerationLimitError,
     SearchConfig,
+    TrajectoryStep,
     build_space,
     encode,
     enumerate_valid,
+    fitness_of,
     graank_mine,
     run_miner,
     valid_candidate_count,
 )
+
+
+def reference_sweep(d, sigma):
+    """The sweep one candidate at a time: ``fitness_of`` over
+    ``enumerate_valid``, keeping the last of equally fit candidates."""
+    space = build_space(d.m)
+    steps, best, frequent = [], None, []
+    for t, x in enumerate(enumerate_valid(space), start=1):
+        e = fitness_of(x, space, d)
+        steps.append(TrajectoryStep(t, x, e.fitness, e.usable))
+        if e.usable and (best is None or e.fitness <= best.fitness):
+            best = e
+        if e.usable and e.support >= sigma:
+            frequent.append(e)
+    frequent.sort(key=lambda e: (-e.support, e.candidate))
+    return tuple(steps), best, tuple((e.pattern, e.support) for e in frequent)
 
 
 def test_course_halfsupport(course_dataset):
@@ -80,3 +103,40 @@ def test_evaluated_candidate_count(course_dataset):
     assert valid_candidate_count(d4.m) == len(enumerate_valid(build_space(4)))
     sweep = run_miner("graank", d4, build_space(4), SearchConfig())
     assert sweep.trajectory.evaluations == valid_candidate_count(4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_tables(max_m=6), st.floats(0.0, 1.0))
+@example(Dataset(COURSE_NAMES, np.array(COURSE_ROWS)), 0.5)
+@example(Dataset(("a", "b", "c"), np.zeros((5, 3))), 0.0)
+def test_sweep_matches_one_candidate_at_a_time(d, sigma):
+    r = run_miner("graank", d, build_space(d.m), SearchConfig(sigma=sigma))
+    steps, best, frequent = reference_sweep(d, sigma)
+    assert r.trajectory.steps == steps
+    assert r.frequent_patterns == frequent
+    if best is None:
+        assert (r.best_pattern, r.best_support, r.best_fitness) == (None, 0.0, float("inf"))
+    else:
+        assert (r.best_pattern, r.best_support, r.best_fitness) == (
+            best.pattern,
+            best.support,
+            best.fitness,
+        )
+
+
+def test_sweep_decodes_only_what_it_returns(monkeypatch):
+    calls = []
+    decode = gradmine.encoding.to_pattern
+
+    def counting_to_pattern(x, space):
+        calls.append(x)
+        return decode(x, space)
+
+    # Both modules that look the decoder up: the sweep and the
+    # per-candidate evaluation of the searchers.
+    for module in (gradmine.search, gradmine.fitness):
+        monkeypatch.setattr(module, "to_pattern", counting_to_pattern)
+    d = random_dataset(np.random.default_rng(8), 12, 5, ties=True)
+    r = run_miner("graank", d, build_space(5), SearchConfig(sigma=0.3))
+    assert 0 < len(r.frequent_patterns) < valid_candidate_count(5)
+    assert len(calls) <= len(r.frequent_patterns) + 1

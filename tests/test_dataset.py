@@ -158,6 +158,26 @@ class TestDatasetType:
         assert d.values[0, 0] == 1.0
 
 
+    def test_equal_by_names_and_values(self):
+        values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]])
+        d = Dataset(("a", "b"), values)
+        assert d == Dataset(("a", "b"), values.copy())
+        assert d != Dataset(("a", "b"), values + 1.0)
+        assert d != Dataset(("a", "b"), values[:2])
+        assert d != Dataset(("a", "c"), values)
+        assert d != "a dataset"
+        with pytest.raises(TypeError):
+            hash(d)
+
+    def test_equality_ignores_cached_index(self):
+        values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]])
+        d, twin = Dataset(("a", "b"), values), Dataset(("a", "b"), values)
+        index = d.index
+        assert d == twin and twin == d
+        assert d.index is index
+        assert "index" not in twin.__dict__  # comparing built nothing
+
+
 def test_object_pair_count(course_dataset):
     assert object_pair_count(course_dataset) == 6
     assert object_pair_count(Dataset(("a", "b"), np.array([[1.0, 2.0], [3.0, 4.0]]))) == 1

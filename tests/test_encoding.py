@@ -163,7 +163,7 @@ class TestValidity:
     def test_enumerate_matches_brute_force(self):
         # The generator walks 3^m attribute states; the check here scans
         # every integer of the bitmap interval instead.
-        for m in (2, 3, 4):
+        for m in (2, 3, 4, 5, 6):
             bitmap = build_space(m, SpaceKind.BITMAP)
             brute = [x for x in range(bitmap.lower, bitmap.upper + 1) if is_valid(x, bitmap)]
             assert enumerate_valid(bitmap) == brute

@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from conftest import random_dataset
+from conftest import random_dataset, tied_tables
 from gradmine import (
     ConcordanceIndex,
     Dataset,
@@ -110,21 +109,6 @@ class TestOracleAgreement:
             assert index.count(p) == concordant_count(p, course_dataset)
 
 
-@st.composite
-def tied_tables(draw):
-    """Small tables whose cells come from ``{0..levels}``: levels=0 gives
-    an all-tie table, and one column may be forced constant."""
-    n = draw(st.integers(2, 19))
-    m = draw(st.integers(2, 4))
-    levels = draw(st.sampled_from((0, 1, 3, 1000)))
-    cells = draw(st.lists(st.integers(0, levels), min_size=n * m, max_size=n * m))
-    values = np.array(cells, dtype=float).reshape(n, m)
-    constant = draw(st.none() | st.integers(0, m - 1))
-    if constant is not None:
-        values[:, constant] = 7.0
-    return Dataset(tuple(f"col{i}" for i in range(m)), values)
-
-
 class TestPackedIndex:
     @settings(max_examples=60, deadline=None)
     @given(tied_tables())
@@ -138,6 +122,16 @@ class TestPackedIndex:
             pairs = index.count(p)
             assert pairs == concordant_count_brute(p, d)
             assert pairs == index.count(p.complement())
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_counts_walk_every_candidate_in_order(self, m):
+        d = random_dataset(np.random.default_rng(m), 9, m, ties=True)
+        index = ConcordanceIndex(d)
+        space = build_space(m)
+        walked = list(index.counts())
+        assert [x for x, _ in walked] == enumerate_valid(space)
+        for x, pairs in walked:
+            assert pairs == index.count(to_pattern(x, space))
 
     @pytest.mark.parametrize("n", [2, 7, 8, 9, 64, 65])
     def test_footprint_is_packed(self, n):

@@ -236,16 +236,24 @@ class TestRunBenchmark:
         assert cell.error is not None
         assert cell.wall_times == ()
 
-    def test_any_cell_failure_recorded_as_cell_error(self, tmp_path):
-        # Searchers cannot draw positions beyond int64 yet, so every run
-        # on a 40-column table raises; the course table must still run.
+    def test_any_cell_failure_recorded_as_cell_error(self, tmp_path, monkeypatch):
+        # Every run on the four-column table raises; the course table
+        # must still run.
+        run_miner = gradmine.harness.run_miner
+
+        def failing_on_four_columns(algorithm, d, space, config):
+            if d.m == 4:
+                raise RuntimeError("search failed")
+            return run_miner(algorithm, d, space, config)
+
+        monkeypatch.setattr(gradmine.harness, "run_miner", failing_on_four_columns)
         rng = np.random.default_rng(9)
-        wide = tmp_path / "wide.csv"
-        write_csv(wide, tuple(f"c{i}" for i in range(40)), rng.random((3, 40)).tolist())
+        other = tmp_path / "other.csv"
+        write_csv(other, tuple(f"c{i}" for i in range(4)), rng.random((3, 4)).tolist())
         course = tmp_path / "course.csv"
         write_csv(course, COURSE_NAMES, COURSE_ROWS)
         spec = BenchSpec(
-            datasets=(str(wide), str(course)),
+            datasets=(str(other), str(course)),
             algorithms=("rs", "pso"),
             repetitions=2,
             max_iterations=5,
@@ -253,8 +261,8 @@ class TestRunBenchmark:
         report = run_benchmark(spec)
         assert len(report.cells) == 4
         for cell in report.cells:
-            if cell.dataset == "wide":
-                assert cell.error is not None and cell.wall_times == ()
+            if cell.dataset == "other":
+                assert cell.error == "search failed" and cell.wall_times == ()
             else:
                 assert cell.error is None and len(cell.wall_times) == 2
 

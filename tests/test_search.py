@@ -9,6 +9,7 @@ from conftest import brute_frequent, random_dataset
 from gradmine import (
     Dataset,
     SearchConfig,
+    SearchSpace,
     SpaceKind,
     build_space,
     concordant_count_brute,
@@ -21,6 +22,7 @@ from gradmine import (
     rs_grad,
     run_miner,
 )
+from gradmine.search import _wide_uniform
 
 MINERS = {"rs": rs_grad, "ls": ls_grad, "ga": ga_grad, "pso": pso_grad}
 
@@ -106,6 +108,30 @@ class TestContracts:
     def test_wall_time_nonnegative(self, course_dataset, space):
         r = rs_grad(course_dataset, space, SearchConfig(max_iterations=5, seed=0))
         assert r.wall_time >= 0.0
+
+
+class TestWideSpaces:
+    # Past m = 31 the interval no longer fits numpy's int64 draws.
+    @pytest.mark.parametrize("algo", sorted(MINERS))
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    def test_forty_attributes(self, algo, kind):
+        d = random_dataset(np.random.default_rng(40), 5, 40)
+        s = build_space(40, kind)
+        assert s.upper >= 2**63
+        r = MINERS[algo](d, s, SearchConfig(max_iterations=30, seed=4))
+        assert r.trajectory.evaluations > 0
+        for st in r.trajectory.steps:
+            assert type(st.candidate) is int and s.contains(st.candidate)
+
+    def test_wide_draw_is_uniform(self):
+        # The big-int draw on a small interval: 3 random bits per try
+        # give 0..7; 6 and 7 are rejected and the rest map to 5..10.
+        rng = np.random.default_rng(0)
+        space = SearchSpace(SpaceKind.BITMAP, 2, 5, 10)
+        draws = [_wide_uniform(rng, space) for _ in range(6000)]
+        counts = np.bincount(draws, minlength=11)[5:]
+        assert set(draws) == set(range(5, 11))
+        assert counts.min() > 850 and counts.max() < 1150
 
 
 class TestRandomSearch:
