@@ -165,23 +165,35 @@ def _down_mask(m: int) -> int:
     return ((1 << (2 * m)) - 1) // 3
 
 
-def to_pattern(x: int, space: SearchSpace) -> PatternOrInvalid:
-    """Decode an in-bounds integer into a pattern, or report why it is
-    unusable.
+def invalid_reason(x: int, space: SearchSpace) -> InvalidReason | None:
+    """Why an in-bounds integer does not decode to a pattern, or None when
+    it does; ``ValueError`` outside the space.
 
-    Bit ``2m-1-2i`` marks (attribute i, up) and bit ``2m-2-2i``
-    (attribute i, down).  A conflict (both bits of one attribute) takes
-    precedence over having fewer than two items.
+    A conflict (both bits of one attribute) takes precedence over having
+    fewer than two items.
     """
     if not space.contains(x):
         raise ValueError(
             f"{x} outside [{space.lower}, {space.upper}] of the {space.kind.value} space"
         )
-    down = _down_mask(space.m)
-    if (x & (down << 1)) >> 1 & x:
-        return InvalidCandidate(InvalidReason.CONFLICT)
-    if ((x | x >> 1) & down).bit_count() < 2:
-        return InvalidCandidate(InvalidReason.TOO_FEW_ITEMS)
+    if (x & (_down_mask(space.m) << 1)) >> 1 & x:
+        return InvalidReason.CONFLICT
+    # Without conflicts, each set bit is one item.
+    if x.bit_count() < 2:
+        return InvalidReason.TOO_FEW_ITEMS
+    return None
+
+
+def to_pattern(x: int, space: SearchSpace) -> PatternOrInvalid:
+    """Decode an in-bounds integer into a pattern, or report why it is
+    unusable.
+
+    Bit ``2m-1-2i`` marks (attribute i, up) and bit ``2m-2-2i``
+    (attribute i, down).
+    """
+    reason = invalid_reason(x, space)
+    if reason is not None:
+        return InvalidCandidate(reason)
     top = 2 * space.m - 1
     items: list[GradualItem] = []
     while x:
@@ -206,7 +218,7 @@ def encode(pattern: GradualPattern, m: int) -> int:
 
 def is_valid(x: int, space: SearchSpace) -> bool:
     """True iff the in-bounds integer decodes to a gradual pattern."""
-    return isinstance(to_pattern(x, space), GradualPattern)
+    return invalid_reason(x, space) is None
 
 
 def enumerate_valid(space: SearchSpace) -> list[int]:

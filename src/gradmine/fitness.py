@@ -22,18 +22,23 @@ from typing import Iterator
 
 import numpy as np
 
-from .dataset import Dataset, object_pair_count
+from .dataset import Dataset, DatasetError, object_pair_count
 from .encoding import (
     Direction,
     GradualPattern,
     InvalidCandidate,
     PatternOrInvalid,
     SearchSpace,
+    encode,
     to_pattern,
 )
 
 #: Fitness assigned to unusable candidates (invalid or zero support).
 INFINITE_FITNESS = math.inf
+
+#: Largest concordance index, in bytes, that :class:`ConcordanceIndex`
+#: allocates; a larger table is refused with a ``DatasetError``.
+MAX_INDEX_BYTES = 2 * 2**30
 
 
 @dataclass(frozen=True)
@@ -69,14 +74,22 @@ class ConcordanceIndex:
     one orientation, so the set bits count unordered pairs directly.
     Padding bits, at the end of each line and of each row, are zero in
     every row and never count.  Rows are stored as 64-bit words, so the
-    index takes ``2 * m * n * ceil(n / 8)`` bytes plus at most 7 per row.
+    index takes ``2 * m * n * ceil(n / 8)`` bytes plus at most 7 per row;
+    above ``MAX_INDEX_BYTES`` it raises ``DatasetError`` before allocating.
     """
 
     def __init__(self, d: Dataset) -> None:
         self.m = d.m
         self.pair_count = object_pair_count(d)
         row_bytes = d.n * ((d.n + 7) // 8)
-        self._rows = np.zeros((2 * d.m, (row_bytes + 7) // 8), dtype=np.uint64)
+        row_words = (row_bytes + 7) // 8
+        needed = 2 * d.m * row_words * 8
+        if needed > MAX_INDEX_BYTES:
+            raise DatasetError(
+                f"a table of n={d.n} objects and m={d.m} attributes needs a "
+                f"{needed}-byte concordance index, over the {MAX_INDEX_BYTES}-byte limit"
+            )
+        self._rows = np.zeros((2 * d.m, row_words), dtype=np.uint64)
         packed = self._rows.view(np.uint8)
         # One attribute at a time, so the transient boolean matrices take
         # n * n bytes, not m * n * n.
@@ -88,12 +101,24 @@ class ConcordanceIndex:
         last = pattern.attribute_indexes()[-1]
         if last >= self.m:
             raise ValueError(f"attribute index {last} out of range for m={self.m}")
-        first, second, *rest = (
-            self._rows[2 * it.attribute_index + (it.direction is Direction.DOWN)]
-            for it in pattern.items
-        )
-        holds = first & second
-        for row in rest:
+        return self.count_candidate(encode(pattern, self.m))
+
+    def count_candidate(self, x: int) -> int:
+        """Concordant pairs of a candidate integer with at least two set
+        bits (unchecked) over the index's ``m`` attributes.
+
+        Bit ``p`` of the integer names row ``2m - 1 - p``, the layout of
+        ``encoding``, so the items' rows are ANDed without a decode.  A
+        conflict's two rows AND to zero pairs.
+        """
+        top = 2 * self.m - 1
+        rows = []
+        while x:
+            pos = x.bit_length() - 1
+            x ^= 1 << pos
+            rows.append(self._rows[top - pos])
+        holds = rows[0] & rows[1]
+        for row in rows[2:]:
             holds &= row
         return int(np.bitwise_count(holds).sum())
 

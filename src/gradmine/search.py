@@ -38,9 +38,10 @@ from .encoding import (
     GradualPattern,
     SearchSpace,
     build_space,
+    invalid_reason,
     to_pattern,
 )
-from .fitness import INFINITE_FITNESS, Evaluation, evaluate_with_index
+from .fitness import INFINITE_FITNESS
 
 #: Names accepted by :func:`run_miner` (and the CLI's --algo flag).
 ALGORITHMS = ("rs", "ls", "ga", "pso", "graank")
@@ -135,9 +136,11 @@ class SearchResult:
 class _Recorder:
     """The instrumented objective function.
 
-    Memoizes evaluations per candidate (the spaces are tiny, so repeat
-    visits are common), appends one trajectory step per call regardless,
-    and registers frequent candidates as they are first seen.
+    Memoizes the fitness of each candidate integer (the spaces are tiny,
+    so repeat visits are common) and the pair count of each usable one,
+    appends one trajectory step per call regardless, and notes frequent
+    candidates as they are first seen.  Candidates are checked and counted
+    as integers; only the results are decoded, by :func:`_finish`.
     """
 
     def __init__(self, d: Dataset, space: SearchSpace, sigma: float) -> None:
@@ -146,41 +149,63 @@ class _Recorder:
         self.space = space
         self.sigma = sigma
         self._index = d.index
-        self._memo: dict[int, Evaluation] = {}
+        self._memo: dict[int, float] = {}
+        self._pairs: dict[int, int] = {}
         self._steps: list[TrajectoryStep] = []
-        self._frequent: dict[int, Evaluation] = {}
+        self._frequent: list[int] = []
 
-    def record(self, iteration: int, candidate: int) -> Evaluation:
-        ev = self._memo.get(candidate)
-        if ev is None:
-            ev = evaluate_with_index(candidate, self.space, self._index)
-            self._memo[candidate] = ev
-            if ev.usable and ev.support >= self.sigma:
-                self._frequent[candidate] = ev
-        self._steps.append(TrajectoryStep(iteration, candidate, ev.fitness, ev.usable))
-        return ev
+    def record(self, iteration: int, candidate: int) -> float:
+        fitness = self._memo.get(candidate)
+        if fitness is None:
+            fitness = self._memo[candidate] = self._evaluate(candidate)
+        self._steps.append(
+            TrajectoryStep(iteration, candidate, fitness, fitness < INFINITE_FITNESS)
+        )
+        return fitness
+
+    def _evaluate(self, x: int) -> float:
+        if invalid_reason(x, self.space) is not None:
+            return INFINITE_FITNESS
+        pairs = self._index.count_candidate(x)
+        if pairs == 0:
+            return INFINITE_FITNESS
+        self._pairs[x] = pairs
+        if pairs / self._index.pair_count >= self.sigma:
+            self._frequent.append(x)
+        return 1.0 / pairs
+
+    def support(self, x: int) -> float:
+        return self._pairs[x] / self._index.pair_count
 
     def trajectory(self) -> Trajectory:
         return Trajectory(tuple(self._steps))
 
     def frequent(self) -> tuple[tuple[GradualPattern, float], ...]:
-        order = sorted(self._frequent.values(), key=lambda e: (-e.support, e.candidate))
-        return tuple((e.pattern, e.support) for e in order)
+        order = sorted(self._frequent, key=lambda x: (-self._pairs[x], x))
+        return tuple((to_pattern(x, self.space), self.support(x)) for x in order)
 
 
-def _keep_best(best: Evaluation | None, ev: Evaluation) -> Evaluation | None:
-    # "<=" so a later candidate with equal fitness replaces the incumbent.
-    if ev.usable and (best is None or ev.fitness <= best.fitness):
-        return ev
+#: The incumbent before any usable candidate: (fitness, candidate).
+_NO_BEST: tuple[float, int | None] = (INFINITE_FITNESS, None)
+
+
+def _keep_best(best: tuple[float, int | None], fitness: float, x: int) -> tuple[float, int | None]:
+    # "<=" so a later candidate with equal fitness replaces the incumbent;
+    # an unusable (infinite) one never does.
+    if fitness <= best[0] and fitness < INFINITE_FITNESS:
+        return fitness, x
     return best
 
 
-def _finish(rec: _Recorder, best: Evaluation | None, t0: float) -> SearchResult:
-    wall = time.perf_counter() - t0
-    if best is None:
-        return SearchResult(None, 0.0, math.inf, rec.frequent(), rec.trajectory(), wall)
+def _finish(rec: _Recorder, best: tuple[float, int | None], t0: float) -> SearchResult:
+    fitness, x = best
+    frequent = rec.frequent()
+    if x is None:
+        pattern, sup = None, 0.0
+    else:
+        pattern, sup = to_pattern(x, rec.space), rec.support(x)
     return SearchResult(
-        best.pattern, best.support, best.fitness, rec.frequent(), rec.trajectory(), wall
+        pattern, sup, fitness, frequent, rec.trajectory(), time.perf_counter() - t0
     )
 
 
@@ -188,8 +213,17 @@ def _clamp(x: int, s: SearchSpace) -> int:
     return min(max(x, s.lower), s.upper)
 
 
-def _round_clamp(value: float, s: SearchSpace) -> int:
-    return _clamp(int(round(float(value))), s)
+#: Below this, integers and their halves are exact in float64.
+_FLOAT_EXACT = 2**52
+
+
+def _round_clamp(x: int, u: float, s: SearchSpace) -> int:
+    # ``x + u`` rounded and clamped into ``s``.  Only the bits of ``x``
+    # below _FLOAT_EXACT meet the float, so float64 cannot swallow the
+    # step on wider positions (m >= 27), and narrower ones round exactly
+    # as ``int(round(x + u))``.
+    low = x & (_FLOAT_EXACT - 1)
+    return min(max(x - low + round(low + u), s.lower), s.upper)
 
 
 #: numpy's integer draws take an int64 ``high`` (exclusive), so spaces
@@ -208,10 +242,11 @@ def _wide_uniform(rng: np.random.Generator, s: SearchSpace) -> int:
             return s.lower + v
 
 
-def _uniform_candidate(rng: np.random.Generator, s: SearchSpace) -> int:
+def _uniform_candidates(rng: np.random.Generator, s: SearchSpace, count: int) -> list[int]:
+    # One sized draw yields the same stream as ``count`` scalar draws.
     if s.upper < _INT64_HIGH:
-        return int(rng.integers(s.lower, s.upper + 1))
-    return _wide_uniform(rng, s)
+        return rng.integers(s.lower, s.upper + 1, size=count).tolist()
+    return [_wide_uniform(rng, s) for _ in range(count)]
 
 
 def rs_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
@@ -219,9 +254,9 @@ def rs_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(c.seed)
     rec = _Recorder(d, s, c.sigma)
-    best: Evaluation | None = None
-    for t in range(1, c.max_iterations + 1):
-        best = _keep_best(best, rec.record(t, _uniform_candidate(rng, s)))
+    best = _NO_BEST
+    for t, x in enumerate(_uniform_candidates(rng, s, c.max_iterations), start=1):
+        best = _keep_best(best, rec.record(t, x), x)
     return _finish(rec, best, t0)
 
 
@@ -235,22 +270,17 @@ def ls_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(c.seed)
     rec = _Recorder(d, s, c.sigma)
-    x = _uniform_candidate(rng, s)
+    (x,) = _uniform_candidates(rng, s, 1)
     current = rec.record(0, x)
-    best = _keep_best(None, current)
-    for t in range(1, c.max_iterations + 1):
-        u = float(rng.uniform(-c.step_size, c.step_size))
-        proposal = _round_clamp(x + u, s)
-        ev = rec.record(t, proposal)
-        if ev.fitness <= current.fitness:
-            x, current = proposal, ev
-        best = _keep_best(best, ev)
+    best = _keep_best(_NO_BEST, current, x)
+    steps = rng.uniform(-c.step_size, c.step_size, size=c.max_iterations).tolist()
+    for t, u in enumerate(steps, start=1):
+        proposal = _round_clamp(x, u, s)
+        fitness = rec.record(t, proposal)
+        if fitness <= current:
+            x, current = proposal, fitness
+        best = _keep_best(best, fitness, proposal)
     return _finish(rec, best, t0)
-
-
-def _fitness_order(e: Evaluation) -> tuple[float, int]:
-    # Usable candidates first (inf sorts last); ties by lower integer.
-    return (e.fitness, e.candidate)
 
 
 def _mutate(rng: np.random.Generator, candidate: int, s: SearchSpace, c: SearchConfig) -> int:
@@ -258,7 +288,7 @@ def _mutate(rng: np.random.Generator, candidate: int, s: SearchSpace, c: SearchC
     # the interval by rounding and clamping.  flips[0] is the top bit.
     flips = np.packbits(rng.random(2 * s.m) < c.mutation_rate)
     mask = int.from_bytes(flips.tobytes(), "big") >> ((-2 * s.m) % 8)
-    return _round_clamp((candidate ^ mask) + float(rng.normal(0.0, c.mutation_scale)), s)
+    return _round_clamp(candidate ^ mask, float(rng.normal(0.0, c.mutation_scale)), s)
 
 
 def ga_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
@@ -269,38 +299,36 @@ def ga_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
     (otherwise copies them), then mutates each offspring; all four
     results are evaluated, appended, and the population is truncated
     back to ``npop``.  Exactly four objective calls per iteration.
+    Members are (fitness, candidate), so unusable ones (inf) sort last
+    and ties go to the lower integer.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(c.seed)
     rec = _Recorder(d, s, c.sigma)
-    best: Evaluation | None = None
-    pop: list[Evaluation] = []
-    for _ in range(c.npop):
-        ev = rec.record(0, _uniform_candidate(rng, s))
-        pop.append(ev)
-        best = _keep_best(best, ev)
+    best = _NO_BEST
+    pop: list[tuple[float, int]] = []
+    for x in _uniform_candidates(rng, s, c.npop):
+        fitness = rec.record(0, x)
+        pop.append((fitness, x))
+        best = _keep_best(best, fitness, x)
     nbits = 2 * s.m
     for t in range(1, c.max_iterations + 1):
-        p1, p2 = heapq.nsmallest(2, pop, key=_fitness_order)
+        (_, x1), (_, x2) = heapq.nsmallest(2, pop)
         if float(rng.random()) < c.crossover_rate:
             # The first ``point`` bits come from one parent, the rest from
             # the other.  Recombined bits can leave a numeric-space
             # interval, so the children are clamped back in like every
             # other move.
             low = (1 << (nbits - int(rng.integers(1, nbits)))) - 1
-            x1, x2 = p1.candidate, p2.candidate
             c1 = _clamp((x1 & ~low) | (x2 & low), s)
             c2 = _clamp((x2 & ~low) | (x1 & low), s)
         else:
-            c1, c2 = p1.candidate, p2.candidate
-        ev1 = rec.record(t, c1)
-        ev2 = rec.record(t, c2)
-        ev3 = rec.record(t, _mutate(rng, c1, s, c))
-        ev4 = rec.record(t, _mutate(rng, c2, s, c))
-        for ev in (ev1, ev2, ev3, ev4):
-            best = _keep_best(best, ev)
-        pop.extend((ev1, ev2, ev3, ev4))
-        pop = heapq.nsmallest(c.npop, pop, key=_fitness_order)
+            c1, c2 = x1, x2
+        for x in (c1, c2, _mutate(rng, c1, s, c), _mutate(rng, c2, s, c)):
+            fitness = rec.record(t, x)
+            pop.append((fitness, x))
+            best = _keep_best(best, fitness, x)
+        pop = heapq.nsmallest(c.npop, pop)
     return _finish(rec, best, t0)
 
 
@@ -318,39 +346,31 @@ def pso_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(c.seed)
     rec = _Recorder(d, s, c.sigma)
-    if s.upper < _INT64_HIGH:
-        positions = [int(v) for v in rng.integers(s.lower, s.upper + 1, size=c.nparticles)]
-    else:
-        positions = [_wide_uniform(rng, s) for _ in range(c.nparticles)]
+    positions = _uniform_candidates(rng, s, c.nparticles)
     velocities = [0.0] * c.nparticles
     pbest = list(positions)
     gbest = pbest[0]
-    best: Evaluation | None = None
+    best = _NO_BEST
     for t in range(1, c.max_iterations + 1):
-        gbest_ev: Evaluation | None = None
         for i, x in enumerate(positions):
-            ev_x = rec.record(t, x)
-            ev_p = rec.record(t, pbest[i])
-            if ev_x.usable and ev_x.fitness <= ev_p.fitness:
+            fx = rec.record(t, x)
+            fp = rec.record(t, pbest[i])
+            usable = fx < INFINITE_FITNESS
+            if usable and fx <= fp:
                 pbest[i] = x
-            ev_g = rec.record(t, gbest)
-            if ev_x.usable and ev_x.fitness <= ev_g.fitness:
-                gbest = x
-                gbest_ev = ev_x
-            else:
-                gbest_ev = ev_g
-        if gbest_ev is not None:
-            best = _keep_best(best, gbest_ev)
+            fg = rec.record(t, gbest)
+            if usable and fx <= fg:
+                gbest, fg = x, fx
+        best = _keep_best(best, fg, gbest)
+        r = rng.random(2 * c.nparticles).tolist()
         for i in range(c.nparticles):
-            r1 = float(rng.random())
-            r2 = float(rng.random())
             v = (
                 c.inertia * velocities[i]
-                + c.coef_p * r1 * (pbest[i] - positions[i])
-                + c.coef_g * r2 * (gbest - positions[i])
+                + c.coef_p * r[2 * i] * (pbest[i] - positions[i])
+                + c.coef_g * r[2 * i + 1] * (gbest - positions[i])
             )
             velocities[i] = min(max(v, -c.max_velocity), c.max_velocity)
-            positions[i] = _round_clamp(positions[i] + velocities[i], s)
+            positions[i] = _round_clamp(positions[i], velocities[i], s)
     return _finish(rec, best, t0)
 
 

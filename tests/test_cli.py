@@ -54,6 +54,15 @@ class TestMine:
         assert captured.err == "error: high is out of bounds for int64\n"
         assert captured.out == ""
 
+    def test_index_over_memory_limit_is_runtime_error(self, course_csv, capsys, monkeypatch):
+        # The course table's index takes 48 bytes: 6 rows of one word.
+        monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 47)
+        assert main(["mine", "--data", str(course_csv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "n=4" in captured.err and "m=3" in captured.err and "48-byte" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("algo", ["rs", "ls", "ga", "pso"])
     def test_seeded_runs_are_byte_identical(self, course_csv, capsys, algo):
         argv = ["mine", "--data", str(course_csv), "--algo", algo, "--seed", "3"]
@@ -210,6 +219,17 @@ class TestBench:
         assert main([*argv, "--data", str(course_csv), missing, "--out-dir", str(out_dir)]) == 1
         assert "dataset failed:" in capsys.readouterr().err
         assert (out_dir / "report.json").exists()
+
+    def test_index_over_memory_limit_fails_the_dataset(self, tmp_path, course_csv, capsys, monkeypatch):
+        monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 47)
+        out_dir = tmp_path / "out"
+        argv = ["bench", "--algos", "rs", "--reps", "1", "--iters", "5"]
+        assert main([*argv, "--data", str(course_csv), "--out-dir", str(out_dir)]) == 1
+        assert "dataset failed:" in capsys.readouterr().err
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert report["cells"] == []
+        [failure] = report["dataset_failures"]
+        assert failure["dataset"] == "course" and "48-byte" in failure["error"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+import gradmine.fitness
 from conftest import random_dataset, tied_tables
 from gradmine import (
     ConcordanceIndex,
     Dataset,
+    DatasetError,
     Direction,
     GradualItem,
     GradualPattern,
@@ -121,6 +123,7 @@ class TestPackedIndex:
             p = to_pattern(x, space)
             pairs = index.count(p)
             assert pairs == concordant_count_brute(p, d)
+            assert pairs == index.count_candidate(x)
             assert pairs == index.count(p.complement())
 
     @pytest.mark.parametrize("m", range(2, 8))
@@ -202,6 +205,14 @@ class TestErrors:
             concordant_count_brute(p, course_dataset)
         with pytest.raises(ValueError):
             ConcordanceIndex(course_dataset).count(p)
+
+    def test_index_memory_limit(self, course_dataset, monkeypatch):
+        # 4 objects pack into 4 bytes per row, one 64-bit word; 6 rows.
+        monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 48)
+        assert ConcordanceIndex(course_dataset)._rows.nbytes == 48
+        monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 47)
+        with pytest.raises(DatasetError, match=r"n=4 .* m=3 .* 48-byte .* 47-byte"):
+            ConcordanceIndex(course_dataset)
 
     def test_fitness_of_out_of_bounds(self, course_dataset):
         with pytest.raises(ValueError):

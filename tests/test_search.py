@@ -1,11 +1,14 @@
 """The four stochastic miners: budgets, determinism, soundness."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_frequent, random_dataset
+from conftest import brute_frequent, random_dataset, tied_tables
 from gradmine import (
     Dataset,
     SearchConfig,
@@ -22,7 +25,7 @@ from gradmine import (
     rs_grad,
     run_miner,
 )
-from gradmine.search import _wide_uniform
+from gradmine.search import _clamp, _round_clamp, _wide_uniform
 
 MINERS = {"rs": rs_grad, "ls": ls_grad, "ga": ga_grad, "pso": pso_grad}
 
@@ -123,6 +126,30 @@ class TestWideSpaces:
         for st in r.trajectory.steps:
             assert type(st.candidate) is int and s.contains(st.candidate)
 
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    def test_moves_are_not_swallowed_by_float64(self, kind):
+        # Positions of 80 bits: a float step of a few units used to round
+        # back to the same candidate (2 distinct for ls, 10 for pso).
+        d = random_dataset(np.random.default_rng(40), 5, 40)
+        s = build_space(40, kind)
+        c = SearchConfig(max_iterations=100, seed=4)
+        distinct = {
+            algo: len({st.candidate for st in MINERS[algo](d, s, c).trajectory.steps})
+            for algo in ("ls", "pso")
+        }
+        assert distinct["ls"] >= 20 and distinct["pso"] >= 100
+
+    @given(st.integers(0, 2**52 - 1), st.floats(-1e6, 1e6))
+    def test_step_below_two_pow_52_rounds_as_float(self, x, u):
+        s = build_space(26, SpaceKind.BITMAP)  # [0, 2**52 - 1]
+        assert _round_clamp(x, u, s) == _clamp(int(round(x + u)), s)
+
+    @given(st.integers(0, 2**80 - 1), st.floats(-1e6, 1e6))
+    def test_step_lands_within_one_of_exact_sum(self, x, u):
+        s = build_space(41, SpaceKind.BITMAP)  # [0, 2**82 - 1]
+        exact = Fraction(x) + Fraction(u)
+        assert abs(_round_clamp(x, u, s) - min(max(exact, 0), s.upper)) <= 1
+
     def test_wide_draw_is_uniform(self):
         # The big-int draw on a small interval: 3 random bits per try
         # give 0..7; 6 and 7 are rejected and the rest map to 5..10.
@@ -132,6 +159,61 @@ class TestWideSpaces:
         counts = np.bincount(draws, minlength=11)[5:]
         assert set(draws) == set(range(5, 11))
         assert counts.min() > 850 and counts.max() < 1150
+
+
+def _expected_best(algo: str, steps, nparticles: int):
+    """(fitness, candidate) of the run best, re-derived from the steps:
+    rs/ls/ga fold every usable step, pso folds each iteration's global
+    best, which is the last triple's position when that position is usable
+    and no worse than the global best it was compared with, else that
+    global best.  Later ties win."""
+    if algo == "pso":
+        folded = []
+        for end in range(3 * nparticles, len(steps) + 1, 3 * nparticles):
+            x, _, g = steps[end - 3 : end]
+            folded.append(x if x.valid and x.fitness <= g.fitness else g)
+        steps = folded
+    best = (math.inf, None)
+    for step in steps:
+        if step.valid and step.fitness <= best[0]:
+            best = (step.fitness, step.candidate)
+    return best
+
+
+class TestRecorderOracle:
+    """Every search result checked against ``fitness_of``, the decode-first
+    objective, on small tied tables."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tied_tables(max_m=6),
+        st.sampled_from(sorted(MINERS)),
+        st.sampled_from(list(SpaceKind)),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((0.0, 0.2, 0.5)) | st.floats(0.0, 1.0),
+    )
+    def test_result_matches_fitness_of(self, d, algo, kind, seed, sigma):
+        s = build_space(d.m, kind)
+        c = SearchConfig(max_iterations=12, seed=seed, sigma=sigma, npop=4, nparticles=3)
+        r = MINERS[algo](d, s, c)
+        evaluated = {}
+        for step in r.trajectory.steps:
+            e = evaluated.setdefault(step.candidate, fitness_of(step.candidate, s, d))
+            assert (step.fitness, step.valid) == (e.fitness, e.usable)
+
+        fitness, x = _expected_best(algo, r.trajectory.steps, c.nparticles)
+        assert r.best_fitness == fitness
+        if x is None:
+            assert r.best_pattern is None and r.best_support == 0.0
+        else:
+            assert encode(r.best_pattern, d.m) == x
+            assert r.best_support == evaluated[x].support
+
+        frequent = sorted(
+            (e for e in evaluated.values() if e.usable and e.support >= sigma),
+            key=lambda e: (-e.support, e.candidate),
+        )
+        assert r.frequent_patterns == tuple((e.pattern, e.support) for e in frequent)
 
 
 class TestRandomSearch:
