@@ -207,8 +207,9 @@ def to_pattern(x: int, space: SearchSpace) -> PatternOrInvalid:
 
 def encode(pattern: GradualPattern, m: int) -> int:
     """Inverse of :func:`to_pattern` for a given attribute count."""
-    if pattern.attribute_indexes()[-1] >= m:
-        raise ValueError("pattern references an attribute beyond the space")
+    last = pattern.attribute_indexes()[-1]
+    if last >= m:
+        raise ValueError(f"attribute index {last} out of range for m={m}")
     x = 0
     for item in pattern.items:
         offset = 2 * item.attribute_index + (item.direction is Direction.DOWN)

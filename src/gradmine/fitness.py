@@ -98,9 +98,8 @@ class ConcordanceIndex:
             packed[2 * a + 1, :row_bytes] = np.packbits(col[:, None] > col, axis=1).ravel()
 
     def count(self, pattern: GradualPattern) -> int:
-        last = pattern.attribute_indexes()[-1]
-        if last >= self.m:
-            raise ValueError(f"attribute index {last} out of range for m={self.m}")
+        """Concordant pairs of a pattern; ``encode`` rejects attributes
+        beyond the index's ``m``."""
         return self.count_candidate(encode(pattern, self.m))
 
     def count_candidate(self, x: int) -> int:
@@ -185,20 +184,18 @@ def support(pattern: GradualPattern, d: Dataset) -> float:
     return concordant_count(pattern, d) / object_pair_count(d)
 
 
-def evaluate_with_index(x: int, space: SearchSpace, index: ConcordanceIndex) -> Evaluation:
-    """Like :func:`fitness_of` but reusing a prebuilt index."""
+def fitness_of(x: int, space: SearchSpace, d: Dataset) -> Evaluation:
+    """Evaluate one integer position of the search space against a dataset.
+
+    Decodes first and counts the pattern, independently of the searchers'
+    integer-keyed recorder, which is tested against it.
+    """
     pattern = to_pattern(x, space)
     if isinstance(pattern, InvalidCandidate):
         return Evaluation(x, pattern, 0, 0.0, INFINITE_FITNESS)
-    pairs = index.count(pattern)
-    sup = pairs / index.pair_count
+    pairs = d.index.count(pattern)
     fit = 1.0 / pairs if pairs > 0 else INFINITE_FITNESS
-    return Evaluation(x, pattern, pairs, sup, fit)
-
-
-def fitness_of(x: int, space: SearchSpace, d: Dataset) -> Evaluation:
-    """Evaluate one integer position of the search space against a dataset."""
-    return evaluate_with_index(x, space, d.index)
+    return Evaluation(x, pattern, pairs, pairs / d.index.pair_count, fit)
 
 
 def is_frequent(e: Evaluation, sigma: float) -> bool:

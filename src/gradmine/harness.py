@@ -23,7 +23,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .dataset import Dataset, DatasetError, load_dataset
-from .encoding import SpaceKind, build_space, encode
+from .encoding import GradualPattern, SpaceKind, build_space
 from .search import (
     ALGORITHMS,
     SearchConfig,
@@ -233,10 +233,6 @@ class BenchReport:
     failures: tuple[DatasetFailure, ...]
 
 
-def _frequent_ints(result: SearchResult, m: int) -> dict[int, float]:
-    return {encode(pattern, m): support for pattern, support in result.frequent_patterns}
-
-
 def _invalid_ints(result: SearchResult) -> set[int]:
     return {step.candidate for step in result.trajectory.steps if not step.valid}
 
@@ -267,7 +263,7 @@ def _run_cell(
     kind = SPACE_KINDS[space_name] if space_name is not None else SpaceKind.NUMERIC
     space = build_space(d.m, kind)
     wall_times: list[float] = []
-    frequent: dict[int, float] = {}
+    frequent: dict[GradualPattern, float] = {}
     invalid: set[int] = set()
     best_support = 0.0
     peak = 0
@@ -287,7 +283,7 @@ def _run_cell(
         except Exception as exc:  # one failing cell never aborts the grid
             return _error_cell(dataset, algorithm, space_name, seeds, str(exc))
         wall_times.append(result.wall_time)
-        frequent.update(_frequent_ints(result, d.m))
+        frequent.update(result.frequent_patterns)
         invalid.update(_invalid_ints(result))
         best_support = max(best_support, result.best_support)
         if spec.save_trajectories:

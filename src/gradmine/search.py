@@ -11,9 +11,10 @@ and particle swarm optimization ("pso").  All of them
   best, a personal best or the global best;
 * collect every distinct usable candidate whose support meets ``sigma``.
 
-:func:`run_miner` additionally wraps the exhaustive sweep under the same
-result type so the benchmark harness drives all five miners through one
-door; :func:`graank_mine` is that sweep's frequent set on its own.
+:func:`run_miner` additionally wraps the exhaustive sweep, which scores
+through the same recorder and returns the same result type, so the
+benchmark harness drives all five miners through one door;
+:func:`graank_mine` is that sweep's frequent set on its own.
 
 Objective-call budgets are part of the contract: rs makes T calls, ls
 makes T+1 (the starting point counts), ga makes npop + 4T (two offspring
@@ -24,7 +25,6 @@ and two mutants per iteration) and pso makes 3 per particle per iteration
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -134,54 +134,60 @@ class SearchResult:
 
 
 class _Recorder:
-    """The instrumented objective function.
+    """The instrumented objective function, the one home of its rules.
 
-    Memoizes the fitness of each candidate integer (the spaces are tiny,
-    so repeat visits are common) and the pair count of each usable one,
-    appends one trajectory step per call regardless, and notes frequent
-    candidates as they are first seen.  Candidates are checked and counted
-    as integers; only the results are decoded, by :func:`_finish`.
+    :meth:`score` turns a pair count into a fitness and notes frequent
+    candidates; :meth:`log` appends one trajectory step per objective
+    call; :meth:`record` is the searchers' call, memoizing the fitness of
+    each candidate integer (the spaces are tiny, so repeat visits are
+    common) before logging it.  Pair counts are kept for frequent
+    candidates only.  Candidates are checked and counted as integers;
+    only the results are decoded, by :func:`_finish`.
     """
 
     def __init__(self, d: Dataset, space: SearchSpace, sigma: float) -> None:
-        if not 0.0 <= sigma <= 1.0:
-            raise ValueError(f"sigma must be in [0, 1], got {sigma}")
         self.space = space
         self.sigma = sigma
         self._index = d.index
         self._memo: dict[int, float] = {}
-        self._pairs: dict[int, int] = {}
         self._steps: list[TrajectoryStep] = []
-        self._frequent: list[int] = []
+        self._frequent: dict[int, int] = {}
 
-    def record(self, iteration: int, candidate: int) -> float:
-        fitness = self._memo.get(candidate)
+    def record(self, iteration: int, x: int) -> float:
+        fitness = self._memo.get(x)
         if fitness is None:
-            fitness = self._memo[candidate] = self._evaluate(candidate)
-        self._steps.append(
-            TrajectoryStep(iteration, candidate, fitness, fitness < INFINITE_FITNESS)
-        )
-        return fitness
+            if invalid_reason(x, self.space) is not None:
+                fitness = INFINITE_FITNESS
+            else:
+                fitness = self.score(x, self._index.count_candidate(x))
+            self._memo[x] = fitness
+        return self.log(iteration, x, fitness)
 
-    def _evaluate(self, x: int) -> float:
-        if invalid_reason(x, self.space) is not None:
-            return INFINITE_FITNESS
-        pairs = self._index.count_candidate(x)
+    def score(self, x: int, pairs: int) -> float:
+        """Fitness of a valid candidate with ``pairs`` concordant pairs:
+        ``1/pairs``, or infinite (unusable) at zero pairs."""
         if pairs == 0:
             return INFINITE_FITNESS
-        self._pairs[x] = pairs
         if pairs / self._index.pair_count >= self.sigma:
-            self._frequent.append(x)
+            self._frequent[x] = pairs
         return 1.0 / pairs
 
+    def log(self, iteration: int, x: int, fitness: float) -> float:
+        self._steps.append(TrajectoryStep(iteration, x, fitness, fitness < INFINITE_FITNESS))
+        return fitness
+
     def support(self, x: int) -> float:
-        return self._pairs[x] / self._index.pair_count
+        # Only a non-frequent best is counted again.
+        pairs = self._frequent.get(x)
+        if pairs is None:
+            pairs = self._index.count_candidate(x)
+        return pairs / self._index.pair_count
 
     def trajectory(self) -> Trajectory:
         return Trajectory(tuple(self._steps))
 
     def frequent(self) -> tuple[tuple[GradualPattern, float], ...]:
-        order = sorted(self._frequent, key=lambda x: (-self._pairs[x], x))
+        order = sorted(self._frequent, key=lambda x: (-self._frequent[x], x))
         return tuple((to_pattern(x, self.space), self.support(x)) for x in order)
 
 
@@ -376,38 +382,16 @@ def pso_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
 
 def _graank_sweep(d: Dataset, c: SearchConfig) -> SearchResult:
     # One pass over every valid candidate of the dataset's own numeric
-    # space, in ascending order; iteration numbers are just the sweep
-    # order.  Only the frequent candidates and the best are decoded.
+    # space, in ascending order, scored and logged by the searchers'
+    # recorder; iteration numbers are just the sweep order.
     t0 = time.perf_counter()
     if d.m > MAX_ENUM_ATTRIBUTES:
         raise EnumerationLimitError(d.m, MAX_ENUM_ATTRIBUTES)
-    space = build_space(d.m)
-    index = d.index
-    steps: list[TrajectoryStep] = []
-    frequent: list[tuple[int, float]] = []
-    best, best_pairs, best_fitness = None, 0, math.inf
-    for t, (x, pairs) in enumerate(index.counts(), start=1):
-        if pairs == 0:
-            steps.append(TrajectoryStep(t, x, INFINITE_FITNESS, False))
-            continue
-        fitness = 1.0 / pairs
-        steps.append(TrajectoryStep(t, x, fitness, True))
-        # "<=" so a later candidate with equal fitness wins, as in _keep_best.
-        if fitness <= best_fitness:
-            best, best_pairs, best_fitness = x, pairs, fitness
-        sup = pairs / index.pair_count
-        if sup >= c.sigma:
-            frequent.append((x, sup))
-    frequent.sort(key=lambda e: (-e[1], e[0]))
-    patterns = tuple((to_pattern(x, space), sup) for x, sup in frequent)
-    return SearchResult(
-        None if best is None else to_pattern(best, space),
-        best_pairs / index.pair_count,
-        best_fitness,
-        patterns,
-        Trajectory(tuple(steps)),
-        time.perf_counter() - t0,
-    )
+    rec = _Recorder(d, build_space(d.m), c.sigma)
+    best = _NO_BEST
+    for t, (x, pairs) in enumerate(d.index.counts(), start=1):
+        best = _keep_best(best, rec.log(t, x, rec.score(x, pairs)), x)
+    return _finish(rec, best, t0)
 
 
 def graank_mine(d: Dataset, sigma: float) -> tuple[tuple[GradualPattern, float], ...]:

@@ -108,6 +108,7 @@ def test_evaluated_candidate_count(course_dataset):
 @settings(max_examples=60, deadline=None)
 @given(tied_tables(max_m=6), st.floats(0.0, 1.0))
 @example(Dataset(COURSE_NAMES, np.array(COURSE_ROWS)), 0.5)
+@example(Dataset(COURSE_NAMES, np.array(COURSE_ROWS)), 1.0)  # best below sigma
 @example(Dataset(("a", "b", "c"), np.zeros((5, 3))), 0.0)
 def test_sweep_matches_one_candidate_at_a_time(d, sigma):
     r = run_miner("graank", d, build_space(d.m), SearchConfig(sigma=sigma))

@@ -116,7 +116,7 @@ class TestToPattern:
 
     def test_encode_range_check(self):
         p = GradualPattern((GradualItem(0, Direction.UP), GradualItem(4, Direction.UP)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="attribute index 4 out of range for m=3"):
             encode(p, 3)
 
 

@@ -199,11 +199,12 @@ class TestProperties:
 class TestErrors:
     def test_attribute_out_of_range(self, course_dataset):
         p = pat((0, UP), (5, UP))
-        with pytest.raises(ValueError):
+        message = "attribute index 5 out of range for m=3"
+        with pytest.raises(ValueError, match=message):
             concordant_count(p, course_dataset)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             concordant_count_brute(p, course_dataset)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             ConcordanceIndex(course_dataset).count(p)
 
     def test_index_memory_limit(self, course_dataset, monkeypatch):

@@ -17,9 +17,13 @@ from gradmine import (
     SearchConfig,
     Trajectory,
     SearchResult,
+    SpaceKind,
     run_benchmark,
     rs_grad,
     build_space,
+    encode,
+    load_dataset,
+    run_miner,
     scatter_extract,
     space_comparison,
     wilcoxon_signed_rank,
@@ -186,6 +190,33 @@ class TestRunBenchmark:
         graank = next(c for c in r1.cells if c.algorithm == "graank")
         for c in r1.cells:
             assert c.valid_pattern_count <= graank.valid_pattern_count
+
+    def test_counts_are_unions_over_seeds(self, two_csvs):
+        spec = BenchSpec(
+            datasets=tuple(str(p) for p in two_csvs),
+            algorithms=("rs", "ls", "ga", "pso", "graank"),
+            spaces=("numeric", "bitmap"),
+            repetitions=3,
+            sigma=0.3,
+            max_iterations=4,
+            overrides={"ga": {"npop": 3}, "pso": {"nparticles": 2}},
+        )
+        report = run_benchmark(spec)
+        grew = False
+        for cell in report.cells:
+            d = load_dataset(two_csvs[0] if cell.dataset == "course" else two_csvs[1])
+            space = build_space(d.m, SpaceKind(cell.space or "numeric"))
+            frequent, invalid, sizes = set(), set(), []
+            for seed in cell.seeds:
+                r = run_miner(cell.algorithm, d, space, spec.config_for(cell.algorithm, seed))
+                found = {encode(p, d.m) for p, _ in r.frequent_patterns}
+                frequent |= found
+                invalid |= {s.candidate for s in r.trajectory.steps if not s.valid}
+                sizes.append(len(found))
+            assert cell.valid_pattern_count == len(frequent)
+            assert cell.invalid_candidate_count == len(invalid)
+            grew |= len(frequent) > max(sizes)
+        assert grew  # some cell's seeds found different patterns
 
     def test_index_built_once_per_dataset_before_its_runs(self, two_csvs, monkeypatch):
         # A build inside a run would be timed as part of that cell.

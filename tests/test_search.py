@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_frequent, random_dataset, tied_tables
+from conftest import COURSE_NAMES, COURSE_ROWS, brute_frequent, random_dataset, tied_tables
 from gradmine import (
+    ALGORITHMS,
     Dataset,
     SearchConfig,
     SearchSpace,
@@ -19,12 +20,14 @@ from gradmine import (
     encode,
     fitness_of,
     ga_grad,
+    is_valid,
     ls_grad,
     object_pair_count,
     pso_grad,
     rs_grad,
     run_miner,
 )
+from gradmine.fitness import ConcordanceIndex
 from gradmine.search import _clamp, _round_clamp, _wide_uniform
 
 MINERS = {"rs": rs_grad, "ls": ls_grad, "ga": ga_grad, "pso": pso_grad}
@@ -190,8 +193,13 @@ class TestRecorderOracle:
         st.sampled_from(sorted(MINERS)),
         st.sampled_from(list(SpaceKind)),
         st.integers(0, 2**32 - 1),
-        st.sampled_from((0.0, 0.2, 0.5)) | st.floats(0.0, 1.0),
+        st.sampled_from((0.0, 0.2, 0.5, 1.0)) | st.floats(0.0, 1.0),
     )
+    # No course pattern reaches support 1, so each run's best is below sigma.
+    @example(Dataset(COURSE_NAMES, np.array(COURSE_ROWS)), "rs", SpaceKind.NUMERIC, 0, 1.0)
+    @example(Dataset(COURSE_NAMES, np.array(COURSE_ROWS)), "ls", SpaceKind.BITMAP, 0, 1.0)
+    @example(Dataset(COURSE_NAMES, np.array(COURSE_ROWS)), "ga", SpaceKind.NUMERIC, 0, 1.0)
+    @example(Dataset(COURSE_NAMES, np.array(COURSE_ROWS)), "pso", SpaceKind.BITMAP, 0, 1.0)
     def test_result_matches_fitness_of(self, d, algo, kind, seed, sigma):
         s = build_space(d.m, kind)
         c = SearchConfig(max_iterations=12, seed=seed, sigma=sigma, npop=4, nparticles=3)
@@ -214,6 +222,30 @@ class TestRecorderOracle:
             key=lambda e: (-e.support, e.candidate),
         )
         assert r.frequent_patterns == tuple((e.pattern, e.support) for e in frequent)
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+@pytest.mark.parametrize("sigma", (0.0, 1.0))
+def test_counts_each_candidate_once(course_dataset, monkeypatch, algo, sigma):
+    # Searchers count each distinct decodable candidate on its first
+    # visit, the sweep counts through ``counts()``; after that only a
+    # best below sigma is counted again, for its support.
+    counted = []
+    count_candidate = ConcordanceIndex.count_candidate
+
+    def counting(self, x):
+        counted.append(x)
+        return count_candidate(self, x)
+
+    monkeypatch.setattr(ConcordanceIndex, "count_candidate", counting)
+    s = build_space(3)
+    c = SearchConfig(max_iterations=12, seed=0, sigma=sigma, npop=4, nparticles=3)
+    r = run_miner(algo, course_dataset, s, c)
+    visited = [] if algo == "graank" else [step.candidate for step in r.trajectory.steps]
+    expected = list(dict.fromkeys(x for x in visited if is_valid(x, s)))
+    if sigma == 1.0:
+        expected.append(encode(r.best_pattern, 3))
+    assert counted == expected
 
 
 class TestRandomSearch:
