@@ -25,13 +25,13 @@ from .dataset import Dataset, DatasetError, load_dataset
 from .encoding import (
     EnumerationLimitError,
     GradualPattern,
+    SpaceKind,
     build_space,
     enumerate_valid,
     to_pattern,
     valid_candidate_count,
 )
 from .harness import (
-    SPACE_KINDS,
     BenchSpec,
     run_benchmark,
     scatter_extract,
@@ -50,7 +50,24 @@ AUTO_ALGO_MAX_ATTRS = 8
 
 _DELIMITERS = {"comma": ",", "semicolon": ";", "tab": "\t"}
 
+_SPACES = sorted(kind.value for kind in SpaceKind)
+
 _DEFAULTS = SearchConfig()
+
+#: The searchers' tuning flags of ``mine``: (flag, SearchConfig field,
+#: help).  Each flag takes its type and default from the field.
+_TUNING = (
+    ("--step", "step_size", "ls step size"),
+    ("--npop", "npop", "ga population size"),
+    ("--gamma", "crossover_rate", "ga crossover rate"),
+    ("--mu", "mutation_rate", "ga mutation rate"),
+    ("--mscale", "mutation_scale", "ga mutation scale"),
+    ("--nparticles", "nparticles", "pso particle count"),
+    ("--vmax", "max_velocity", "pso velocity cap"),
+    ("--coef-p", "coef_p", "pso local pull"),
+    ("--coef-g", "coef_g", "pso global pull"),
+    ("--inertia", "inertia", "pso inertia"),
+)
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -81,21 +98,9 @@ def _load(args: argparse.Namespace) -> Dataset:
 
 
 def _config_from_args(args: argparse.Namespace, seed: int) -> SearchConfig:
-    return SearchConfig(
-        max_iterations=args.iters,
-        seed=seed,
-        sigma=args.min_sup,
-        step_size=args.step,
-        npop=args.npop,
-        crossover_rate=args.gamma,
-        mutation_rate=args.mu,
-        mutation_scale=args.mscale,
-        nparticles=args.nparticles,
-        max_velocity=args.vmax,
-        coef_p=args.coef_p,
-        coef_g=args.coef_g,
-        inertia=args.inertia,
-    )
+    # argparse keeps --coef-p as args.coef_p.
+    tuning = {name: getattr(args, flag[2:].replace("-", "_")) for flag, name, _ in _TUNING}
+    return SearchConfig(max_iterations=args.iters, seed=seed, sigma=args.min_sup, **tuning)
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
@@ -114,7 +119,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    space = build_space(d.m, SPACE_KINDS[args.space])
+    space = build_space(d.m, SpaceKind(args.space))
     try:
         result = run_miner(algo, d, space, config)
     except Exception as exc:  # exit 1, never a traceback
@@ -184,7 +189,7 @@ def cmd_space(args: argparse.Namespace) -> int:
         m = d.m
         names = list(d.attribute_names)
 
-    space = build_space(m, SPACE_KINDS[args.space])
+    space = build_space(m, SpaceKind(args.space))
     print(f"bounds: [{space.lower}, {space.upper}], valid: {valid_candidate_count(m)}")
     if args.list_valid:
         try:
@@ -223,7 +228,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 2
     try:
         spec = _spec_from_args(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: benchmark spec: {exc}", file=sys.stderr)
         return 2
 
@@ -250,7 +255,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             where = f"{cell.dataset}/{cell.algorithm}" + (f"/{cell.space}" if cell.space else "")
             print(f"cell failed: {where}: {cell.error}", file=sys.stderr)
 
-    if len(set(spec.spaces) & set(SPACE_KINDS)) == 2:
+    if len(set(spec.spaces)) == len(SpaceKind):
         for algo in spec.algorithms:
             if algo == "graank":
                 continue
@@ -294,28 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="miner; default picks graank for narrow data, ga for wide",
     )
-    mine.add_argument("--space", choices=sorted(SPACE_KINDS), default="numeric")
+    mine.add_argument("--space", choices=_SPACES, default="numeric")
     mine.add_argument("--min-sup", type=float, default=0.5, help="support threshold")
     mine.add_argument("--iters", type=int, default=_DEFAULTS.max_iterations)
     mine.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    mine.add_argument("--step", type=float, default=_DEFAULTS.step_size, help="ls step size")
-    mine.add_argument("--npop", type=int, default=_DEFAULTS.npop, help="ga population size")
-    mine.add_argument(
-        "--gamma", type=float, default=_DEFAULTS.crossover_rate, help="ga crossover rate"
-    )
-    mine.add_argument("--mu", type=float, default=_DEFAULTS.mutation_rate, help="ga mutation rate")
-    mine.add_argument(
-        "--mscale", type=float, default=_DEFAULTS.mutation_scale, help="ga mutation scale"
-    )
-    mine.add_argument(
-        "--nparticles", type=int, default=_DEFAULTS.nparticles, help="pso particle count"
-    )
-    mine.add_argument(
-        "--vmax", type=float, default=_DEFAULTS.max_velocity, help="pso velocity cap"
-    )
-    mine.add_argument("--coef-p", type=float, default=_DEFAULTS.coef_p, help="pso local pull")
-    mine.add_argument("--coef-g", type=float, default=_DEFAULTS.coef_g, help="pso global pull")
-    mine.add_argument("--inertia", type=float, default=_DEFAULTS.inertia, help="pso inertia")
+    for flag, name, text in _TUNING:
+        default = getattr(_DEFAULTS, name)
+        mine.add_argument(flag, type=type(default), default=default, help=text)
     mine.add_argument("--out", choices=("text", "json"), default="text")
     _add_data_flags(mine)
     mine.set_defaults(func=cmd_mine)
@@ -326,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     which = space.add_mutually_exclusive_group(required=True)
     which.add_argument("--attrs", type=_attr_count, default=None, help="attribute count")
     which.add_argument("--data", default=None, help="CSV file to take the attribute count from")
-    space.add_argument("--space", choices=sorted(SPACE_KINDS), default="numeric")
+    space.add_argument("--space", choices=_SPACES, default="numeric")
     space.add_argument(
         "--list-valid", action="store_true", help="print decimal, bits and pattern per candidate"
     )
@@ -341,9 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--algos", nargs="+", choices=ALGORITHMS, default=["rs", "ls", "ga", "pso"]
     )
-    bench.add_argument(
-        "--spaces", nargs="+", choices=sorted(SPACE_KINDS), default=["numeric"]
-    )
+    bench.add_argument("--spaces", nargs="+", choices=_SPACES, default=["numeric"])
     bench.add_argument("--reps", type=int, default=3, help="repetitions per cell")
     bench.add_argument("--min-sup", type=float, default=0.5)
     bench.add_argument("--iters", type=int, default=_DEFAULTS.max_iterations)

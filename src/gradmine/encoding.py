@@ -28,8 +28,13 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 #: Largest attribute count for which exhaustive candidate enumeration is
-#: allowed (3**m states; beyond this the walk is no longer desk-scale).
-MAX_ENUM_ATTRIBUTES = 16
+#: allowed.  The graank sweep keeps one trajectory step per candidate, so
+#: it grows about 3x per attribute.  Measured in-process at n=40 on a
+#: 2-vCPU x86-64 host (time, RSS growth during the sweep): m=11 1.9 s,
+#: 32 MiB; m=12 5.3 s, 95 MiB; m=13 14.3 s, 280 MiB; m=14 48.5 s,
+#: 828 MiB (4,782,940 candidates).  m=16 would take about 7 min and
+#: 7.5 GiB.
+MAX_ENUM_ATTRIBUTES = 14
 
 
 class Direction(enum.Enum):

@@ -34,11 +34,6 @@ from .search import (
 
 SCHEMA_VERSION = 1
 
-SPACE_KINDS: dict[str, SpaceKind] = {
-    "numeric": SpaceKind.NUMERIC,
-    "bitmap": SpaceKind.BITMAP,
-}
-
 #: Exact permutation distribution up to this many nonzero differences;
 #: normal approximation with continuity correction beyond.
 EXACT_LIMIT = 25
@@ -125,7 +120,12 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonOutc
 
 @dataclass(frozen=True)
 class BenchSpec:
-    """What to benchmark: the cell grid plus run bookkeeping."""
+    """What to benchmark: the cell grid plus run bookkeeping.
+
+    A spec is checked when it is made: each algorithm's config, with its
+    overrides, is built once, so :class:`SearchConfig`'s own checks run
+    before any cell does.
+    """
 
     datasets: tuple[str, ...]
     algorithms: tuple[str, ...]
@@ -150,13 +150,12 @@ class BenchSpec:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-        bad_spaces = set(self.spaces) - set(SPACE_KINDS)
+        bad_spaces = set(self.spaces) - {kind.value for kind in SpaceKind}
         if bad_spaces:
             raise ValueError(f"unknown spaces: {sorted(bad_spaces)}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ValueError(f"sigma must be in [0, 1], got {self.sigma}")
+        # seed and sigma are the spec's own, the same for every algorithm.
         allowed = {f.name for f in fields(SearchConfig)} - {"seed", "sigma"}
         for algo, over in self.overrides.items():
             if algo not in ALGORITHMS:
@@ -164,6 +163,8 @@ class BenchSpec:
             bad = set(over) - allowed
             if bad:
                 raise ValueError(f"unknown config overrides for {algo}: {sorted(bad)}")
+        for algo in (*self.algorithms, *self.overrides):
+            self.config_for(algo, self.base_seed)
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "BenchSpec":
@@ -174,7 +175,15 @@ class BenchSpec:
         data = dict(raw)
         for key in ("datasets", "algorithms", "spaces"):
             if key in data:
-                data[key] = tuple(data[key])
+                value = data[key]
+                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                    raise ValueError(f"{key} must be a list of strings")
+                data[key] = tuple(value)
+        overrides = data.get("overrides", {})
+        if not isinstance(overrides, dict) or not all(
+            isinstance(over, dict) for over in overrides.values()
+        ):
+            raise ValueError("overrides must map algorithm names to objects")
         return cls(**data)
 
     @classmethod
@@ -198,19 +207,26 @@ class BenchCell:
     ``space`` is None for the exhaustive miner, which is space-blind and
     runs once.  Pattern and invalid-candidate counts are distinct-over-
     all-repetitions, so they are comparable across repetition counts.
-    ``error`` is set (and the numbers zeroed) when any run of the cell
-    raised, e.g. enumeration beyond the attribute guard.
+
+    ``invalid_candidate_count`` counts the distinct *unusable* candidates
+    the runs evaluated, the steps whose ``valid`` flag is False: those
+    that do not decode to a pattern and those with zero concordant
+    pairs.  Every candidate of the exhaustive sweep decodes, so its count
+    is the number of zero-pair patterns.
+
+    ``error`` is set, and the numbers left at zero, when any run of the
+    cell raised, e.g. enumeration beyond the attribute guard.
     """
 
     dataset: str
     algorithm: str
     space: str | None
     seeds: tuple[int, ...]
-    wall_times: tuple[float, ...]
-    mean_wall_time: float
-    valid_pattern_count: int
-    invalid_candidate_count: int
-    best_support: float
+    wall_times: tuple[float, ...] = ()
+    mean_wall_time: float = 0.0
+    valid_pattern_count: int = 0
+    invalid_candidate_count: int = 0
+    best_support: float = 0.0
     peak_memory_bytes: int | None = None
     error: str | None = None
     trajectories: tuple[tuple[TrajectoryStep, ...], ...] | None = None
@@ -237,31 +253,13 @@ def _invalid_ints(result: SearchResult) -> set[int]:
     return {step.candidate for step in result.trajectory.steps if not step.valid}
 
 
-def _error_cell(
-    dataset: str, algorithm: str, space: str | None, seeds: tuple[int, ...], message: str
-) -> BenchCell:
-    return BenchCell(
-        dataset=dataset,
-        algorithm=algorithm,
-        space=space,
-        seeds=seeds,
-        wall_times=(),
-        mean_wall_time=0.0,
-        valid_pattern_count=0,
-        invalid_candidate_count=0,
-        best_support=0.0,
-        error=message,
-    )
-
-
 def _run_cell(
     spec: BenchSpec, d: Dataset, dataset: str, algorithm: str, space_name: str | None
 ) -> BenchCell:
     # The exhaustive miner is deterministic, so one run covers the cell.
     reps = 1 if algorithm == "graank" else spec.repetitions
     seeds = tuple(spec.base_seed + rep for rep in range(reps))
-    kind = SPACE_KINDS[space_name] if space_name is not None else SpaceKind.NUMERIC
-    space = build_space(d.m, kind)
+    space = build_space(d.m, SpaceKind(space_name or "numeric"))
     wall_times: list[float] = []
     frequent: dict[GradualPattern, float] = {}
     invalid: set[int] = set()
@@ -281,7 +279,7 @@ def _run_cell(
             else:
                 result = run_miner(algorithm, d, space, config)
         except Exception as exc:  # one failing cell never aborts the grid
-            return _error_cell(dataset, algorithm, space_name, seeds, str(exc))
+            return BenchCell(dataset, algorithm, space_name, seeds, error=str(exc))
         wall_times.append(result.wall_time)
         frequent.update(result.frequent_patterns)
         invalid.update(_invalid_ints(result))
@@ -370,19 +368,7 @@ def space_comparison(report: BenchReport, algorithm: str) -> WilcoxonOutcome:
 
 def _cell_dict(cell: BenchCell) -> dict[str, Any]:
     # Trajectories go to scatter CSVs, not the JSON report.
-    return {
-        "dataset": cell.dataset,
-        "algorithm": cell.algorithm,
-        "space": cell.space,
-        "seeds": list(cell.seeds),
-        "wall_times": list(cell.wall_times),
-        "mean_wall_time": cell.mean_wall_time,
-        "valid_pattern_count": cell.valid_pattern_count,
-        "invalid_candidate_count": cell.invalid_candidate_count,
-        "best_support": cell.best_support,
-        "peak_memory_bytes": cell.peak_memory_bytes,
-        "error": cell.error,
-    }
+    return {f.name: getattr(cell, f.name) for f in fields(cell) if f.name != "trajectories"}
 
 
 def report_to_dict(report: BenchReport) -> dict[str, Any]:

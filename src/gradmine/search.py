@@ -43,9 +43,6 @@ from .encoding import (
 )
 from .fitness import INFINITE_FITNESS
 
-#: Names accepted by :func:`run_miner` (and the CLI's --algo flag).
-ALGORITHMS = ("rs", "ls", "ga", "pso", "graank")
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -380,10 +377,11 @@ def pso_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
     return _finish(rec, best, t0)
 
 
-def _graank_sweep(d: Dataset, c: SearchConfig) -> SearchResult:
+def _graank_sweep(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
     # One pass over every valid candidate of the dataset's own numeric
     # space, in ascending order, scored and logged by the searchers'
-    # recorder; iteration numbers are just the sweep order.
+    # recorder; iteration numbers are just the sweep order.  The given
+    # space and the iteration budget play no part.
     t0 = time.perf_counter()
     if d.m > MAX_ENUM_ATTRIBUTES:
         raise EnumerationLimitError(d.m, MAX_ENUM_ATTRIBUTES)
@@ -406,7 +404,7 @@ def graank_mine(d: Dataset, sigma: float) -> tuple[tuple[GradualPattern, float],
     Raises ``EnumerationLimitError`` when the attribute count makes
     enumeration unreasonable.
     """
-    return _graank_sweep(d, SearchConfig(sigma=sigma)).frequent_patterns
+    return _graank_sweep(d, build_space(d.m), SearchConfig(sigma=sigma)).frequent_patterns
 
 
 _MINERS: dict[str, Callable[[Dataset, SearchSpace, SearchConfig], SearchResult]] = {
@@ -414,7 +412,11 @@ _MINERS: dict[str, Callable[[Dataset, SearchSpace, SearchConfig], SearchResult]]
     "ls": ls_grad,
     "ga": ga_grad,
     "pso": pso_grad,
+    "graank": _graank_sweep,
 }
+
+#: Names accepted by :func:`run_miner` (and the CLI's --algo flag).
+ALGORITHMS = tuple(_MINERS)
 
 
 def run_miner(algorithm: str, d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
@@ -423,8 +425,6 @@ def run_miner(algorithm: str, d: Dataset, s: SearchSpace, c: SearchConfig) -> Se
     "graank" ignores the space kind and the iteration budget: it sweeps
     every valid candidate of the dataset's own numeric space once.
     """
-    if algorithm == "graank":
-        return _graank_sweep(d, c)
     try:
         miner = _MINERS[algorithm]
     except KeyError:

@@ -4,12 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gradmine
-from gradmine.cli import main
+from conftest import write_csv
+from gradmine import SearchConfig
+from gradmine.cli import _TUNING, main
 
 
 @pytest.fixture(autouse=True)
@@ -103,6 +107,39 @@ class TestMine:
         assert main(["mine", "--data", str(course_csv), "--algo", "rs"]) == 2
         assert "GRADMINE_SEED" in capsys.readouterr().err
 
+    def test_tuning_flags_cover_the_searcher_fields(self):
+        tuned = [name for _, name, _ in _TUNING]
+        own = {"max_iterations", "seed", "sigma"}  # --iters, --seed, --min-sup
+        assert tuned == [f.name for f in fields(SearchConfig) if f.name not in own]
+
+    @pytest.mark.parametrize("flag, name", [(flag, name) for flag, name, _ in _TUNING])
+    def test_tuning_flag_reaches_its_config_field(self, course_csv, monkeypatch, flag, name):
+        configs = []
+        real = gradmine.cli.run_miner
+
+        def spy(algorithm, d, space, config):
+            configs.append(config)
+            return real(algorithm, d, space, config)
+
+        monkeypatch.setattr(gradmine.cli, "run_miner", spy)
+        default = getattr(SearchConfig(), name)
+        value = default + 1 if isinstance(default, int) else default / 2
+        assert main(["mine", "--data", str(course_csv), "--algo", "ga", flag, str(value)]) == 0
+        assert configs == [replace(SearchConfig(), **{name: value})]
+
+    def test_bad_tuning_value_is_usage_error(self, course_csv, capsys):
+        assert main(["mine", "--data", str(course_csv), "--algo", "ga", "--npop", "1"]) == 2
+        assert capsys.readouterr().err == "error: npop must be >= 2\n"
+
+    def test_graank_beyond_the_enumeration_guard_is_runtime_error(self, tmp_path, capsys):
+        wide = tmp_path / "wide.csv"
+        rng = np.random.default_rng(4)
+        write_csv(wide, tuple(f"c{i}" for i in range(15)), rng.random((3, 15)).tolist())
+        assert main(["mine", "--data", str(wide), "--algo", "graank"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: cannot enumerate candidates for 15 attributes (guard: 14)\n"
+        assert captured.out == ""
+
 
 class TestSpace:
     def test_bounds_three_attrs(self, capsys):
@@ -128,6 +165,12 @@ class TestSpace:
         assert len(lines) == 1 + 20
         assert lines[1] == "5\t000101\t{col1-, col2-}"
         assert lines[-1] == "42\t101010\t{col0+, col1+, col2+}"
+
+    def test_list_valid_beyond_the_enumeration_guard(self, capsys):
+        assert main(["space", "--attrs", "15", "--list-valid"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "bounds: [5, 715827882], valid: 14348876\n"
+        assert captured.err == "error: cannot enumerate candidates for 15 attributes (guard: 14)\n"
 
     def test_names_from_dataset(self, course_csv, capsys):
         assert main(["space", "--data", str(course_csv), "--list-valid"]) == 0
@@ -163,6 +206,34 @@ class TestBench:
         bad.write_text("not json", encoding="utf-8")
         assert main(["bench", "--spec", str(bad), "--out-dir", str(tmp_path)]) == 2
         assert main(["bench", "--spec", "no/such.json", "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "flags, spec",
+        [
+            (["--iters", "0"], None),
+            ([], {"overrides": {"ga": {"npop": 1}}}),
+            ([], {"overrides": {"ga": {"npop": "ten"}}}),
+            ([], {"repetitions": "3"}),
+            ([], {"datasets": "t0.csv"}),
+            ([], {"overrides": {"ga": 5}}),
+        ],
+        ids=["iters-0", "npop-1", "npop-str", "reps-str", "datasets-str", "override-int"],
+    )
+    def test_spec_errors_are_usage_errors(self, tmp_path, course_csv, capsys, flags, spec):
+        out_dir = tmp_path / "out"
+        argv = ["bench", "--algos", "ga", *flags, "--out-dir", str(out_dir)]
+        if spec is None:
+            argv += ["--data", str(course_csv)]
+        else:
+            path = tmp_path / "spec.json"
+            raw = {"datasets": [str(course_csv)], "algorithms": ["ga"], **spec}
+            path.write_text(json.dumps(raw), encoding="utf-8")
+            argv += ["--spec", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: benchmark spec: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out_dir.exists()
 
     def test_scatter_files_per_cell_and_rep(self, tmp_path, course_csv):
         out_dir = tmp_path / "out"

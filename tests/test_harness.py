@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,17 +23,19 @@ from gradmine import (
     rs_grad,
     build_space,
     encode,
+    enumerate_valid,
     load_dataset,
     run_miner,
     scatter_extract,
     space_comparison,
+    to_pattern,
     wilcoxon_signed_rank,
     write_report_csv,
     write_report_json,
     write_scatter_csv,
 )
 import gradmine.harness
-from gradmine.fitness import ConcordanceIndex
+from gradmine.fitness import ConcordanceIndex, concordant_count_brute
 from gradmine.harness import EXACT_LIMIT, _exact_two_sided_p, _midranks
 
 
@@ -118,10 +121,31 @@ class TestBenchSpec:
             BenchSpec(
                 datasets=("x.csv",), algorithms=("rs",), overrides={"rs": {"seed": 1}}
             )
+        # SearchConfig's own checks run when the spec is made, also for an
+        # override of an algorithm outside the grid.
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            BenchSpec(datasets=("x.csv",), algorithms=("rs",), max_iterations=0)
+        with pytest.raises(ValueError, match="npop must be >= 2"):
+            BenchSpec(datasets=("x.csv",), algorithms=("rs",), overrides={"ga": {"npop": 1}})
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             BenchSpec.from_dict({"datasets": ["x.csv"], "algorithms": ["rs"], "zzz": 1})
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"datasets": "t0.csv"},
+            {"datasets": ["t0.csv", 5]},
+            {"algorithms": "ga"},
+            {"spaces": "numeric"},
+            {"overrides": ["ga"]},
+            {"overrides": {"ga": 5}},
+        ],
+    )
+    def test_from_dict_rejects_wrong_shapes(self, bad):
+        with pytest.raises(ValueError):
+            BenchSpec.from_dict({"datasets": ["t0.csv"], "algorithms": ["ga"], **bad})
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -257,6 +281,28 @@ class TestRunBenchmark:
         assert "file" in report.failures[0].path
         assert {c.dataset for c in report.cells} == {"course"}
 
+    def test_graank_invalid_count_is_its_zero_pair_candidates(self, two_csvs, course_dataset):
+        # Every candidate of the sweep decodes, so its unusable ones are
+        # the patterns with no concordant pair.
+        spec = BenchSpec(datasets=(str(two_csvs[0]),), algorithms=("graank",))
+        (cell,) = run_benchmark(spec).cells
+        space = build_space(3)
+        zero_pair = [
+            x
+            for x in enumerate_valid(space)
+            if concordant_count_brute(to_pattern(x, space), course_dataset) == 0
+        ]
+        assert cell.invalid_candidate_count == len(zero_pair) == 2
+
+    def test_fifteen_columns_exceed_the_enumeration_guard(self, tmp_path):
+        rng = np.random.default_rng(9)
+        wide = tmp_path / "wide.csv"
+        write_csv(wide, tuple(f"c{i}" for i in range(15)), rng.random((3, 15)).tolist())
+        spec = BenchSpec(datasets=(str(wide),), algorithms=("graank",), repetitions=1)
+        (cell,) = run_benchmark(spec).cells
+        assert cell.error == "cannot enumerate candidates for 15 attributes (guard: 14)"
+        assert cell == BenchCell("wide", "graank", None, (0,), error=cell.error)
+
     def test_enumeration_guard_recorded_as_cell_error(self, tmp_path):
         rng = np.random.default_rng(9)
         wide = tmp_path / "wide.csv"
@@ -350,6 +396,20 @@ class TestWriters:
         assert len(loaded["cells"]) == len(report.cells)
         assert loaded["cells"][0]["wall_times"]
         assert b"\r" not in out.read_bytes()
+
+    def test_json_cells_are_the_cell_fields_but_trajectories(self, tmp_path):
+        report = _report_fixture(tmp_path)
+        failed = BenchCell("wide", "graank", None, (0,), error="guard")
+        report = BenchReport(1, 0.5, 0, 2, (*report.cells, failed), ())
+        out = tmp_path / "report.json"
+        write_report_json(out, report)
+        names = [f.name for f in fields(BenchCell) if f.name != "trajectories"]
+        loaded = json.loads(out.read_text(encoding="utf-8"))["cells"]
+        for cell, row in zip(report.cells, loaded):
+            assert list(row) == names
+            assert row["seeds"] == list(cell.seeds)
+            assert row["wall_times"] == list(cell.wall_times)
+        assert loaded[-1]["error"] == "guard" and loaded[-1]["wall_times"] == []
 
     def test_csv_one_row_per_rep(self, tmp_path):
         report = _report_fixture(tmp_path)
