@@ -106,7 +106,7 @@ def _config_from_args(args: argparse.Namespace, seed: int) -> SearchConfig:
 def cmd_mine(args: argparse.Namespace) -> int:
     try:
         d = _load(args)
-    except (DatasetError, OSError) as exc:
+    except DatasetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -183,7 +183,7 @@ def cmd_space(args: argparse.Namespace) -> int:
     else:
         try:
             d = _load(args)
-        except (DatasetError, OSError) as exc:
+        except DatasetError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         m = d.m

@@ -1,37 +1,27 @@
 """Loading and cleaning of delimited numeric data files.
 
-The cleaning rules, applied in order: text columns (anything with an
-unparseable non-missing cell) are dropped, timestamp-looking columns are
-dropped, and finally any row with a missing cell in a surviving column is
-dropped.  Survivor order is preserved in both axes.
+Two cleaning rules: a column is dropped when it has a text cell (a present
+cell that does not parse as a finite dot-decimal number, so dates and
+times count as text) or no present cell at all, and then a row is dropped
+when one of its surviving cells is missing.  Survivor order is preserved
+in both axes.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:
     from .fitness import ConcordanceIndex
 
-#: Cell contents treated as missing values (case-sensitive, overridable).
-DEFAULT_MISSING_TOKENS = ("", "NaN", "nan", "?", "NA")
-
-#: Fraction of non-missing cells that must look like dates/times for a
-#: column to be dropped as a timestamp column.
-DEFAULT_TIMESTAMP_THRESHOLD = 0.9
-
-# ISO-8601 dates with optional time part, and dd/mm/yyyy-style layouts.
-_TIMESTAMP_RES = (
-    re.compile(r"^\d{4}-\d{2}-\d{2}([T ]\d{2}:\d{2}(:\d{2}(\.\d+)?)?)?$"),
-    re.compile(r"^\d{1,2}/\d{1,2}/\d{2,4}( \d{1,2}:\d{2}(:\d{2})?)?$"),
-)
+#: Cell contents treated as missing values (case-sensitive).
+MISSING_TOKENS = frozenset(("", "NaN", "nan", "?", "NA"))
 
 
 class DatasetError(ValueError):
@@ -108,29 +98,18 @@ def _parse_number(cell: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _looks_like_timestamp(cell: str) -> bool:
-    return any(rx.match(cell) for rx in _TIMESTAMP_RES)
-
-
-def load_dataset(
-    path,
-    delimiter: str = ",",
-    has_header: bool = True,
-    *,
-    missing_tokens: Sequence[str] = DEFAULT_MISSING_TOKENS,
-    timestamp_threshold: float = DEFAULT_TIMESTAMP_THRESHOLD,
-) -> Dataset:
+def load_dataset(path, delimiter: str = ",", has_header: bool = True) -> Dataset:
     """Read a delimited text file and clean it into a :class:`Dataset`.
 
-    Raises :class:`DatasetError` if the file is unreadable or fewer than
-    two columns / two rows survive cleaning.
+    Each cell is parsed once.  Raises :class:`DatasetError` if the file
+    cannot be read or decoded as UTF-8 CSV, or if fewer than two columns /
+    two rows survive cleaning.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh, delimiter=delimiter)]
-    except OSError as exc:
+            rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    rows = [row for row in rows if row]
     if not rows:
         raise DatasetError(f"{path}: no data rows")
 
@@ -142,41 +121,31 @@ def load_dataset(
     if not rows:
         raise DatasetError(f"{path}: header only, no data rows")
 
+    # Missing and text cells, and the cells a short row lacks, stay NaN;
+    # a text cell also marks its column.
     width = len(names)
-    grid = []
+    text_columns: set[int] = set()
+    matrix = []
     for row in rows:
-        cells = [cell.strip() for cell in row[:width]]
-        cells += [""] * (width - len(cells))
-        grid.append(cells)
+        cells = [math.nan] * width
+        for j, cell in enumerate(row[:width]):
+            cell = cell.strip()
+            if cell not in MISSING_TOKENS:
+                value = _parse_number(cell)
+                if value is None:
+                    text_columns.add(j)
+                else:
+                    cells[j] = value
+        matrix.append(cells)
+    values = np.array(matrix, dtype=float)
 
-    missing = frozenset(missing_tokens)
-    kept: list[int] = []
-    for j in range(width):
-        column = [grid[i][j] for i in range(len(grid))]
-        present = [c for c in column if c not in missing]
-        if not present:
-            continue
-        stamps = sum(1 for c in present if _looks_like_timestamp(c))
-        if stamps / len(present) >= timestamp_threshold:
-            continue
-        if all(_parse_number(c) is not None for c in present):
-            kept.append(j)
-
+    present = ~np.isnan(values)
+    kept = [j for j in range(width) if j not in text_columns and present[:, j].any()]
     if len(kept) < 2:
-        raise DatasetError(
-            f"{path}: fewer than 2 numeric columns survive cleaning ({len(kept)})"
-        )
+        raise DatasetError(f"{path}: fewer than 2 numeric columns survive cleaning ({len(kept)})")
 
-    clean_rows = []
-    for cells in grid:
-        picked = [cells[j] for j in kept]
-        if any(c in missing for c in picked):
-            continue
-        clean_rows.append([_parse_number(c) for c in picked])
+    values = values[present[:, kept].all(axis=1)][:, kept]
+    if len(values) < 2:
+        raise DatasetError(f"{path}: fewer than 2 rows survive cleaning ({len(values)})")
 
-    if len(clean_rows) < 2:
-        raise DatasetError(
-            f"{path}: fewer than 2 rows survive cleaning ({len(clean_rows)})"
-        )
-
-    return Dataset(tuple(names[j] for j in kept), np.array(clean_rows, dtype=float))
+    return Dataset(tuple(names[j] for j in kept), values)

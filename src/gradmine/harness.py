@@ -118,6 +118,10 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonOutc
     return WilcoxonOutcome(statistic=w, p_value=p, n=n, zeros_dropped=zeros_dropped)
 
 
+#: The JSON types a scalar spec field takes, by the type of its default.
+_SCALAR_KINDS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
 @dataclass(frozen=True)
 class BenchSpec:
     """What to benchmark: the cell grid plus run bookkeeping.
@@ -155,6 +159,8 @@ class BenchSpec:
             raise ValueError(f"unknown spaces: {sorted(bad_spaces)}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
+            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
         # seed and sigma are the spec's own, the same for every algorithm.
         allowed = {f.name for f in fields(SearchConfig)} - {"seed", "sigma"}
         for algo, over in self.overrides.items():
@@ -173,6 +179,14 @@ class BenchSpec:
         if unknown:
             raise ValueError(f"unknown benchmark spec keys: {sorted(unknown)}")
         data = dict(raw)
+        for f in fields(cls):
+            kinds = _SCALAR_KINDS.get(type(f.default))
+            if f.name in data and kinds is not None:
+                value = data[f.name]
+                # bool is an int subclass: it fits bool fields alone.
+                if not isinstance(value, kinds) or isinstance(value, bool) != (kinds == (bool,)):
+                    names = " or ".join(kind.__name__ for kind in kinds)
+                    raise ValueError(f"{f.name} must be {names}, got {value!r}")
         for key in ("datasets", "algorithms", "spaces"):
             if key in data:
                 value = data[key]
@@ -314,7 +328,7 @@ def run_benchmark(spec: BenchSpec) -> BenchReport:
         try:
             d = load_dataset(path, delimiter=spec.delimiter, has_header=spec.has_header)
             d.index  # built here, so cell wall times cover the search alone
-        except (DatasetError, OSError) as exc:
+        except DatasetError as exc:
             failures.append(DatasetFailure(dataset=name, path=str(path), error=str(exc)))
             continue
         for algorithm in spec.algorithms:

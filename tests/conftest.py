@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -75,10 +78,63 @@ def write_csv(path, names, rows, delimiter=",") -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def reference_clean(path, delimiter=",", has_header=True):
+    """Naive reference of ``load_dataset``'s documented cleaning rules:
+    drop every column with a text cell or no present cell, then every row
+    with a missing cell in a surviving column.  Returns (names, rows), or
+    None where the loader must raise ``DatasetError``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
+    if not rows:
+        return None
+    if has_header:
+        names, rows = [cell.strip() for cell in rows[0]], rows[1:]
+    else:
+        names = [f"col{i}" for i in range(len(rows[0]))]
+    width = len(names)
+    grid = [[row[j].strip() if j < len(row) else "" for j in range(width)] for row in rows]
+    missing = {"", "NaN", "nan", "?", "NA"}
+
+    def number(cell):  # a finite dot-decimal number, else None
+        if "," in cell:
+            return None
+        try:
+            value = float(cell)
+        except ValueError:
+            return None
+        return value if math.isfinite(value) else None
+
+    columns = []
+    for j in range(width):
+        present = [row[j] for row in grid if row[j] not in missing]
+        if present and all(number(cell) is not None for cell in present):
+            columns.append(j)
+    kept_rows = []
+    for row in grid:
+        if all(row[j] not in missing for j in columns):
+            kept_rows.append([number(row[j]) for j in columns])
+    if len(columns) < 2 or len(kept_rows) < 2:
+        return None
+    return tuple(names[j] for j in columns), kept_rows
+
+
 @pytest.fixture
 def course_csv(tmp_path):
     path = tmp_path / "course.csv"
     write_csv(path, COURSE_NAMES, COURSE_ROWS)
+    return path
+
+
+@pytest.fixture(params=["undecodable", "oversized-field"])
+def unreadable_csv(request, tmp_path):
+    """A file the csv module cannot read: a byte that is not UTF-8, or a
+    quoted field longer than ``csv.field_size_limit()``."""
+    path = tmp_path / "bad.csv"
+    if request.param == "undecodable":
+        path.write_bytes(b"a,b\n1,\xff\n2,3\n")
+    else:
+        field = "9" * (csv.field_size_limit() + 1)
+        path.write_text(f'a,b\n1,"{field}"\n2,3\n', encoding="utf-8")
     return path
 
 

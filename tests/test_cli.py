@@ -179,6 +179,24 @@ class TestSpace:
         assert lines[-1] == "42\t101010\t{age+, sessions+, marks+}"
 
 
+class TestUnreadableData:
+    @pytest.mark.parametrize("command", ["mine", "space"])
+    def test_one_error_line(self, unreadable_csv, capsys, command):
+        assert main([command, "--data", str(unreadable_csv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {unreadable_csv}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_bench_runs_the_other_datasets(self, tmp_path, course_csv, unreadable_csv, capsys):
+        out_dir = tmp_path / "out"
+        argv = ["bench", "--algos", "rs", "--reps", "1", "--iters", "5", "--out-dir", str(out_dir)]
+        assert main([*argv, "--data", str(unreadable_csv), str(course_csv)]) == 1
+        assert f"dataset failed: {unreadable_csv}: cannot read" in capsys.readouterr().err
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert [(c["dataset"], c["error"]) for c in report["cells"]] == [("course", None)]
+        assert [f["dataset"] for f in report["dataset_failures"]] == ["bad"]
+
+
 class TestBench:
     def test_writes_report_files(self, tmp_path, course_csv, capsys):
         out_dir = tmp_path / "out"
@@ -216,8 +234,16 @@ class TestBench:
             ([], {"repetitions": "3"}),
             ([], {"datasets": "t0.csv"}),
             ([], {"overrides": {"ga": 5}}),
+            ([], {"base_seed": "x"}),
+            ([], {"base_seed": 1.5}),
+            ([], {"delimiter": 5}),
+            ([], {"delimiter": ";;"}),
+            ([], {"has_header": "no"}),
         ],
-        ids=["iters-0", "npop-1", "npop-str", "reps-str", "datasets-str", "override-int"],
+        ids=[
+            "iters-0", "npop-1", "npop-str", "reps-str", "datasets-str", "override-int",
+            "seed-str", "seed-float", "delimiter-int", "delimiter-two-chars", "header-str",
+        ],
     )
     def test_spec_errors_are_usage_errors(self, tmp_path, course_csv, capsys, flags, spec):
         out_dir = tmp_path / "out"

@@ -1,9 +1,14 @@
 """Loading and cleaning delimited numeric data."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import COURSE_NAMES, COURSE_ROWS, write_csv
+import gradmine.dataset
+from conftest import COURSE_NAMES, COURSE_ROWS, reference_clean, write_csv
 from gradmine import Dataset, DatasetError, load_dataset, object_pair_count
 
 
@@ -64,6 +69,8 @@ def test_nonfinite_spellings_rejected(tmp_path):
 
 
 def test_timestamp_column_dropped(tmp_path):
+    # Dates and times are text cells, so a column with any of them is
+    # dropped, and survivors keep their order.
     path = tmp_path / "ts.csv"
     path.write_text(
         "when,a,b\n2024-01-02,1,2\n2024-01-03 10:20:30,3,4\n05/06/2024,5,6\n",
@@ -71,16 +78,9 @@ def test_timestamp_column_dropped(tmp_path):
     )
     d = load_dataset(path)
     assert d.attribute_names == ("a", "b")
-
-
-def test_timestamp_threshold_configurable(tmp_path):
-    # Half the cells are dates.  Under the default threshold the column
-    # falls to the non-numeric rule instead; either way it is dropped,
-    # and survivors keep their order.
-    path = tmp_path / "half.csv"
-    path.write_text("w,a,b\n2024-01-02,1,2\n7,3,4\n", encoding="utf-8")
-    assert load_dataset(path).attribute_names == ("a", "b")
-    assert load_dataset(path, timestamp_threshold=0.5).attribute_names == ("a", "b")
+    half = tmp_path / "half.csv"
+    half.write_text("w,a,b\n2024-01-02,1,2\n7,3,4\n", encoding="utf-8")
+    assert load_dataset(half).attribute_names == ("a", "b")
 
 
 def test_missing_cell_drops_row(tmp_path):
@@ -100,16 +100,6 @@ def test_missing_tokens(tmp_path):
     assert d.values[:, 0].tolist() == [1.0, 6.0]
 
 
-def test_missing_tokens_configurable(tmp_path):
-    path = tmp_path / "tok2.csv"
-    path.write_text("a,b\n1,2\n?,3\n4,5\n", encoding="utf-8")
-    assert load_dataset(path).n == 2
-    # With "?" demoted to a data cell, column a stops being numeric and
-    # only one column survives.
-    with pytest.raises(DatasetError):
-        load_dataset(path, missing_tokens=("",))
-
-
 def test_too_few_columns(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("a,b\n1,x\n2,y\n", encoding="utf-8")
@@ -127,6 +117,68 @@ def test_too_few_rows(tmp_path):
 def test_unreadable_file(tmp_path):
     with pytest.raises(DatasetError):
         load_dataset(tmp_path / "absent.csv")
+
+
+def test_undecodable_or_oversized_file(unreadable_csv):
+    with pytest.raises(DatasetError, match="cannot read"):
+        load_dataset(unreadable_csv)
+
+
+def test_each_cell_parsed_at_most_once(tmp_path, monkeypatch):
+    calls = []
+    real = gradmine.dataset._parse_number
+
+    def counting(cell):
+        calls.append(cell)
+        return real(cell)
+
+    monkeypatch.setattr(gradmine.dataset, "_parse_number", counting)
+    path = tmp_path / "mixed.csv"
+    path.write_text("a,b,c,d\n1,2,x,3\n4,,y,5\n6,7,z,8,99\n9,10\n", encoding="utf-8")
+    d = load_dataset(path)
+    assert d.attribute_names == ("a", "b", "d")
+    assert d.values.tolist() == [[1.0, 2.0, 3.0], [6.0, 7.0, 8.0]]
+    assert len(calls) <= 4 * 4  # data rows x header width
+
+
+_FUZZ_TOKENS = (
+    "", " ", "NaN", "nan", "?", "NA",  # missing spellings
+    "NAN", "abc", "x y",  # text
+    "1,5", "2,0",  # comma decimals
+    "inf", "-inf", "Infinity", "1e999",  # non-finite
+    "2024-01-02", "2024-01-02T10:20", "05/06/2024", "5/6/24 1:02",  # dates
+    "1_000", "0x1A",  # underscores, hex
+    "0", "1", "-2", "3.5", " 4 ", "+7", ".5", "1e3", "2E-2",  # numbers
+)
+
+
+@st.composite
+def csv_rows(draw):
+    """Rows of one width, some cut short or run long, with cells that are
+    mostly numbers."""
+    number = st.integers(-9, 9) | st.floats(-1e3, 1e3)
+    cell = number.map(str) | st.sampled_from(_FUZZ_TOKENS)
+    width = draw(st.integers(1, 5))
+    row = st.lists(cell, min_size=width, max_size=width) | st.lists(cell, max_size=width + 1)
+    return draw(st.lists(row, max_size=7))
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(rows=csv_rows(), delimiter=st.sampled_from((",", ";")), has_header=st.booleans())
+def test_loader_matches_reference(tmp_path, rows, delimiter, has_header):
+    path = tmp_path / "fuzz.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, delimiter=delimiter).writerows(rows)
+    expected = reference_clean(path, delimiter, has_header)
+    if expected is None:
+        with pytest.raises(DatasetError):
+            load_dataset(path, delimiter, has_header)
+        return
+    d = load_dataset(path, delimiter, has_header)
+    assert d.attribute_names == expected[0]
+    assert d.values.tolist() == expected[1]
 
 
 def test_cleaning_idempotent(tmp_path, course_csv):

@@ -281,6 +281,15 @@ class TestRunBenchmark:
         assert "file" in report.failures[0].path
         assert {c.dataset for c in report.cells} == {"course"}
 
+    def test_unreadable_file_recorded(self, two_csvs, unreadable_csv):
+        spec = BenchSpec(
+            datasets=(str(unreadable_csv), str(two_csvs[0])), algorithms=("rs",), repetitions=1
+        )
+        report = run_benchmark(spec)
+        [failure] = report.failures
+        assert failure.path == str(unreadable_csv) and "cannot read" in failure.error
+        assert [c.dataset for c in report.cells] == ["course"]
+
     def test_graank_invalid_count_is_its_zero_pair_candidates(self, two_csvs, course_dataset):
         # Every candidate of the sweep decodes, so its unusable ones are
         # the patterns with no concordant pair.
