@@ -54,11 +54,7 @@ from .search import (
     SearchResult,
     Trajectory,
     TrajectoryStep,
-    ga_grad,
     graank_mine,
-    ls_grad,
-    pso_grad,
-    rs_grad,
     run_miner,
 )
 
@@ -92,15 +88,11 @@ __all__ = [
     "encode",
     "enumerate_valid",
     "fitness_of",
-    "ga_grad",
     "graank_mine",
     "is_frequent",
     "is_valid",
     "load_dataset",
-    "ls_grad",
     "object_pair_count",
-    "pso_grad",
-    "rs_grad",
     "run_benchmark",
     "run_miner",
     "scatter_extract",

@@ -30,7 +30,8 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """An n-objects by m-attributes matrix of finite reals, with names.
+    """An n-objects by m-attributes matrix of finite reals, with one
+    distinct name per attribute.
 
     Two datasets are equal when their names and values are; the cached
     :attr:`index` plays no part.  Datasets are not hashable.
@@ -48,12 +49,16 @@ class Dataset:
             raise DatasetError(f"need at least 2 attributes, got {m}")
         if n < 2:
             raise DatasetError(f"need at least 2 objects, got {n}")
-        if len(self.attribute_names) != m:
+        names = tuple(self.attribute_names)
+        if len(names) != m:
             raise DatasetError("one name per attribute required")
+        for j, name in enumerate(names):
+            if name in names[:j]:
+                raise DatasetError(f"duplicate attribute name {name!r}")
         if not np.isfinite(values).all():
             raise DatasetError("all cells must be finite numbers")
         values.flags.writeable = False
-        object.__setattr__(self, "attribute_names", tuple(self.attribute_names))
+        object.__setattr__(self, "attribute_names", names)
         object.__setattr__(self, "values", values)
 
     def __eq__(self, other: object) -> bool:

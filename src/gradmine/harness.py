@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import tracemalloc
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -27,16 +26,11 @@ from .encoding import GradualPattern, SpaceKind, build_space
 from .search import (
     ALGORITHMS,
     SearchConfig,
-    SearchResult,
     TrajectoryStep,
     run_miner,
 )
 
 SCHEMA_VERSION = 1
-
-#: Exact permutation distribution up to this many nonzero differences;
-#: normal approximation with continuity correction beyond.
-EXACT_LIMIT = 25
 
 
 @dataclass(frozen=True)
@@ -63,31 +57,16 @@ def _midranks(x: np.ndarray) -> np.ndarray:
 
 def _exact_two_sided_p(w: float, ranks: np.ndarray) -> float:
     # Doubling the midranks makes every rank an integer, so the null
-    # distribution of the positive-rank sum is a subset-sum count.
+    # distribution of the positive-rank sum is a subset-sum distribution:
+    # each rank joins the sum with probability one half.
     doubled = np.rint(2.0 * ranks).astype(np.int64)
-    total = int(doubled.sum())
-    counts = np.zeros(total + 1, dtype=np.int64)
-    counts[0] = 1
-    for r in doubled:
-        r = int(r)
-        counts[r:] = counts[r:] + counts[:-r]
+    probs = np.zeros(int(doubled.sum()) + 1)
+    probs[0] = 1.0
+    for r in doubled.tolist():
+        probs[r:] += probs[:-r]
+        probs *= 0.5
     threshold = int(np.floor(2.0 * w + 1e-9))
-    below = int(counts[: threshold + 1].sum())
-    return min(1.0, 2.0 * below / float(2 ** len(ranks)))
-
-
-def _approx_two_sided_p(w: float, ranks: np.ndarray) -> float:
-    n = len(ranks)
-    mean = n * (n + 1) / 4.0
-    var = n * (n + 1) * (2 * n + 1) / 24.0
-    # Midrank ties shrink the variance.
-    _, tie_counts = np.unique(ranks, return_counts=True)
-    var -= float(((tie_counts**3 - tie_counts) / 48.0).sum())
-    if var <= 0:
-        return 1.0
-    z = (w - mean + 0.5) / math.sqrt(var)
-    # Twice the standard normal CDF at z.
-    return min(1.0, math.erfc(-z / math.sqrt(2.0)))
+    return min(1.0, 2.0 * float(probs[: threshold + 1].sum()))
 
 
 def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonOutcome:
@@ -96,8 +75,8 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonOutc
     Zero differences are dropped, absolute differences are ranked with
     midranks for ties, and the statistic is the smaller of the positive
     and negative rank sums.  The p-value comes from the exact
-    permutation distribution for up to ``EXACT_LIMIT`` pairs and from a
-    normal approximation with continuity and tie corrections beyond.
+    permutation distribution, held as float64 probabilities, for any
+    number of pairs.
     """
     if len(a) != len(b):
         raise ValueError(f"paired samples differ in length: {len(a)} vs {len(b)}")
@@ -111,15 +90,21 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonOutc
     w_plus = float(ranks[nonzero > 0].sum())
     w_minus = float(ranks[nonzero < 0].sum())
     w = min(w_plus, w_minus)
-    if n <= EXACT_LIMIT:
-        p = _exact_two_sided_p(w, ranks)
-    else:
-        p = _approx_two_sided_p(w, ranks)
+    p = _exact_two_sided_p(w, ranks)
     return WilcoxonOutcome(statistic=w, p_value=p, n=n, zeros_dropped=zeros_dropped)
 
 
 #: The JSON types a scalar spec field takes, by the type of its default.
 _SCALAR_KINDS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _check_kind(name: str, value: Any, default: Any) -> None:
+    """Raise unless ``value`` fits a field whose default is ``default``."""
+    kinds = _SCALAR_KINDS.get(type(default))
+    # bool is an int subclass: it fits bool fields alone.
+    if kinds and (not isinstance(value, kinds) or isinstance(value, bool) != (kinds == (bool,))):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{name} must be {names}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -161,14 +146,16 @@ class BenchSpec:
             raise ValueError("repetitions must be >= 1")
         if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
             raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
-        # seed and sigma are the spec's own, the same for every algorithm.
-        allowed = {f.name for f in fields(SearchConfig)} - {"seed", "sigma"}
+        defaults = {f.name: f.default for f in fields(SearchConfig)}
+        del defaults["seed"], defaults["sigma"]  # the spec's own, the same for every algorithm
         for algo, over in self.overrides.items():
             if algo not in ALGORITHMS:
                 raise ValueError(f"override for unknown algorithm {algo!r}")
-            bad = set(over) - allowed
+            bad = set(over) - set(defaults)
             if bad:
                 raise ValueError(f"unknown config overrides for {algo}: {sorted(bad)}")
+            for name, value in over.items():
+                _check_kind(f"{algo} override {name}", value, defaults[name])
         for algo in (*self.algorithms, *self.overrides):
             self.config_for(algo, self.base_seed)
 
@@ -180,13 +167,8 @@ class BenchSpec:
             raise ValueError(f"unknown benchmark spec keys: {sorted(unknown)}")
         data = dict(raw)
         for f in fields(cls):
-            kinds = _SCALAR_KINDS.get(type(f.default))
-            if f.name in data and kinds is not None:
-                value = data[f.name]
-                # bool is an int subclass: it fits bool fields alone.
-                if not isinstance(value, kinds) or isinstance(value, bool) != (kinds == (bool,)):
-                    names = " or ".join(kind.__name__ for kind in kinds)
-                    raise ValueError(f"{f.name} must be {names}, got {value!r}")
+            if f.name in data:
+                _check_kind(f.name, data[f.name], f.default)
         for key in ("datasets", "algorithms", "spaces"):
             if key in data:
                 value = data[key]
@@ -263,10 +245,6 @@ class BenchReport:
     failures: tuple[DatasetFailure, ...]
 
 
-def _invalid_ints(result: SearchResult) -> set[int]:
-    return {step.candidate for step in result.trajectory.steps if not step.valid}
-
-
 def _run_cell(
     spec: BenchSpec, d: Dataset, dataset: str, algorithm: str, space_name: str | None
 ) -> BenchCell:
@@ -296,7 +274,7 @@ def _run_cell(
             return BenchCell(dataset, algorithm, space_name, seeds, error=str(exc))
         wall_times.append(result.wall_time)
         frequent.update(result.frequent_patterns)
-        invalid.update(_invalid_ints(result))
+        invalid.update(step.candidate for step in result.trajectory.steps if not step.valid)
         best_support = max(best_support, result.best_support)
         if spec.save_trajectories:
             trajectories.append(result.trajectory.steps)

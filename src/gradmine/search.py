@@ -1,20 +1,22 @@
-"""Seeded stochastic miners sharing one trajectory and recorder contract.
+"""The five miners and :func:`run_miner`, the one door to all of them.
 
-Four searchers walk an integer-encoded candidate space: random search
-("rs"), stochastic hill climbing ("ls"), a small genetic algorithm ("ga")
-and particle swarm optimization ("pso").  All of them
+Four seeded searchers walk an integer-encoded candidate space: random
+search ("rs"), stochastic hill climbing ("ls"), a small genetic algorithm
+("ga") and particle swarm optimization ("pso"); "graank" sweeps every
+valid candidate once.  Each miner is a bare loop ``(rec, rng, s, c) ->
+(fitness, candidate)`` over a recorder and a generator that
+:func:`run_miner` builds; :func:`run_miner` also times the run and turns
+the recorder and the best into a :class:`SearchResult`.  The searchers
 
-* draw every random number from one ``numpy.random.default_rng(seed)``
-  generator, so (dataset, space, config) fully determines the run;
+* draw every random number from the one generator, seeded with
+  ``c.seed``, so (dataset, space, config) fully determines the run;
 * log every objective call, in call order, as one trajectory step;
 * never let an unusable candidate (infinite fitness) become the incumbent
   best, a personal best or the global best;
 * collect every distinct usable candidate whose support meets ``sigma``.
 
-:func:`run_miner` additionally wraps the exhaustive sweep, which scores
-through the same recorder and returns the same result type, so the
-benchmark harness drives all five miners through one door;
-:func:`graank_mine` is that sweep's frequent set on its own.
+The sweep scores through the same recorder, so its answer follows the
+same rules; :func:`graank_mine` is its frequent set on its own.
 
 Objective-call budgets are part of the contract: rs makes T calls, ls
 makes T+1 (the starting point counts), ga makes npop + 4T (two offspring
@@ -31,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, object_pair_count
 from .encoding import (
     MAX_ENUM_ATTRIBUTES,
     EnumerationLimitError,
@@ -139,13 +141,16 @@ class _Recorder:
     each candidate integer (the spaces are tiny, so repeat visits are
     common) before logging it.  Pair counts are kept for frequent
     candidates only.  Candidates are checked and counted as integers;
-    only the results are decoded, by :func:`_finish`.
+    only the results are decoded, when :func:`run_miner` builds its
+    result.  The recorder reaches the dataset's index, built on first
+    use, only to count, so a miner can refuse a run before it exists.
     """
 
     def __init__(self, d: Dataset, space: SearchSpace, sigma: float) -> None:
+        self.d = d
         self.space = space
         self.sigma = sigma
-        self._index = d.index
+        self._all_pairs = object_pair_count(d)
         self._memo: dict[int, float] = {}
         self._steps: list[TrajectoryStep] = []
         self._frequent: dict[int, int] = {}
@@ -156,7 +161,7 @@ class _Recorder:
             if invalid_reason(x, self.space) is not None:
                 fitness = INFINITE_FITNESS
             else:
-                fitness = self.score(x, self._index.count_candidate(x))
+                fitness = self.score(x, self.d.index.count_candidate(x))
             self._memo[x] = fitness
         return self.log(iteration, x, fitness)
 
@@ -165,7 +170,7 @@ class _Recorder:
         ``1/pairs``, or infinite (unusable) at zero pairs."""
         if pairs == 0:
             return INFINITE_FITNESS
-        if pairs / self._index.pair_count >= self.sigma:
+        if pairs / self._all_pairs >= self.sigma:
             self._frequent[x] = pairs
         return 1.0 / pairs
 
@@ -177,8 +182,8 @@ class _Recorder:
         # Only a non-frequent best is counted again.
         pairs = self._frequent.get(x)
         if pairs is None:
-            pairs = self._index.count_candidate(x)
-        return pairs / self._index.pair_count
+            pairs = self.d.index.count_candidate(x)
+        return pairs / self._all_pairs
 
     def trajectory(self) -> Trajectory:
         return Trajectory(tuple(self._steps))
@@ -188,28 +193,19 @@ class _Recorder:
         return tuple((to_pattern(x, self.space), self.support(x)) for x in order)
 
 
-#: The incumbent before any usable candidate: (fitness, candidate).
-_NO_BEST: tuple[float, int | None] = (INFINITE_FITNESS, None)
+#: A miner's incumbent best: (fitness, candidate).
+_Best = tuple[float, int | None]
+
+#: The incumbent before any usable candidate.
+_NO_BEST: _Best = (INFINITE_FITNESS, None)
 
 
-def _keep_best(best: tuple[float, int | None], fitness: float, x: int) -> tuple[float, int | None]:
+def _keep_best(best: _Best, fitness: float, x: int) -> _Best:
     # "<=" so a later candidate with equal fitness replaces the incumbent;
     # an unusable (infinite) one never does.
     if fitness <= best[0] and fitness < INFINITE_FITNESS:
         return fitness, x
     return best
-
-
-def _finish(rec: _Recorder, best: tuple[float, int | None], t0: float) -> SearchResult:
-    fitness, x = best
-    frequent = rec.frequent()
-    if x is None:
-        pattern, sup = None, 0.0
-    else:
-        pattern, sup = to_pattern(x, rec.space), rec.support(x)
-    return SearchResult(
-        pattern, sup, fitness, frequent, rec.trajectory(), time.perf_counter() - t0
-    )
 
 
 def _clamp(x: int, s: SearchSpace) -> int:
@@ -252,27 +248,21 @@ def _uniform_candidates(rng: np.random.Generator, s: SearchSpace, count: int) ->
     return [_wide_uniform(rng, s) for _ in range(count)]
 
 
-def rs_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
+def _rs(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best:
     """Uniform probing: one independent draw per iteration, best kept."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(c.seed)
-    rec = _Recorder(d, s, c.sigma)
     best = _NO_BEST
     for t, x in enumerate(_uniform_candidates(rng, s, c.max_iterations), start=1):
         best = _keep_best(best, rec.record(t, x), x)
-    return _finish(rec, best, t0)
+    return best
 
 
-def ls_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
+def _ls(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best:
     """Stochastic hill climbing with a bounded random step.
 
     A proposal is adopted when its fitness is no worse than the current
     point's.  Because inf <= inf holds, the walk keeps drifting across
     unusable ground instead of freezing on it.
     """
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(c.seed)
-    rec = _Recorder(d, s, c.sigma)
     (x,) = _uniform_candidates(rng, s, 1)
     current = rec.record(0, x)
     best = _keep_best(_NO_BEST, current, x)
@@ -283,7 +273,7 @@ def ls_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
         if fitness <= current:
             x, current = proposal, fitness
         best = _keep_best(best, fitness, proposal)
-    return _finish(rec, best, t0)
+    return best
 
 
 def _mutate(rng: np.random.Generator, candidate: int, s: SearchSpace, c: SearchConfig) -> int:
@@ -294,7 +284,7 @@ def _mutate(rng: np.random.Generator, candidate: int, s: SearchSpace, c: SearchC
     return _round_clamp(candidate ^ mask, float(rng.normal(0.0, c.mutation_scale)), s)
 
 
-def ga_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
+def _ga(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best:
     """Small elitist genetic algorithm over the bit representation.
 
     Each iteration takes the two fittest members, recombines them by
@@ -305,9 +295,6 @@ def ga_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
     Members are (fitness, candidate), so unusable ones (inf) sort last
     and ties go to the lower integer.
     """
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(c.seed)
-    rec = _Recorder(d, s, c.sigma)
     best = _NO_BEST
     pop: list[tuple[float, int]] = []
     for x in _uniform_candidates(rng, s, c.npop):
@@ -332,10 +319,10 @@ def ga_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
             pop.append((fitness, x))
             best = _keep_best(best, fitness, x)
         pop = heapq.nsmallest(c.npop, pop)
-    return _finish(rec, best, t0)
+    return best
 
 
-def pso_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
+def _pso(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best:
     """Particle swarm over the integer interval.
 
     Per particle and iteration there are exactly three objective calls:
@@ -346,9 +333,6 @@ def pso_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
     velocity clipped to ``max_velocity`` and a position rounded and
     clamped to the interval.
     """
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(c.seed)
-    rec = _Recorder(d, s, c.sigma)
     positions = _uniform_candidates(rng, s, c.nparticles)
     velocities = [0.0] * c.nparticles
     pbest = list(positions)
@@ -374,22 +358,19 @@ def pso_grad(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
             )
             velocities[i] = min(max(v, -c.max_velocity), c.max_velocity)
             positions[i] = _round_clamp(positions[i], velocities[i], s)
-    return _finish(rec, best, t0)
+    return best
 
 
-def _graank_sweep(d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
-    # One pass over every valid candidate of the dataset's own numeric
-    # space, in ascending order, scored and logged by the searchers'
-    # recorder; iteration numbers are just the sweep order.  The given
-    # space and the iteration budget play no part.
-    t0 = time.perf_counter()
-    if d.m > MAX_ENUM_ATTRIBUTES:
-        raise EnumerationLimitError(d.m, MAX_ENUM_ATTRIBUTES)
-    rec = _Recorder(d, build_space(d.m), c.sigma)
+def _graank(rec: _Recorder, rng: None, s: SearchSpace, c: SearchConfig) -> _Best:
+    """The exhaustive sweep: every valid candidate once, in ascending
+    order, counted by :meth:`ConcordanceIndex.counts`.  It gets no
+    generator, and the space kind and the iteration budget play no part."""
+    if rec.d.m > MAX_ENUM_ATTRIBUTES:
+        raise EnumerationLimitError(rec.d.m, MAX_ENUM_ATTRIBUTES)
     best = _NO_BEST
-    for t, (x, pairs) in enumerate(d.index.counts(), start=1):
+    for t, (x, pairs) in enumerate(rec.d.index.counts(), start=1):
         best = _keep_best(best, rec.log(t, x, rec.score(x, pairs)), x)
-    return _finish(rec, best, t0)
+    return best
 
 
 def graank_mine(d: Dataset, sigma: float) -> tuple[tuple[GradualPattern, float], ...]:
@@ -404,15 +385,12 @@ def graank_mine(d: Dataset, sigma: float) -> tuple[tuple[GradualPattern, float],
     Raises ``EnumerationLimitError`` when the attribute count makes
     enumeration unreasonable.
     """
-    return _graank_sweep(d, build_space(d.m), SearchConfig(sigma=sigma)).frequent_patterns
+    return run_miner("graank", d, build_space(d.m), SearchConfig(sigma=sigma)).frequent_patterns
 
 
-_MINERS: dict[str, Callable[[Dataset, SearchSpace, SearchConfig], SearchResult]] = {
-    "rs": rs_grad,
-    "ls": ls_grad,
-    "ga": ga_grad,
-    "pso": pso_grad,
-    "graank": _graank_sweep,
+#: Each miner is a loop ``(rec, rng, s, c) -> (fitness, candidate)``.
+_MINERS: dict[str, Callable[..., _Best]] = {
+    "rs": _rs, "ls": _ls, "ga": _ga, "pso": _pso, "graank": _graank
 }
 
 #: Names accepted by :func:`run_miner` (and the CLI's --algo flag).
@@ -420,10 +398,13 @@ ALGORITHMS = tuple(_MINERS)
 
 
 def run_miner(algorithm: str, d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
-    """Dispatch by name.
+    """Run one miner by name and time it.
 
-    "graank" ignores the space kind and the iteration budget: it sweeps
-    every valid candidate of the dataset's own numeric space once.
+    The miner gets a fresh recorder and, unless it is the sweep, a
+    generator seeded with ``c.seed``; the result decodes its best and
+    frequent candidates in ``s``, which must span the dataset's
+    attributes.  "graank" ignores the space kind and the iteration
+    budget: it sweeps every valid candidate of the dataset once.
     """
     try:
         miner = _MINERS[algorithm]
@@ -431,4 +412,18 @@ def run_miner(algorithm: str, d: Dataset, s: SearchSpace, c: SearchConfig) -> Se
         raise ValueError(
             f"unknown algorithm {algorithm!r}; expected one of: {', '.join(ALGORITHMS)}"
         ) from None
-    return miner(d, s, c)
+    if s.m != d.m:
+        raise ValueError(f"a space over {s.m} attributes cannot search a table of {d.m}")
+    t0 = time.perf_counter()
+    rec = _Recorder(d, s, c.sigma)
+    # The sweep draws nothing, and a process's first generator imports
+    # numpy.random: 12-19 ms of each exhaustive ``gradmine mine`` on a
+    # 2-vCPU x86-64 host.
+    rng = None if miner is _graank else np.random.default_rng(c.seed)
+    fitness, x = miner(rec, rng, s, c)
+    frequent = rec.frequent()
+    if x is None:
+        pattern, sup = None, 0.0
+    else:
+        pattern, sup = to_pattern(x, s), rec.support(x)
+    return SearchResult(pattern, sup, fitness, frequent, rec.trajectory(), time.perf_counter() - t0)

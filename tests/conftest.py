@@ -81,8 +81,9 @@ def write_csv(path, names, rows, delimiter=",") -> None:
 def reference_clean(path, delimiter=",", has_header=True):
     """Naive reference of ``load_dataset``'s documented cleaning rules:
     drop every column with a text cell or no present cell, then every row
-    with a missing cell in a surviving column.  Returns (names, rows), or
-    None where the loader must raise ``DatasetError``."""
+    with a missing cell in a surviving column; two surviving columns may
+    not share a name.  Returns (names, rows), or None where the loader
+    must raise ``DatasetError``."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
     if not rows:
@@ -113,9 +114,10 @@ def reference_clean(path, delimiter=",", has_header=True):
     for row in grid:
         if all(row[j] not in missing for j in columns):
             kept_rows.append([number(row[j]) for j in columns])
-    if len(columns) < 2 or len(kept_rows) < 2:
+    kept_names = tuple(names[j] for j in columns)
+    if len(columns) < 2 or len(kept_rows) < 2 or len(set(kept_names)) < len(kept_names):
         return None
-    return tuple(names[j] for j in columns), kept_rows
+    return kept_names, kept_rows
 
 
 @pytest.fixture

@@ -48,6 +48,14 @@ class TestMine:
         assert main(["mine", "--data", "no/such.csv"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_duplicate_names_are_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        write_csv(path, ("a", "a", "b"), [[1, 2, 3], [4, 5, 6], [7, 9, 8]])
+        assert main(["mine", "--data", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: duplicate attribute name 'a'\n"
+        assert captured.out == ""
+
     def test_miner_failure_is_runtime_error(self, course_csv, capsys, monkeypatch):
         def fail(*args):
             raise ValueError("high is out of bounds for int64")
@@ -239,10 +247,13 @@ class TestBench:
             ([], {"delimiter": 5}),
             ([], {"delimiter": ";;"}),
             ([], {"has_header": "no"}),
+            ([], {"overrides": {"ga": {"npop": 4.5}}}),
+            ([], {"overrides": {"ls": {"step_size": True}}}),
         ],
         ids=[
             "iters-0", "npop-1", "npop-str", "reps-str", "datasets-str", "override-int",
             "seed-str", "seed-float", "delimiter-int", "delimiter-two-chars", "header-str",
+            "npop-float", "step-bool",
         ],
     )
     def test_spec_errors_are_usage_errors(self, tmp_path, course_csv, capsys, flags, spec):
@@ -317,6 +328,18 @@ class TestBench:
         assert "dataset failed:" in capsys.readouterr().err
         assert (out_dir / "report.json").exists()
 
+    def test_duplicate_names_fail_the_dataset(self, tmp_path, course_csv, capsys):
+        dup = tmp_path / "dup.csv"
+        write_csv(dup, ("a", "a", "b"), [[1, 2, 3], [4, 5, 6], [7, 9, 8]])
+        out_dir = tmp_path / "out"
+        argv = ["bench", "--algos", "rs", "--reps", "1", "--iters", "5", "--out-dir", str(out_dir)]
+        assert main([*argv, "--data", str(course_csv), str(dup)]) == 1
+        assert "dataset failed:" in capsys.readouterr().err
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert [c["dataset"] for c in report["cells"]] == ["course"]
+        [failure] = report["dataset_failures"]
+        assert failure["dataset"] == "dup" and "duplicate attribute name 'a'" in failure["error"]
+
     def test_index_over_memory_limit_fails_the_dataset(self, tmp_path, course_csv, capsys, monkeypatch):
         monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 47)
         out_dir = tmp_path / "out"
@@ -329,10 +352,26 @@ class TestBench:
         assert failure["dataset"] == "course" and "48-byte" in failure["error"]
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only oracle; the command's start-up must not pay for it.
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a new interpreter that imports this gradmine."""
     src = str(Path(gradmine.__file__).resolve().parent.parent)
     paths = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    code = "import gradmine.cli, sys; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, timeout=60, stdout=subprocess.DEVNULL
+    )
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle; the command's start-up must not pay for it.
+    _run_fresh("import gradmine.cli, sys; assert 'scipy' not in sys.modules")
+
+
+def test_exhaustive_mine_loads_no_generator(course_csv):
+    # The sweep draws nothing, and importing numpy.random takes 12-19 ms
+    # on a 2-vCPU x86-64 host.
+    _run_fresh(
+        "import sys; from gradmine.cli import main; "
+        f"assert main(['mine', '--data', {str(course_csv)!r}]) == 0; "
+        "assert 'numpy.random' not in sys.modules"
+    )

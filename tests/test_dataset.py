@@ -181,6 +181,16 @@ def test_loader_matches_reference(tmp_path, rows, delimiter, has_header):
     assert d.values.tolist() == expected[1]
 
 
+def test_duplicate_names_rejected(tmp_path):
+    path = tmp_path / "dup.csv"
+    write_csv(path, ("a", "a", "b"), [[1, 2, 3], [4, 5, 6], [7, 9, 8]])
+    with pytest.raises(DatasetError, match="duplicate attribute name 'a'"):
+        load_dataset(path)
+    # Only the surviving columns need distinct names.
+    write_csv(path, ("a", "a", "b"), [["x", 2, 3], [4, 5, 6], [7, 9, 8]])
+    assert load_dataset(path).attribute_names == ("a", "b")
+
+
 def test_cleaning_idempotent(tmp_path, course_csv):
     d1 = load_dataset(course_csv)
     back = tmp_path / "clean.csv"
@@ -200,6 +210,8 @@ class TestDatasetType:
             Dataset(("a",), np.ones((3, 2)))  # name count mismatch
         with pytest.raises(ValueError):
             Dataset(("a", "b"), np.array([[1.0, np.nan], [2.0, 3.0]]))
+        with pytest.raises(DatasetError, match="duplicate attribute name 'b'"):
+            Dataset(("b", "c", "b"), np.ones((2, 3)))
 
     def test_values_frozen_and_copied(self):
         source = np.ones((2, 2))

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from gradmine import (
     SearchResult,
     SpaceKind,
     run_benchmark,
-    rs_grad,
     build_space,
     encode,
     enumerate_valid,
@@ -36,7 +36,7 @@ from gradmine import (
 )
 import gradmine.harness
 from gradmine.fitness import ConcordanceIndex, concordant_count_brute
-from gradmine.harness import EXACT_LIMIT, _exact_two_sided_p, _midranks
+from gradmine.harness import _midranks
 
 
 def oracle_p(diffs):
@@ -83,15 +83,25 @@ class TestWilcoxon:
         with pytest.raises(ValueError):
             wilcoxon_signed_rank(base, nearly_equal)  # one nonzero difference
 
-    def test_approx_branch_tracks_exact(self):
-        rng = np.random.default_rng(23)
-        n = EXACT_LIMIT + 5
-        diffs = rng.normal(0.3, 1.0, size=n)
-        diffs[diffs == 0] = 0.1
-        out = wilcoxon_signed_rank(diffs, np.zeros(n))
-        ranks = rankdata(np.abs(diffs), method="average")
-        exact = _exact_two_sided_p(out.statistic, ranks)
-        assert out.p_value == pytest.approx(exact, abs=0.02)
+    @pytest.mark.parametrize("n", (30, 70))
+    def test_exact_beyond_25_pairs(self, n):
+        # Python-int subset-sum counts over the doubled midranks, too many
+        # pairs for full sign enumeration.
+        rng = np.random.default_rng(n)
+        diffs = rng.integers(-12, 13, size=n).astype(float)  # tied |d|
+        diffs[diffs == 0] = 0.5
+        doubled = [round(2 * r) for r in rankdata(np.abs(diffs), method="average")]
+        w2 = min(
+            sum(r for r, d in zip(doubled, diffs) if d > 0),
+            sum(r for r, d in zip(doubled, diffs) if d < 0),
+        )
+        counts = [1] + [0] * sum(doubled)
+        for r in doubled:
+            counts = [c + (counts[k - r] if k >= r else 0) for k, c in enumerate(counts)]
+        expected = min(1.0, float(Fraction(2 * sum(counts[: w2 + 1]), 2**n)))
+        got = wilcoxon_signed_rank(diffs, np.zeros(n))
+        assert got.statistic * 2 == w2
+        assert got.p_value == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @given(
@@ -366,7 +376,7 @@ class TestRunBenchmark:
 
 class TestScatter:
     def test_rows_mirror_trajectory(self, course_dataset):
-        r = rs_grad(course_dataset, build_space(3), SearchConfig(max_iterations=25, seed=2))
+        r = run_miner("rs", course_dataset, build_space(3), SearchConfig(max_iterations=25, seed=2))
         rows = scatter_extract(r.trajectory.steps)
         assert len(rows) == 25
         for (it, pos, fit, valid), step in zip(rows, r.trajectory.steps):
@@ -431,7 +441,7 @@ class TestWriters:
         assert b"\r" not in out.read_bytes()
 
     def test_scatter_csv(self, tmp_path, course_dataset):
-        r = rs_grad(course_dataset, build_space(3), SearchConfig(max_iterations=10, seed=4))
+        r = run_miner("rs", course_dataset, build_space(3), SearchConfig(max_iterations=10, seed=4))
         out = tmp_path / "scatter.csv"
         write_scatter_csv(out, scatter_extract(r.trajectory.steps))
         lines = out.read_text(encoding="utf-8").splitlines()

@@ -1,4 +1,4 @@
-"""The four stochastic miners: budgets, determinism, soundness."""
+"""The miners behind run_miner: budgets, determinism, soundness."""
 
 import math
 from fractions import Fraction
@@ -8,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gradmine.fitness
 from conftest import COURSE_NAMES, COURSE_ROWS, brute_frequent, random_dataset, tied_tables
 from gradmine import (
     ALGORITHMS,
     Dataset,
+    EnumerationLimitError,
     SearchConfig,
     SearchSpace,
     SpaceKind,
@@ -19,18 +21,14 @@ from gradmine import (
     concordant_count_brute,
     encode,
     fitness_of,
-    ga_grad,
     is_valid,
-    ls_grad,
     object_pair_count,
-    pso_grad,
-    rs_grad,
     run_miner,
 )
 from gradmine.fitness import ConcordanceIndex
-from gradmine.search import _clamp, _round_clamp, _wide_uniform
+from gradmine.search import _clamp, _Recorder, _round_clamp, _rs, _wide_uniform
 
-MINERS = {"rs": rs_grad, "ls": ls_grad, "ga": ga_grad, "pso": pso_grad}
+SEARCHERS = ("ga", "ls", "pso", "rs")
 
 
 @pytest.fixture
@@ -40,50 +38,50 @@ def space():
 
 class TestBudgets:
     def test_rs(self, course_dataset, space):
-        r = rs_grad(course_dataset, space, SearchConfig(max_iterations=20, seed=1))
+        r = run_miner("rs", course_dataset, space, SearchConfig(max_iterations=20, seed=1))
         assert r.trajectory.evaluations == 20
 
     def test_ls(self, course_dataset, space):
-        r = ls_grad(course_dataset, space, SearchConfig(max_iterations=20, seed=1))
+        r = run_miner("ls", course_dataset, space, SearchConfig(max_iterations=20, seed=1))
         assert r.trajectory.evaluations == 21  # the start point counts
 
     def test_ga(self, course_dataset, space):
         c = SearchConfig(max_iterations=20, seed=1, npop=10)
-        r = ga_grad(course_dataset, space, c)
+        r = run_miner("ga", course_dataset, space, c)
         assert r.trajectory.evaluations == 10 + 4 * 20
 
     def test_pso(self, course_dataset, space):
         c = SearchConfig(max_iterations=20, seed=1, nparticles=5)
-        r = pso_grad(course_dataset, space, c)
+        r = run_miner("pso", course_dataset, space, c)
         assert r.trajectory.evaluations == 3 * 5 * 20
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("algo", sorted(MINERS))
+    @pytest.mark.parametrize("algo", SEARCHERS)
     def test_same_seed_same_trajectory(self, course_dataset, space, algo):
         c = SearchConfig(max_iterations=30, seed=9)
-        a = MINERS[algo](course_dataset, space, c)
-        b = MINERS[algo](course_dataset, space, c)
+        a = run_miner(algo, course_dataset, space, c)
+        b = run_miner(algo, course_dataset, space, c)
         assert a.trajectory == b.trajectory
         assert a.best_pattern == b.best_pattern
         assert a.frequent_patterns == b.frequent_patterns
 
-    @pytest.mark.parametrize("algo", sorted(MINERS))
+    @pytest.mark.parametrize("algo", SEARCHERS)
     def test_different_seed_diverges(self, course_dataset, space, algo):
         c1 = SearchConfig(max_iterations=30, seed=1)
         c2 = SearchConfig(max_iterations=30, seed=2)
-        a = MINERS[algo](course_dataset, space, c1)
-        b = MINERS[algo](course_dataset, space, c2)
+        a = run_miner(algo, course_dataset, space, c1)
+        b = run_miner(algo, course_dataset, space, c2)
         assert a.trajectory != b.trajectory
 
 
 class TestContracts:
-    @pytest.mark.parametrize("algo", sorted(MINERS))
+    @pytest.mark.parametrize("algo", SEARCHERS)
     @pytest.mark.parametrize("kind", list(SpaceKind))
     def test_in_bounds_and_best_consistency(self, course_dataset, algo, kind):
         s = build_space(3, kind)
         c = SearchConfig(max_iterations=40, seed=5)
-        r = MINERS[algo](course_dataset, s, c)
+        r = run_miner(algo, course_dataset, s, c)
         finite = [st.fitness for st in r.trajectory.steps if st.valid]
         for st in r.trajectory.steps:
             assert s.lower <= st.candidate <= s.upper
@@ -96,13 +94,13 @@ class TestContracts:
         else:
             assert r.best_pattern is None and math.isinf(r.best_fitness)
 
-    @pytest.mark.parametrize("algo", sorted(MINERS))
+    @pytest.mark.parametrize("algo", SEARCHERS)
     def test_frequent_patterns_sound(self, algo):
         rng = np.random.default_rng(13)
         d = random_dataset(rng, 7, 3, ties=True)
         s = build_space(3)
         c = SearchConfig(max_iterations=30, seed=2, sigma=0.3)
-        r = MINERS[algo](d, s, c)
+        r = run_miner(algo, d, s, c)
         seen = set()
         total = object_pair_count(d)
         for p, sup in r.frequent_patterns:
@@ -112,19 +110,19 @@ class TestContracts:
             assert abs(sup - concordant_count_brute(p, d) / total) <= 1e-12
 
     def test_wall_time_nonnegative(self, course_dataset, space):
-        r = rs_grad(course_dataset, space, SearchConfig(max_iterations=5, seed=0))
+        r = run_miner("rs", course_dataset, space, SearchConfig(max_iterations=5, seed=0))
         assert r.wall_time >= 0.0
 
 
 class TestWideSpaces:
     # Past m = 31 the interval no longer fits numpy's int64 draws.
-    @pytest.mark.parametrize("algo", sorted(MINERS))
+    @pytest.mark.parametrize("algo", SEARCHERS)
     @pytest.mark.parametrize("kind", list(SpaceKind))
     def test_forty_attributes(self, algo, kind):
         d = random_dataset(np.random.default_rng(40), 5, 40)
         s = build_space(40, kind)
         assert s.upper >= 2**63
-        r = MINERS[algo](d, s, SearchConfig(max_iterations=30, seed=4))
+        r = run_miner(algo, d, s, SearchConfig(max_iterations=30, seed=4))
         assert r.trajectory.evaluations > 0
         for st in r.trajectory.steps:
             assert type(st.candidate) is int and s.contains(st.candidate)
@@ -137,7 +135,7 @@ class TestWideSpaces:
         s = build_space(40, kind)
         c = SearchConfig(max_iterations=100, seed=4)
         distinct = {
-            algo: len({st.candidate for st in MINERS[algo](d, s, c).trajectory.steps})
+            algo: len({st.candidate for st in run_miner(algo, d, s, c).trajectory.steps})
             for algo in ("ls", "pso")
         }
         assert distinct["ls"] >= 20 and distinct["pso"] >= 100
@@ -190,7 +188,7 @@ class TestRecorderOracle:
     @settings(max_examples=150, deadline=None)
     @given(
         tied_tables(max_m=6),
-        st.sampled_from(sorted(MINERS)),
+        st.sampled_from(SEARCHERS),
         st.sampled_from(list(SpaceKind)),
         st.integers(0, 2**32 - 1),
         st.sampled_from((0.0, 0.2, 0.5, 1.0)) | st.floats(0.0, 1.0),
@@ -203,7 +201,7 @@ class TestRecorderOracle:
     def test_result_matches_fitness_of(self, d, algo, kind, seed, sigma):
         s = build_space(d.m, kind)
         c = SearchConfig(max_iterations=12, seed=seed, sigma=sigma, npop=4, nparticles=3)
-        r = MINERS[algo](d, s, c)
+        r = run_miner(algo, d, s, c)
         evaluated = {}
         for step in r.trajectory.steps:
             e = evaluated.setdefault(step.candidate, fitness_of(step.candidate, s, d))
@@ -251,14 +249,14 @@ def test_counts_each_candidate_once(course_dataset, monkeypatch, algo, sigma):
 class TestRandomSearch:
     def test_two_object_best_fitness_one(self, space):
         d = Dataset(("a", "b", "c"), np.array([[1.0, 2.0, 9.0], [2.0, 1.0, 5.0]]))
-        r = rs_grad(d, space, SearchConfig(max_iterations=20, seed=0))
+        r = run_miner("rs", d, space, SearchConfig(max_iterations=20, seed=0))
         assert r.best_fitness == 1.0
 
     def test_ties_go_to_newer_candidate(self, space):
         # Every usable candidate scores 1.0 on two objects, so the best
         # is the last usable candidate drawn.
         d = Dataset(("a", "b", "c"), np.array([[1.0, 2.0, 9.0], [2.0, 1.0, 5.0]]))
-        r = rs_grad(d, space, SearchConfig(max_iterations=20, seed=0))
+        r = run_miner("rs", d, space, SearchConfig(max_iterations=20, seed=0))
         last_valid = [st for st in r.trajectory.steps if st.valid][-1]
         assert encode(r.best_pattern, 3) == last_valid.candidate
 
@@ -266,12 +264,12 @@ class TestRandomSearch:
 class TestLocalSearch:
     def test_huge_step_still_terminates(self, course_dataset, space):
         c = SearchConfig(max_iterations=25, seed=3, step_size=100.0)
-        r = ls_grad(course_dataset, space, c)
+        r = run_miner("ls", course_dataset, space, c)
         assert r.trajectory.evaluations == 26
 
     def test_best_no_worse_than_start(self, course_dataset, space):
         c = SearchConfig(max_iterations=20, seed=4)
-        r = ls_grad(course_dataset, space, c)
+        r = run_miner("ls", course_dataset, space, c)
         start = r.trajectory.steps[0]
         if start.valid:
             assert r.best_fitness <= start.fitness
@@ -289,13 +287,13 @@ class TestLocalSearch:
         best = min(fitness_of(x, space, d).fitness for x in range(5, 43))
         assert best == 0.25
         c = SearchConfig(max_iterations=500, seed=0, step_size=5.0)
-        assert ls_grad(d, space, c).best_fitness == 0.25
+        assert run_miner("ls", d, space, c).best_fitness == 0.25
 
 
 class TestGeneticAlgorithm:
     def test_no_crossover_copies_parents(self, course_dataset, space):
         c = SearchConfig(max_iterations=10, seed=6, npop=6, crossover_rate=0.0)
-        r = ga_grad(course_dataset, space, c)
+        r = run_miner("ga", course_dataset, space, c)
         init = r.trajectory.steps[: c.npop]
         by_fitness = sorted(init, key=lambda st: (st.fitness, st.candidate))
         parents = {by_fitness[0].candidate, by_fitness[1].candidate}
@@ -304,7 +302,7 @@ class TestGeneticAlgorithm:
 
     def test_four_calls_per_iteration(self, course_dataset, space):
         c = SearchConfig(max_iterations=15, seed=6, npop=4)
-        r = ga_grad(course_dataset, space, c)
+        r = run_miner("ga", course_dataset, space, c)
         for t in range(1, 16):
             assert sum(1 for st in r.trajectory.steps if st.iteration == t) == 4
 
@@ -314,7 +312,7 @@ class TestParticleSwarm:
         c = SearchConfig(
             max_iterations=6, seed=8, nparticles=3, coef_p=0.0, coef_g=0.0, inertia=0.0
         )
-        r = pso_grad(course_dataset, space, c)
+        r = run_miner("pso", course_dataset, space, c)
         # Position evaluations are every third step within an iteration.
         per_iter = {}
         for st in r.trajectory.steps:
@@ -325,20 +323,30 @@ class TestParticleSwarm:
 
     def test_single_particle_runs(self, course_dataset, space):
         c = SearchConfig(max_iterations=10, seed=8, nparticles=1)
-        r = pso_grad(course_dataset, space, c)
+        r = run_miner("pso", course_dataset, space, c)
         assert r.trajectory.evaluations == 30
 
 
 class TestRunMiner:
     def test_dispatch_matches_direct_call(self, course_dataset, space):
         c = SearchConfig(max_iterations=12, seed=5)
-        assert run_miner("rs", course_dataset, space, c).trajectory == rs_grad(
-            course_dataset, space, c
-        ).trajectory
+        rec = _Recorder(course_dataset, space, c.sigma)
+        best = _rs(rec, np.random.default_rng(c.seed), space, c)
+        r = run_miner("rs", course_dataset, space, c)
+        assert r.trajectory == rec.trajectory()
+        assert (r.best_fitness, encode(r.best_pattern, 3)) == best
 
     def test_unknown_algorithm(self, course_dataset, space):
         with pytest.raises(ValueError):
             run_miner("xx", course_dataset, space, SearchConfig())
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_space_must_fit_the_table(self, course_dataset, algo):
+        # Decoding in a space of another width names attributes the table
+        # does not have, or misses some it has.
+        for m in (2, 4):
+            with pytest.raises(ValueError, match=f"space over {m} attributes"):
+                run_miner(algo, course_dataset, build_space(m), SearchConfig())
 
     def test_graank_matches_baseline(self, course_dataset, space):
         c = SearchConfig(max_iterations=3, seed=0, sigma=0.5)
@@ -351,10 +359,27 @@ class TestRunMiner:
             assert got == brute_frequent(d, sigma)
 
     def test_graank_ignores_space_kind(self, course_dataset):
-        c = SearchConfig(sigma=0.5)
-        a = run_miner("graank", course_dataset, build_space(3), c)
-        b = run_miner("graank", course_dataset, build_space(3, SpaceKind.BITMAP), c)
-        assert a.trajectory == b.trajectory
+        # Every valid candidate lies in both spaces, so the sweep and the
+        # decoded results are the same.
+        tied = random_dataset(np.random.default_rng(8), 9, 5, ties=True)
+        for d, sigma in ((course_dataset, 0.5), (tied, 0.0), (tied, 0.3), (tied, 1.0)):
+            c = SearchConfig(sigma=sigma)
+            a = run_miner("graank", d, build_space(d.m), c)
+            b = run_miner("graank", d, build_space(d.m, SpaceKind.BITMAP), c)
+            assert (a.best_pattern, a.best_support, a.best_fitness) == (
+                b.best_pattern, b.best_support, b.best_fitness
+            )
+            assert a.frequent_patterns == b.frequent_patterns
+            assert a.trajectory == b.trajectory
+
+    def test_graank_guard_refuses_before_the_index(self, monkeypatch):
+        # Fifteen columns are over the enumeration guard; the index would
+        # be refused too, but the guard must speak first.
+        monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 47)
+        d = random_dataset(np.random.default_rng(15), 4, 15)
+        with pytest.raises(EnumerationLimitError):
+            run_miner("graank", d, build_space(15), SearchConfig())
+        assert "index" not in d.__dict__
 
 
 class TestConfigValidation:
