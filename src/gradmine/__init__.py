@@ -41,7 +41,6 @@ from .harness import (
     BenchSpec,
     WilcoxonOutcome,
     run_benchmark,
-    scatter_extract,
     space_comparison,
     wilcoxon_signed_rank,
     write_report_csv,
@@ -95,7 +94,6 @@ __all__ = [
     "object_pair_count",
     "run_benchmark",
     "run_miner",
-    "scatter_extract",
     "space_comparison",
     "support",
     "to_pattern",

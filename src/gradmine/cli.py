@@ -34,7 +34,6 @@ from .encoding import (
 from .harness import (
     BenchSpec,
     run_benchmark,
-    scatter_extract,
     space_comparison,
     write_report_csv,
     write_report_json,
@@ -242,11 +241,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         scatter_dir = out_dir / "scatter"
         scatter_dir.mkdir(exist_ok=True)
         for cell in report.cells:
-            if cell.trajectories is None:
-                continue
             tag = f"{cell.dataset}_{cell.algorithm}_{cell.space or 'full'}"
-            for rep, steps in enumerate(cell.trajectories):
-                write_scatter_csv(scatter_dir / f"{tag}_rep{rep}.csv", scatter_extract(steps))
+            for rep, steps in enumerate(cell.trajectories or ()):  # None for an error cell
+                write_scatter_csv(scatter_dir / f"{tag}_rep{rep}.csv", steps)
 
     for failure in report.failures:
         print(f"dataset failed: {failure.path}: {failure.error}", file=sys.stderr)
@@ -348,7 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    # Bounds past about 7,143 attributes exceed Python's int-to-str limit
+    # (none before 3.10.7), a guard for parsing untrusted text: lift it.
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is None:
+        return args.func(args)
+    sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

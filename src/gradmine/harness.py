@@ -58,13 +58,14 @@ def _midranks(x: np.ndarray) -> np.ndarray:
 def _exact_two_sided_p(w: float, ranks: np.ndarray) -> float:
     # Doubling the midranks makes every rank an integer, so the null
     # distribution of the positive-rank sum is a subset-sum distribution:
-    # each rank joins the sum with probability one half.
+    # each rank joins the sum with probability one half.  Sums above the
+    # running total ``top`` of the ranks so far are still zero: skip them.
     doubled = np.rint(2.0 * ranks).astype(np.int64)
     probs = np.zeros(int(doubled.sum()) + 1)
     probs[0] = 1.0
-    for r in doubled.tolist():
-        probs[r:] += probs[:-r]
-        probs *= 0.5
+    for r, top in zip(doubled.tolist(), np.cumsum(doubled).tolist()):
+        probs[r : top + 1] += probs[: top - r + 1]
+        probs[: top + 1] *= 0.5
     threshold = int(np.floor(2.0 * w + 1e-9))
     return min(1.0, 2.0 * float(probs[: threshold + 1].sum()))
 
@@ -248,8 +249,7 @@ class BenchReport:
 def _run_cell(
     spec: BenchSpec, d: Dataset, dataset: str, algorithm: str, space_name: str | None
 ) -> BenchCell:
-    # The exhaustive miner is deterministic, so one run covers the cell.
-    reps = 1 if algorithm == "graank" else spec.repetitions
+    reps = 1 if space_name is None else spec.repetitions
     seeds = tuple(spec.base_seed + rep for rep in range(reps))
     space = build_space(d.m, SpaceKind(space_name or "numeric"))
     wall_times: list[float] = []
@@ -260,18 +260,16 @@ def _run_cell(
     trajectories: list[tuple[TrajectoryStep, ...]] = []
     for seed in seeds:
         config = spec.config_for(algorithm, seed)
+        if spec.measure_memory:
+            tracemalloc.start()
         try:
-            if spec.measure_memory:
-                tracemalloc.start()
-                try:
-                    result = run_miner(algorithm, d, space, config)
-                    peak = max(peak, tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
-            else:
-                result = run_miner(algorithm, d, space, config)
+            result = run_miner(algorithm, d, space, config)
         except Exception as exc:  # one failing cell never aborts the grid
             return BenchCell(dataset, algorithm, space_name, seeds, error=str(exc))
+        finally:
+            if spec.measure_memory:
+                peak = max(peak, tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
         wall_times.append(result.wall_time)
         frequent.update(result.frequent_patterns)
         invalid.update(step.candidate for step in result.trajectory.steps if not step.valid)
@@ -310,11 +308,9 @@ def run_benchmark(spec: BenchSpec) -> BenchReport:
             failures.append(DatasetFailure(dataset=name, path=str(path), error=str(exc)))
             continue
         for algorithm in spec.algorithms:
-            if algorithm == "graank":
-                cells.append(_run_cell(spec, d, name, algorithm, None))
-            else:
-                for space_name in spec.spaces:
-                    cells.append(_run_cell(spec, d, name, algorithm, space_name))
+            # The exhaustive miner is space-blind: it gets one cell.
+            for space_name in (None,) if algorithm == "graank" else spec.spaces:
+                cells.append(_run_cell(spec, d, name, algorithm, space_name))
     return BenchReport(
         schema_version=SCHEMA_VERSION,
         sigma=spec.sigma,
@@ -322,22 +318,6 @@ def run_benchmark(spec: BenchSpec) -> BenchReport:
         repetitions=spec.repetitions,
         cells=tuple(cells),
         failures=tuple(failures),
-    )
-
-
-ScatterRow = tuple[int, int, float | None, bool]
-
-
-def scatter_extract(steps: Sequence[TrajectoryStep]) -> tuple[ScatterRow, ...]:
-    """One (iteration, position, fitness, valid) row per objective call.
-
-    The infinite-fitness sentinel becomes a missing fitness so the rows
-    plot cleanly; such rows always carry valid=False.
-    """
-    if not steps:
-        raise ValueError("trajectory is empty")
-    return tuple(
-        (s.iteration, s.candidate, s.fitness if s.valid else None, s.valid) for s in steps
     )
 
 
@@ -358,28 +338,20 @@ def space_comparison(report: BenchReport, algorithm: str) -> WilcoxonOutcome:
     return wilcoxon_signed_rank(a, b)
 
 
-def _cell_dict(cell: BenchCell) -> dict[str, Any]:
-    # Trajectories go to scatter CSVs, not the JSON report.
-    return {f.name: getattr(cell, f.name) for f in fields(cell) if f.name != "trajectories"}
-
-
-def report_to_dict(report: BenchReport) -> dict[str, Any]:
+def _fields_dict(record: Any) -> dict[str, Any]:
+    """The JSON object of a report, cell or dataset failure: its fields
+    in order, with ``failures`` named ``dataset_failures``.  Trajectories
+    go to scatter CSVs, not the JSON report."""
     return {
-        "schema_version": report.schema_version,
-        "sigma": report.sigma,
-        "base_seed": report.base_seed,
-        "repetitions": report.repetitions,
-        "cells": [_cell_dict(c) for c in report.cells],
-        "dataset_failures": [
-            {"dataset": f.dataset, "path": f.path, "error": f.error}
-            for f in report.failures
-        ],
+        "dataset_failures" if f.name == "failures" else f.name: getattr(record, f.name)
+        for f in fields(record)
+        if f.name != "trajectories"
     }
 
 
 def write_report_json(path: str | Path, report: BenchReport) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
+        json.dump(report, fh, indent=2, default=_fields_dict)
         fh.write("\n")
 
 
@@ -426,16 +398,12 @@ def write_report_csv(path: str | Path, report: BenchReport) -> None:
                 )
 
 
-def write_scatter_csv(path: str | Path, rows: Iterable[ScatterRow]) -> None:
+def write_scatter_csv(path: str | Path, steps: Iterable[TrajectoryStep]) -> None:
+    """One (iteration, position, fitness, valid) row per objective call;
+    an unusable step's infinite fitness is left empty."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("iteration", "position", "fitness", "valid"))
-        for iteration, position, fitness, valid in rows:
-            writer.writerow(
-                (
-                    iteration,
-                    position,
-                    "" if fitness is None else f"{fitness:.10g}",
-                    "true" if valid else "false",
-                )
-            )
+        for s in steps:
+            fitness = f"{s.fitness:.10g}" if s.valid else ""
+            writer.writerow((s.iteration, s.candidate, fitness, "true" if s.valid else "false"))

@@ -27,6 +27,7 @@ and two mutants per iteration) and pso makes 3 per particle per iteration
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -53,7 +54,8 @@ class SearchConfig:
     Fields the chosen algorithm does not use are ignored, so one config
     can drive a whole benchmark.  Defaults are round mid-range values;
     ``max_iterations`` follows the small-budget convention used
-    throughout the test suite.
+    throughout the test suite.  Every float field must be finite and
+    ``seed`` nonnegative.
     """
 
     max_iterations: int = 20
@@ -74,6 +76,11 @@ class SearchConfig:
     inertia: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 <= self.sigma <= 1.0:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -139,6 +140,51 @@ class TestMine:
         assert main(["mine", "--data", str(course_csv), "--algo", "ga", "--npop", "1"]) == 2
         assert capsys.readouterr().err == "error: npop must be >= 2\n"
 
+    @pytest.mark.parametrize(
+        "algo, flags, message",
+        [
+            ("pso", ["--vmax", "nan"], "max_velocity must be finite, got nan"),
+            ("pso", ["--vmax", "inf"], "max_velocity must be finite, got inf"),
+            ("ls", ["--step", "nan"], "step_size must be finite, got nan"),
+            ("ls", ["--step", "inf"], "step_size must be finite, got inf"),
+            ("ga", ["--mscale", "nan"], "mutation_scale must be finite, got nan"),
+            ("ga", ["--mscale", "inf"], "mutation_scale must be finite, got inf"),
+            ("pso", ["--coef-p", "nan"], "coef_p must be finite, got nan"),
+            ("rs", ["--seed", "-1"], "seed must be >= 0, got -1"),
+            ("graank", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ],
+        ids=[
+            "vmax-nan", "vmax-inf", "step-nan", "step-inf", "mscale-nan", "mscale-inf",
+            "coef-p-nan", "seed-negative", "graank-seed-negative",
+        ],
+    )
+    def test_nonfinite_value_or_negative_seed_is_usage_error(
+        self, course_csv, capsys, algo, flags, message
+    ):
+        assert main(["mine", "--data", str(course_csv), "--algo", algo, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_negative_env_seed_is_usage_error(self, course_csv, capsys, monkeypatch):
+        monkeypatch.setenv("GRADMINE_SEED", "-3")
+        assert main(["mine", "--data", str(course_csv), "--algo", "rs"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+
+    @pytest.mark.parametrize("out", ["text", "json"])
+    def test_bounds_beyond_the_int_to_str_limit(self, tmp_path, capsys, out):
+        wide = tmp_path / "wide.csv"
+        rng = np.random.default_rng(7)
+        write_csv(wide, tuple(f"c{i}" for i in range(7200)), rng.random((4, 7200)).tolist())
+        argv = ["mine", "--data", str(wide), "--algo", "rs", "--iters", "3", "--out", out]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if out == "json":
+            # json.loads is bound by the same limit; keep the ints as text.
+            bounds = json.loads(captured.out, parse_int=str)["bounds"]
+        else:
+            bounds = re.search(r"space: numeric \[(\d+), (\d+)\]", captured.out).groups()
+        assert bounds[0] == "5" and len(bounds[1]) == 4335
+
     def test_graank_beyond_the_enumeration_guard_is_runtime_error(self, tmp_path, capsys):
         wide = tmp_path / "wide.csv"
         rng = np.random.default_rng(4)
@@ -179,6 +225,17 @@ class TestSpace:
         captured = capsys.readouterr()
         assert captured.out == "bounds: [5, 715827882], valid: 14348876\n"
         assert captured.err == "error: cannot enumerate candidates for 15 attributes (guard: 14)\n"
+
+    def test_bounds_beyond_the_int_to_str_limit(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert main(["space", "--attrs", "8000"]) == 0
+        captured = capsys.readouterr()
+        lower, upper, valid = re.fullmatch(
+            r"bounds: \[(\d+), (\d+)\], valid: (\d+)\n", captured.out
+        ).groups()
+        assert (lower, len(upper), len(valid)) == ("5", 4817, 3817)
+        assert captured.err == ""
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     def test_names_from_dataset(self, course_csv, capsys):
         assert main(["space", "--data", str(course_csv), "--list-valid"]) == 0
@@ -249,11 +306,14 @@ class TestBench:
             ([], {"has_header": "no"}),
             ([], {"overrides": {"ga": {"npop": 4.5}}}),
             ([], {"overrides": {"ls": {"step_size": True}}}),
+            (["--base-seed", "-1"], None),
+            ([], {"base_seed": -1}),
+            ([], {"overrides": {"pso": {"max_velocity": float("nan")}}}),
         ],
         ids=[
             "iters-0", "npop-1", "npop-str", "reps-str", "datasets-str", "override-int",
             "seed-str", "seed-float", "delimiter-int", "delimiter-two-chars", "header-str",
-            "npop-float", "step-bool",
+            "npop-float", "step-bool", "seed-negative-flag", "seed-negative", "vmax-nan",
         ],
     )
     def test_spec_errors_are_usage_errors(self, tmp_path, course_csv, capsys, flags, spec):

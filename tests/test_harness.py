@@ -1,7 +1,6 @@
 """Benchmark grid, report files and the signed-rank test."""
 
 import json
-import math
 from dataclasses import fields
 from fractions import Fraction
 
@@ -17,8 +16,6 @@ from gradmine import (
     BenchReport,
     BenchSpec,
     SearchConfig,
-    Trajectory,
-    SearchResult,
     SpaceKind,
     run_benchmark,
     build_space,
@@ -26,7 +23,6 @@ from gradmine import (
     enumerate_valid,
     load_dataset,
     run_miner,
-    scatter_extract,
     space_comparison,
     to_pattern,
     wilcoxon_signed_rank,
@@ -375,21 +371,21 @@ class TestRunBenchmark:
 
 
 class TestScatter:
-    def test_rows_mirror_trajectory(self, course_dataset):
+    def test_rows_mirror_trajectory(self, tmp_path, course_dataset):
         r = run_miner("rs", course_dataset, build_space(3), SearchConfig(max_iterations=25, seed=2))
-        rows = scatter_extract(r.trajectory.steps)
+        out = tmp_path / "scatter.csv"
+        write_scatter_csv(out, r.trajectory.steps)
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
         assert len(rows) == 25
-        for (it, pos, fit, valid), step in zip(rows, r.trajectory.steps):
-            assert (it, pos) == (step.iteration, step.candidate)
-            if valid:
-                assert fit == step.fitness
+        assert {step.valid for step in r.trajectory.steps} == {True, False}
+        for row, step in zip(rows, r.trajectory.steps):
+            it, pos, fit, valid = row.split(",")
+            assert (it, pos) == (str(step.iteration), str(step.candidate))
+            assert valid == ("true" if step.valid else "false")
+            if step.valid:
+                assert fit == f"{step.fitness:.10g}"
             else:
-                assert fit is None
-
-    def test_empty_trajectory_rejected(self):
-        empty = SearchResult(None, 0.0, math.inf, (), Trajectory(()), 0.0)
-        with pytest.raises(ValueError):
-            scatter_extract(empty.trajectory.steps)
+                assert fit == ""
 
 
 def _report_fixture(tmp_path):
@@ -443,7 +439,7 @@ class TestWriters:
     def test_scatter_csv(self, tmp_path, course_dataset):
         r = run_miner("rs", course_dataset, build_space(3), SearchConfig(max_iterations=10, seed=4))
         out = tmp_path / "scatter.csv"
-        write_scatter_csv(out, scatter_extract(r.trajectory.steps))
+        write_scatter_csv(out, r.trajectory.steps)
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "iteration,position,fitness,valid"
         assert len(lines) == 11

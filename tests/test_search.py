@@ -398,6 +398,10 @@ class TestConfigValidation:
             {"max_velocity": 0.0},
             {"coef_p": -1.0},
             {"inertia": -0.5},
+            {"max_velocity": math.inf},
+            {"coef_g": math.nan},
+            {"inertia": math.inf},
+            {"seed": -1},
         ],
     )
     def test_rejects(self, kwargs):

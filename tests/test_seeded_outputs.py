@@ -6,16 +6,23 @@ crossover and GA mutation on plain integers draw the same random numbers
 in the same order and land on the same candidates.  Keys are
 ``<table>/<algorithm>/<space>`` for trajectories (candidate per
 objective call) and ``<algorithm>/<space>`` for ``gradmine mine`` text
-output, with the CSV path replaced by ``{data}``.
+output, with the CSV path replaced by ``{data}``.  ``bench`` holds
+SHA-256 digests of what one ``gradmine bench`` run writes, with timing
+and memory figures left out and the run's directory replaced by
+``{tmp}``.
 """
 
+import contextlib
+import csv
+import hashlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import COURSE_NAMES, COURSE_ROWS, random_dataset
+from conftest import COURSE_NAMES, COURSE_ROWS, random_dataset, write_csv
 from gradmine import Dataset, SearchConfig, SpaceKind, build_space, run_miner
 from gradmine.cli import main
 
@@ -50,3 +57,64 @@ def test_mine_text_output(key, course_csv, capsys):
     assert main(argv + ["--seed", "5", "--min-sup", "0.4"]) == 0
     out = capsys.readouterr().out
     assert out == PINNED["mine"][key].replace("{data}", str(course_csv))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def bench_digests(tmp_path: Path) -> dict:
+    """Run one ``gradmine bench`` grid and digest its artefacts.
+
+    The grid covers every algorithm in both spaces over two small
+    tables, a 15-column table (its exhaustive cell fails the
+    enumeration guard) and a missing file.
+    """
+    data = tmp_path / "data"
+    data.mkdir()
+    write_csv(data / "course.csv", COURSE_NAMES, COURSE_ROWS)
+    ties = random_dataset(np.random.default_rng(3), 9, 5, ties=True)
+    write_csv(data / "ties.csv", ties.attribute_names, ties.values.tolist())
+    wide = random_dataset(np.random.default_rng(15), 6, 15)
+    write_csv(data / "wide.csv", wide.attribute_names, wide.values.tolist())
+    tables = [data / f"{name}.csv" for name in ("course", "ties", "wide", "missing")]
+    out_dir = tmp_path / "out"
+    argv = [
+        "bench", "--data", *map(str, tables),
+        "--algos", "rs", "ls", "ga", "pso", "graank",
+        "--spaces", "numeric", "bitmap",
+        "--reps", "2", "--iters", "6",
+        "--save-trajectories", "--measure-memory",
+        "--out-dir", str(out_dir),
+    ]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert main(argv) == 1  # the missing file and the wide exhaustive cell
+
+    def normalised(text: str) -> str:
+        return text.replace(str(tmp_path), "{tmp}")
+
+    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    for cell in report["cells"]:
+        for timing in ("wall_times", "mean_wall_time", "peak_memory_bytes"):
+            del cell[timing]
+    with open(out_dir / "report.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    wall = rows[0].index("wall_time")
+    flat = io.StringIO()
+    csv.writer(flat, lineterminator="\n").writerows(row[:wall] + row[wall + 1 :] for row in rows)
+    lines = stdout.getvalue().splitlines(keepends=True)
+    return {
+        "report.json": _sha256(normalised(json.dumps(report, indent=2))),
+        "report.csv": _sha256(flat.getvalue()),
+        "stdout": _sha256(normalised("".join(l for l in lines if not l.startswith("wilcoxon")))),
+        "stderr": _sha256(normalised(stderr.getvalue())),
+        "scatter": {
+            path.name: _sha256(path.read_text(encoding="utf-8"))
+            for path in sorted((out_dir / "scatter").iterdir())
+        },
+    }
+
+
+def test_bench_artefacts(tmp_path):
+    assert bench_digests(tmp_path) == PINNED["bench"]
