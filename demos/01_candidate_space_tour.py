@@ -15,7 +15,7 @@ from gradmine import (
     build_space,
     encode,
     enumerate_valid,
-    is_valid,
+    invalid_reason,
     to_pattern,
     valid_candidate_count,
 )
@@ -38,11 +38,13 @@ print(f"40 -> {40:06b} -> {pattern.render(names)}")
 print(f"back again: {encode(pattern, 3)}")
 
 # Not every integer is a pattern.  "11" fields (both directions at
-# once) and fewer than two active attributes are rejected.  The bitmap
-# space spans all of [0, 4^m - 1], so any 2m-bit integer can be probed.
+# once) and fewer than two active attributes are rejected:
+# invalid_reason names the rule (None for a pattern), and to_pattern
+# raises ValueError on such a candidate.  The bitmap space spans all of
+# [0, 4^m - 1], so any 2m-bit integer can be probed.
 probe = build_space(3, SpaceKind.BITMAP)
 for x in (0, 4, 15, 40):
-    print(f"is_valid({x:2d}) = {is_valid(x, probe)}")
+    print(f"invalid_reason({x:2d}) = {invalid_reason(x, probe)}")
 
 # The valid candidates can be listed outright for small spaces.
 valid = enumerate_valid(space)
@@ -64,5 +66,5 @@ numeric = build_space(m)
 bitmap = build_space(m, SpaceKind.BITMAP)
 for label, sp in (("numeric", numeric), ("bitmap", bitmap)):
     xs = rng.integers(sp.lower, sp.upper + 1, size=20_000)
-    hits = sum(is_valid(int(x), sp) for x in xs)
+    hits = sum(invalid_reason(int(x), sp) is None for x in xs)
     print(f"{label:8s} space, m={m}: {hits / len(xs):.4f} of samples are valid")

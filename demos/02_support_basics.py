@@ -10,13 +10,12 @@ the arithmetic on a four-person table, small enough to check by hand.
 import numpy as np
 
 from gradmine import (
-    ConcordanceIndex,
     Dataset,
+    SearchConfig,
     build_space,
     concordant_count_brute,
-    fitness_of,
     object_pair_count,
-    support,
+    run_miner,
     to_pattern,
 )
 
@@ -51,17 +50,20 @@ for i in range(d.n):
         print(f"  rows {i} and {j}: {verdict}")
 
 # Rows 2 and 3 tie on sessions (5 vs 5) and ties never count, which is
-# why the tally stops at 4 of 6.
+# why the tally stops at 4 of 6.  The dataset's bit-packed index, built
+# on first use, counts the same pairs; support divides by the pair total.
+pairs = d.index.count(pattern)
 print(f"\nbrute count : {concordant_count_brute(pattern, d)}")
-print(f"indexed     : {ConcordanceIndex(d).count(pattern)}")
-print(f"support     : {support(pattern, d):.4f}  (4/6)")
+print(f"indexed     : {pairs}")
+print(f"support     : {pairs / object_pair_count(d):.4f}  (4/6)")
 
 # The search objective inverts the raw count, so better patterns score
-# lower and the minimum is the most supported pattern.
-evaluation = fitness_of(40, space, d)
-print(f"fitness     : {evaluation.fitness}  (1/4)")
+# lower and the minimum is the most supported pattern.  The exhaustive
+# miner's trajectory keeps the fitness of every valid candidate.
+result = run_miner("graank", d, space, SearchConfig(sigma=0.5))
+fitness = {step.candidate: step.fitness for step in result.trajectory.steps}
+print(f"fitness     : {fitness[40]}  (1/4)")
 
 # Candidates that decode to nothing, or that no pair obeys, get an
 # infinite sentinel and are never reported as results.
-hopeless = fitness_of(26, space, d)  # {age-, sessions+, marks+}
-print(f"\ncandidate 26 -> fitness {hopeless.fitness}, usable={hopeless.usable}")
+print(f"\ncandidate 26 -> fitness {fitness[26]}")  # {age-, sessions+, marks+}

@@ -15,26 +15,17 @@ from .encoding import (
     EnumerationLimitError,
     GradualItem,
     GradualPattern,
-    InvalidCandidate,
     InvalidReason,
     SearchSpace,
     SpaceKind,
     build_space,
     encode,
     enumerate_valid,
-    is_valid,
+    invalid_reason,
     to_pattern,
     valid_candidate_count,
 )
-from .fitness import (
-    ConcordanceIndex,
-    Evaluation,
-    concordant_count,
-    concordant_count_brute,
-    fitness_of,
-    is_frequent,
-    support,
-)
+from .fitness import ConcordanceIndex, concordant_count_brute
 from .harness import (
     BenchCell,
     BenchReport,
@@ -69,10 +60,8 @@ __all__ = [
     "DatasetError",
     "Direction",
     "EnumerationLimitError",
-    "Evaluation",
     "GradualItem",
     "GradualPattern",
-    "InvalidCandidate",
     "InvalidReason",
     "SearchConfig",
     "SearchResult",
@@ -82,20 +71,16 @@ __all__ = [
     "TrajectoryStep",
     "WilcoxonOutcome",
     "build_space",
-    "concordant_count",
     "concordant_count_brute",
     "encode",
     "enumerate_valid",
-    "fitness_of",
     "graank_mine",
-    "is_frequent",
-    "is_valid",
+    "invalid_reason",
     "load_dataset",
     "object_pair_count",
     "run_benchmark",
     "run_miner",
     "space_comparison",
-    "support",
     "to_pattern",
     "valid_candidate_count",
     "wilcoxon_signed_rank",

@@ -24,7 +24,6 @@ from typing import Sequence
 from .dataset import Dataset, DatasetError, load_dataset
 from .encoding import (
     EnumerationLimitError,
-    GradualPattern,
     SpaceKind,
     build_space,
     enumerate_valid,
@@ -103,6 +102,13 @@ def _config_from_args(args: argparse.Namespace, seed: int) -> SearchConfig:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
+    # Usage errors first, so a bad flag exits 2 whatever the data file.
+    try:
+        seed = _resolve_seed(args.seed)
+        config = _config_from_args(args, seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         d = _load(args)
     except DatasetError as exc:
@@ -111,13 +117,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
     auto = args.algo is None
     algo = args.algo or ("graank" if d.m <= AUTO_ALGO_MAX_ATTRS else "ga")
-    try:
-        seed = _resolve_seed(args.seed)
-        config = _config_from_args(args, seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     space = build_space(d.m, SpaceKind(args.space))
     try:
         result = run_miner(algo, d, space, config)
@@ -197,9 +196,7 @@ def cmd_space(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         for x in candidates:
-            pattern = to_pattern(x, space)
-            assert isinstance(pattern, GradualPattern)
-            print(f"{x}\t{x:0{2 * m}b}\t{pattern.render(names)}")
+            print(f"{x}\t{x:0{2 * m}b}\t{to_pattern(x, space).render(names)}")
     return 0
 
 

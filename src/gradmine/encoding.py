@@ -16,16 +16,17 @@ Two integer domains share this layout:
   around as a comparison baseline.
 
 Not every integer decodes to a usable pattern: an attribute may carry both
-direction bits (a conflict) or fewer than two items may be set.  Such
-positions are represented by :class:`InvalidCandidate` rather than raised as
-errors, because searchers must be able to land on them and move on.
+direction bits (a conflict) or fewer than two items may be set.
+:func:`invalid_reason` names the :class:`InvalidReason` of such a position
+without raising, because searchers must be able to land on it and move on;
+:func:`to_pattern` decodes valid positions only.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 #: Largest attribute count for which exhaustive candidate enumeration is
 #: allowed.  The graank sweep keeps one trajectory step per candidate, so
@@ -104,9 +105,6 @@ class GradualPattern:
     def __len__(self) -> int:
         return len(self.items)
 
-    def attribute_indexes(self) -> tuple[int, ...]:
-        return tuple(it.attribute_index for it in self.items)
-
     def complement(self) -> "GradualPattern":
         """The same attributes with every direction flipped."""
         return GradualPattern(
@@ -119,16 +117,6 @@ class GradualPattern:
     def render(self, names: Sequence[str]) -> str:
         """Text form used by the CLI and reports: ``{age+, sessions-}``."""
         return "{" + ", ".join(it.render(names) for it in self.items) + "}"
-
-
-@dataclass(frozen=True)
-class InvalidCandidate:
-    """Marker for a position that does not decode to a pattern."""
-
-    reason: InvalidReason
-
-
-PatternOrInvalid = Union[GradualPattern, InvalidCandidate]
 
 
 @dataclass(frozen=True)
@@ -153,8 +141,8 @@ def build_space(m: int, kind: SpaceKind = SpaceKind.NUMERIC) -> SearchSpace:
     if m < 2:
         raise ValueError(f"need at least 2 attributes, got {m}")
     if kind is SpaceKind.NUMERIC:
-        upper = sum(2 ** (2 * i - 1) for i in range(1, m + 1))
-        return SearchSpace(kind, m, 5, upper)
+        # The all-increasing candidate, 0b1010...10.
+        return SearchSpace(kind, m, 5, _down_mask(m) << 1)
     return SearchSpace(kind, m, 0, 2 ** (2 * m) - 1)
 
 
@@ -189,16 +177,17 @@ def invalid_reason(x: int, space: SearchSpace) -> InvalidReason | None:
     return None
 
 
-def to_pattern(x: int, space: SearchSpace) -> PatternOrInvalid:
-    """Decode an in-bounds integer into a pattern, or report why it is
-    unusable.
+def to_pattern(x: int, space: SearchSpace) -> GradualPattern:
+    """Decode a valid in-bounds integer into a pattern; ``ValueError``
+    outside the space or, naming its :class:`InvalidReason`, on an
+    integer that decodes to no pattern.
 
     Bit ``2m-1-2i`` marks (attribute i, up) and bit ``2m-2-2i``
     (attribute i, down).
     """
     reason = invalid_reason(x, space)
     if reason is not None:
-        return InvalidCandidate(reason)
+        raise ValueError(f"{x} does not decode to a pattern: {reason}")
     top = 2 * space.m - 1
     items: list[GradualItem] = []
     while x:
@@ -212,7 +201,7 @@ def to_pattern(x: int, space: SearchSpace) -> PatternOrInvalid:
 
 def encode(pattern: GradualPattern, m: int) -> int:
     """Inverse of :func:`to_pattern` for a given attribute count."""
-    last = pattern.attribute_indexes()[-1]
+    last = pattern.items[-1].attribute_index
     if last >= m:
         raise ValueError(f"attribute index {last} out of range for m={m}")
     x = 0
@@ -220,11 +209,6 @@ def encode(pattern: GradualPattern, m: int) -> int:
         offset = 2 * item.attribute_index + (item.direction is Direction.DOWN)
         x |= 1 << (2 * m - 1 - offset)
     return x
-
-
-def is_valid(x: int, space: SearchSpace) -> bool:
-    """True iff the in-bounds integer decodes to a gradual pattern."""
-    return invalid_reason(x, space) is None
 
 
 def enumerate_valid(space: SearchSpace) -> list[int]:

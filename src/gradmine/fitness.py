@@ -1,4 +1,4 @@
-"""Concordant-pair counting, frequency support and candidate fitness.
+"""Concordant-pair counting and the fitness sentinel.
 
 A pattern's support is the fraction of unordered object pairs that admit an
 orientation under which every item's attribute strictly moves in its stated
@@ -8,30 +8,21 @@ support.  Candidates that decode to no pattern, or to a pattern with zero
 concordant pairs, get an infinite fitness sentinel: searchers compare
 against them but never keep them.
 
-Two counting routes are provided on purpose: :class:`ConcordanceIndex`
-(bit-packed, built once per dataset as ``Dataset.index``) and
-:func:`concordant_count_brute` (a literal pair-by-pair scan kept as the
-reference the fast path is tested against).
+The miners count through :class:`ConcordanceIndex` (bit-packed, built once
+per dataset as ``Dataset.index``).  :func:`concordant_count_brute`, a
+literal pair-by-pair scan, stays beside it as the reference the index is
+tested against and the benchmark's support spot check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError, object_pair_count
-from .encoding import (
-    Direction,
-    GradualPattern,
-    InvalidCandidate,
-    PatternOrInvalid,
-    SearchSpace,
-    encode,
-    to_pattern,
-)
+from .dataset import Dataset, DatasetError
+from .encoding import Direction, GradualPattern, encode
 
 #: Fitness assigned to unusable candidates (invalid or zero support).
 INFINITE_FITNESS = math.inf
@@ -39,28 +30,6 @@ INFINITE_FITNESS = math.inf
 #: Largest concordance index, in bytes, that :class:`ConcordanceIndex`
 #: allocates; a larger table is refused with a ``DatasetError``.
 MAX_INDEX_BYTES = 2 * 2**30
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """Everything the objective function knows about one candidate."""
-
-    candidate: int
-    pattern: PatternOrInvalid
-    concordant_pairs: int
-    support: float
-    fitness: float
-
-    @property
-    def usable(self) -> bool:
-        """True when the candidate can compete for best/pbest/gbest."""
-        return math.isfinite(self.fitness)
-
-
-def _check_indexes(pattern: GradualPattern, d: Dataset) -> None:
-    last = pattern.attribute_indexes()[-1]
-    if last >= d.m:
-        raise ValueError(f"attribute index {last} out of range for m={d.m}")
 
 
 class ConcordanceIndex:
@@ -80,7 +49,6 @@ class ConcordanceIndex:
 
     def __init__(self, d: Dataset) -> None:
         self.m = d.m
-        self.pair_count = object_pair_count(d)
         row_bytes = d.n * ((d.n + 7) // 8)
         row_words = (row_bytes + 7) // 8
         needed = 2 * d.m * row_words * 8
@@ -147,15 +115,10 @@ class ConcordanceIndex:
         return walk(0, 0, None, 0)
 
 
-def concordant_count(pattern: GradualPattern, d: Dataset) -> int:
-    """Unordered object pairs respecting every item of the pattern."""
-    return d.index.count(pattern)
-
-
 def concordant_count_brute(pattern: GradualPattern, d: Dataset) -> int:
     """Reference implementation: scan every ordered pair, bail on the
     first item that fails.  Kept deliberately naive."""
-    _check_indexes(pattern, d)
+    encode(pattern, d.m)  # refuses an attribute beyond the table
     values = d.values
     count = 0
     for i in range(d.n):
@@ -177,29 +140,3 @@ def concordant_count_brute(pattern: GradualPattern, d: Dataset) -> int:
             if ok:
                 count += 1
     return count
-
-
-def support(pattern: GradualPattern, d: Dataset) -> float:
-    """Concordant pairs divided by n(n-1)/2, in [0, 1]."""
-    return concordant_count(pattern, d) / object_pair_count(d)
-
-
-def fitness_of(x: int, space: SearchSpace, d: Dataset) -> Evaluation:
-    """Evaluate one integer position of the search space against a dataset.
-
-    Decodes first and counts the pattern, independently of the searchers'
-    integer-keyed recorder, which is tested against it.
-    """
-    pattern = to_pattern(x, space)
-    if isinstance(pattern, InvalidCandidate):
-        return Evaluation(x, pattern, 0, 0.0, INFINITE_FITNESS)
-    pairs = d.index.count(pattern)
-    fit = 1.0 / pairs if pairs > 0 else INFINITE_FITNESS
-    return Evaluation(x, pattern, pairs, pairs / d.index.pair_count, fit)
-
-
-def is_frequent(e: Evaluation, sigma: float) -> bool:
-    """True iff the evaluation's support meets the threshold."""
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError(f"sigma must be in [0, 1], got {sigma}")
-    return e.support >= sigma

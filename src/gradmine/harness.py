@@ -258,18 +258,24 @@ def _run_cell(
     best_support = 0.0
     peak = 0
     trajectories: list[tuple[TrajectoryStep, ...]] = []
+    # A caller's own tracemalloc session is left running (``start`` does
+    # nothing then): only its peak is reset, and what it holds is not counted.
+    outer = tracemalloc.is_tracing()
     for seed in seeds:
         config = spec.config_for(algorithm, seed)
         if spec.measure_memory:
             tracemalloc.start()
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
         try:
             result = run_miner(algorithm, d, space, config)
         except Exception as exc:  # one failing cell never aborts the grid
             return BenchCell(dataset, algorithm, space_name, seeds, error=str(exc))
         finally:
             if spec.measure_memory:
-                peak = max(peak, tracemalloc.get_traced_memory()[1])
-                tracemalloc.stop()
+                peak = max(peak, tracemalloc.get_traced_memory()[1] - held)
+                if not outer:
+                    tracemalloc.stop()
         wall_times.append(result.wall_time)
         frequent.update(result.frequent_patterns)
         invalid.update(step.candidate for step in result.trajectory.steps if not step.valid)

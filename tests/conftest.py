@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,9 +12,15 @@ from hypothesis import strategies as st
 
 from gradmine import (
     Dataset,
+    Direction,
+    GradualItem,
+    GradualPattern,
+    InvalidReason,
+    SearchSpace,
     build_space,
     concordant_count_brute,
     enumerate_valid,
+    invalid_reason,
     object_pair_count,
     to_pattern,
 )
@@ -26,6 +33,25 @@ COURSE_ROWS = [
     [40.0, 5.0, 78.0],
     [25.0, 5.0, 48.0],
 ]
+
+
+def pat(*items: str) -> GradualPattern:
+    """A pattern from "<attribute><direction>" strings such as "0+"."""
+    dirs = {"+": Direction.UP, "-": Direction.DOWN}
+    return GradualPattern(tuple(GradualItem(int(s[:-1]), dirs[s[-1]]) for s in items))
+
+
+def field_oracle(x: int, m: int) -> GradualPattern | InvalidReason:
+    """Decode straight from the 2-bit fields, independently of the masks:
+    11 anywhere is a conflict, 10 is up, 01 is down, 00 is absent."""
+    fields = [(x >> (2 * (m - 1 - i))) & 3 for i in range(m)]
+    if 3 in fields:
+        return InvalidReason.CONFLICT
+    dirs = {2: Direction.UP, 1: Direction.DOWN}
+    items = [GradualItem(i, dirs[f]) for i, f in enumerate(fields) if f]
+    if len(items) < 2:
+        return InvalidReason.TOO_FEW_ITEMS
+    return GradualPattern(tuple(items))
 
 
 @pytest.fixture
@@ -56,6 +82,37 @@ def tied_tables(draw, max_m: int = 4):
     if constant is not None:
         values[:, constant] = 7.0
     return Dataset(tuple(f"col{i}" for i in range(m)), values)
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """Everything the objective function knows about one candidate."""
+
+    candidate: int
+    pattern: GradualPattern | InvalidReason
+    concordant_pairs: int
+    support: float
+    fitness: float
+
+    @property
+    def usable(self) -> bool:
+        """True when the candidate can compete for best/pbest/gbest."""
+        return math.isfinite(self.fitness)
+
+
+def fitness_of(x: int, space: SearchSpace, d: Dataset) -> Evaluation:
+    """Reference objective for one integer position of the search space.
+
+    Decodes first and counts the pattern, independently of the searchers'
+    integer-keyed recorder, which is tested against it.
+    """
+    reason = invalid_reason(x, space)
+    if reason is not None:
+        return Evaluation(x, reason, 0, 0.0, math.inf)
+    pattern = to_pattern(x, space)
+    pairs = d.index.count(pattern)
+    fit = 1.0 / pairs if pairs > 0 else math.inf
+    return Evaluation(x, pattern, pairs, pairs / object_pair_count(d), fit)
 
 
 def brute_frequent(d: Dataset, sigma: float) -> dict[int, float]:

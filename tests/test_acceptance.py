@@ -15,68 +15,51 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from conftest import COURSE_NAMES, COURSE_ROWS, random_dataset, write_csv
+from conftest import COURSE_NAMES, COURSE_ROWS, field_oracle, fitness_of, pat
+from conftest import random_dataset, write_csv
 from gradmine import (
     ALGORITHMS,
     ConcordanceIndex,
     Dataset,
-    Direction,
-    GradualItem,
     GradualPattern,
+    InvalidReason,
     SearchConfig,
     SpaceKind,
     build_space,
     concordant_count_brute,
     encode,
     enumerate_valid,
-    fitness_of,
     graank_mine,
-    is_valid,
+    invalid_reason,
     object_pair_count,
     run_miner,
-    support,
     to_pattern,
     wilcoxon_signed_rank,
 )
 from gradmine.cli import main
 
-_DIR = {"+": Direction.UP, "-": Direction.DOWN}
-
-
-def _pat(*items: str) -> GradualPattern:
-    """Build a pattern from compact "<attribute><direction>" strings."""
-    return GradualPattern(tuple(GradualItem(int(s[:-1]), _DIR[s[-1]]) for s in items))
-
-
-def _oracle_valid(x: int, m: int) -> bool:
-    """Validity decided straight from the 2-bit fields, independently of
-    the decode path: no field may be 11, at least two must be nonzero."""
-    fields = [(x >> (2 * (m - 1 - i))) & 3 for i in range(m)]
-    return all(f != 3 for f in fields) and sum(f != 0 for f in fields) >= 2
-
-
 # Every valid candidate for three attributes: integer, bits, item set.
 THREE_ATTR_TABLE = (
-    (5, "000101", _pat("1-", "2-")),
-    (6, "000110", _pat("1-", "2+")),
-    (9, "001001", _pat("1+", "2-")),
-    (10, "001010", _pat("1+", "2+")),
-    (17, "010001", _pat("0-", "2-")),
-    (18, "010010", _pat("0-", "2+")),
-    (20, "010100", _pat("0-", "1-")),
-    (21, "010101", _pat("0-", "1-", "2-")),
-    (22, "010110", _pat("0-", "1-", "2+")),
-    (24, "011000", _pat("0-", "1+")),
-    (25, "011001", _pat("0-", "1+", "2-")),
-    (26, "011010", _pat("0-", "1+", "2+")),
-    (33, "100001", _pat("0+", "2-")),
-    (34, "100010", _pat("0+", "2+")),
-    (36, "100100", _pat("0+", "1-")),
-    (37, "100101", _pat("0+", "1-", "2-")),
-    (38, "100110", _pat("0+", "1-", "2+")),
-    (40, "101000", _pat("0+", "1+")),
-    (41, "101001", _pat("0+", "1+", "2-")),
-    (42, "101010", _pat("0+", "1+", "2+")),
+    (5, "000101", pat("1-", "2-")),
+    (6, "000110", pat("1-", "2+")),
+    (9, "001001", pat("1+", "2-")),
+    (10, "001010", pat("1+", "2+")),
+    (17, "010001", pat("0-", "2-")),
+    (18, "010010", pat("0-", "2+")),
+    (20, "010100", pat("0-", "1-")),
+    (21, "010101", pat("0-", "1-", "2-")),
+    (22, "010110", pat("0-", "1-", "2+")),
+    (24, "011000", pat("0-", "1+")),
+    (25, "011001", pat("0-", "1+", "2-")),
+    (26, "011010", pat("0-", "1+", "2+")),
+    (33, "100001", pat("0+", "2-")),
+    (34, "100010", pat("0+", "2+")),
+    (36, "100100", pat("0+", "1-")),
+    (37, "100101", pat("0+", "1-", "2-")),
+    (38, "100110", pat("0+", "1-", "2+")),
+    (40, "101000", pat("0+", "1+")),
+    (41, "101001", pat("0+", "1+", "2-")),
+    (42, "101010", pat("0+", "1+", "2+")),
 )
 
 
@@ -94,11 +77,12 @@ def test_a01_three_attribute_candidate_table():
         assert to_pattern(x, space) == pattern
         assert encode(pattern, 3) == x
     for x in range(space.lower, space.upper + 1):
-        p = to_pattern(x, space)
-        if isinstance(p, GradualPattern):
-            assert encode(p, 3) == x
+        if invalid_reason(x, space) is None:
+            assert encode(to_pattern(x, space), 3) == x
         else:
-            assert not _oracle_valid(x, 3)
+            assert isinstance(field_oracle(x, 3), InvalidReason)
+            with pytest.raises(ValueError):
+                to_pattern(x, space)
     assert time.perf_counter() - started < 1.0
 
 
@@ -113,7 +97,7 @@ def test_a02_bounds_and_count_law():
         assert numeric.lower == 5
         assert numeric.upper == sum(2 ** (2 * i - 1) for i in range(1, m + 1))
         assert (bitmap.lower, bitmap.upper) == (0, 4**m - 1)
-        scanned = [x for x in range(bitmap.upper + 1) if _oracle_valid(x, m)]
+        scanned = [x for x in range(4**m) if isinstance(field_oracle(x, m), GradualPattern)]
         assert len(scanned) == 3**m - 2 * m - 1
         assert enumerate_valid(numeric) == scanned
         assert enumerate_valid(bitmap) == scanned
@@ -127,11 +111,11 @@ def test_a03_worked_support_example(course_dataset):
     1/4.  Both counting routes agree on every spot-checked candidate."""
     space = build_space(3)
     d = course_dataset
-    target = _pat("0+", "1+")  # candidate 40
+    target = pat("0+", "1+")  # candidate 40
     assert to_pattern(40, space) == target
     assert concordant_count_brute(target, d) == 4
     assert ConcordanceIndex(d).count(target) == 4
-    assert support(target, d) == pytest.approx(2 / 3, abs=1e-9)
+    assert d.index.count(target) / object_pair_count(d) == pytest.approx(2 / 3, abs=1e-9)
     assert fitness_of(40, space, d).fitness == 0.25
 
     # Figures sometimes quoted for the last two candidates (0.5 and 1.0)
@@ -313,7 +297,7 @@ def test_a09_valid_density_by_space():
     """For wide tables (m = 10, 15, 20) uniform sampling hits valid
     candidates strictly more often inside the numeric interval than in
     the full bitmap range; the sampling classifier is cross-checked
-    against is_valid on the first 200 draws."""
+    against invalid_reason on the first 200 draws."""
     rng = np.random.default_rng(11)
     draws = 100_000
     for m in (10, 15, 20):
@@ -327,7 +311,7 @@ def test_a09_valid_density_by_space():
             fields = (xs[:, None] >> shifts[None, :]) & 3
             ok = (fields != 3).all(axis=1) & ((fields != 0).sum(axis=1) >= 2)
             for x, expected in zip(xs[:200], ok[:200]):
-                assert is_valid(int(x), space) == bool(expected)
+                assert (invalid_reason(int(x), space) is None) == bool(expected)
             fractions[space.kind] = float(ok.mean())
         assert fractions[SpaceKind.NUMERIC] > fractions[SpaceKind.BITMAP]
 

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gradmine.encoding
-import gradmine.fitness
 import gradmine.search
-from conftest import COURSE_NAMES, COURSE_ROWS, brute_frequent, random_dataset, tied_tables
+from conftest import COURSE_NAMES, COURSE_ROWS, brute_frequent, fitness_of
+from conftest import random_dataset, tied_tables
 from gradmine import (
     Dataset,
     EnumerationLimitError,
@@ -17,7 +17,6 @@ from gradmine import (
     build_space,
     encode,
     enumerate_valid,
-    fitness_of,
     graank_mine,
     run_miner,
     valid_candidate_count,
@@ -133,10 +132,8 @@ def test_sweep_decodes_only_what_it_returns(monkeypatch):
         calls.append(x)
         return decode(x, space)
 
-    # Both modules that look the decoder up: the sweep and the
-    # per-candidate evaluation of the searchers.
-    for module in (gradmine.search, gradmine.fitness):
-        monkeypatch.setattr(module, "to_pattern", counting_to_pattern)
+    # The miners look the decoder up in one module.
+    monkeypatch.setattr(gradmine.search, "to_pattern", counting_to_pattern)
     d = random_dataset(np.random.default_rng(8), 12, 5, ties=True)
     r = run_miner("graank", d, build_space(5), SearchConfig(sigma=0.3))
     assert 0 < len(r.frequent_patterns) < valid_candidate_count(5)

@@ -46,8 +46,13 @@ class TestMine:
         assert err.value.code == 2
 
     def test_missing_file_is_runtime_error(self, capsys):
-        assert main(["mine", "--data", "no/such.csv"]) == 1
+        assert main(["mine", "--data", "no/such.csv", "--seed", "1", "--npop", "4"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--npop", "1")])
+    def test_flags_are_checked_before_the_file(self, capsys, flag, value):
+        assert main(["mine", "--data", "no/such.csv", flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag[2:]} must be")
 
     def test_duplicate_names_are_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"

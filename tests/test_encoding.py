@@ -4,18 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import field_oracle, pat
 from gradmine import (
     Direction,
     EnumerationLimitError,
     GradualItem,
     GradualPattern,
-    InvalidCandidate,
     InvalidReason,
     SpaceKind,
     build_space,
     encode,
     enumerate_valid,
-    is_valid,
+    invalid_reason,
     to_pattern,
 )
 
@@ -25,10 +25,12 @@ def decode_bits(text: str):
     return to_pattern(int(text, 2), build_space(len(text) // 2, SpaceKind.BITMAP))
 
 
-def gp(*items: str) -> GradualPattern:
-    """A pattern from "<attribute><direction>" strings such as "0+"."""
-    dirs = {"+": Direction.UP, "-": Direction.DOWN}
-    return GradualPattern(tuple(GradualItem(int(s[:-1]), dirs[s[-1]]) for s in items))
+def reason_of_bits(text: str) -> InvalidReason:
+    """Why a bit string is no pattern; ``to_pattern`` must refuse it, naming why."""
+    reason = invalid_reason(int(text, 2), build_space(len(text) // 2, SpaceKind.BITMAP))
+    with pytest.raises(ValueError, match=str(reason)):
+        decode_bits(text)
+    return reason
 
 
 class TestSpaces:
@@ -36,6 +38,10 @@ class TestSpaces:
         assert (build_space(2).lower, build_space(2).upper) == (5, 10)
         assert (build_space(3).lower, build_space(3).upper) == (5, 42)
         assert (build_space(4).lower, build_space(4).upper) == (5, 170)
+
+    def test_numeric_upper_is_the_sum_of_up_bits(self):
+        for m in range(2, 201):
+            assert build_space(m).upper == sum(2 ** (2 * i - 1) for i in range(1, m + 1))
 
     def test_bitmap_bounds(self):
         s = build_space(3, SpaceKind.BITMAP)
@@ -55,31 +61,30 @@ class TestSpaces:
 class TestDecodeEncode:
     def test_known_values(self):
         s = build_space(3)
-        assert to_pattern(40, s) == gp("0+", "1+")  # 101000
-        assert to_pattern(5, s) == gp("1-", "2-")  # 000101
-        assert to_pattern(63, build_space(3, SpaceKind.BITMAP)) == InvalidCandidate(
-            InvalidReason.CONFLICT
-        )  # 111111
+        assert to_pattern(40, s) == pat("0+", "1+")  # 101000
+        assert to_pattern(5, s) == pat("1-", "2-")  # 000101
+        assert reason_of_bits("111111") is InvalidReason.CONFLICT
 
     def test_encode_known_values(self):
-        assert encode(gp("0+", "1+", "2+"), 3) == 42  # 101010
-        assert encode(gp("1-", "2+"), 3) == 6  # 000110
-        assert encode(gp("0-", "1-", "2-"), 3) == 21  # 010101
-        assert encode(gp("0+", "1+"), 4) == 0b10100000
+        assert encode(pat("0+", "1+", "2+"), 3) == 42  # 101010
+        assert encode(pat("1-", "2+"), 3) == 6  # 000110
+        assert encode(pat("0-", "1-", "2-"), 3) == 21  # 010101
+        assert encode(pat("0+", "1+"), 4) == 0b10100000
 
     def test_round_trip_whole_interval(self):
         for kind in SpaceKind:
             s = build_space(3, kind)
             for x in range(s.lower, s.upper + 1):
-                p = to_pattern(x, s)
-                if isinstance(p, GradualPattern):
-                    assert encode(p, 3) == x
+                if invalid_reason(x, s) is None:
+                    assert encode(to_pattern(x, s), 3) == x
 
     def test_out_of_bounds(self):
         s = build_space(3)
         for x in (4, 43, -1):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="outside"):
                 to_pattern(x, s)
+            with pytest.raises(ValueError, match="outside"):
+                invalid_reason(x, s)
 
 
 class TestToPattern:
@@ -92,20 +97,14 @@ class TestToPattern:
         )
 
     def test_conflict(self):
-        p = decode_bits("001111")
-        assert isinstance(p, InvalidCandidate)
-        assert p.reason is InvalidReason.CONFLICT
+        assert reason_of_bits("001111") is InvalidReason.CONFLICT
 
     def test_single_item(self):
-        p = decode_bits("000100")
-        assert isinstance(p, InvalidCandidate)
-        assert p.reason is InvalidReason.TOO_FEW_ITEMS
+        assert reason_of_bits("000100") is InvalidReason.TOO_FEW_ITEMS
 
     def test_conflict_wins_over_too_few(self):
         # One conflicting attribute and nothing else: report the conflict.
-        p = decode_bits("110000")
-        assert isinstance(p, InvalidCandidate)
-        assert p.reason is InvalidReason.CONFLICT
+        assert reason_of_bits("110000") is InvalidReason.CONFLICT
 
     def test_inverse_mapping(self):
         s = build_space(3)
@@ -115,9 +114,8 @@ class TestToPattern:
             assert encode(p, 3) == x
 
     def test_encode_range_check(self):
-        p = GradualPattern((GradualItem(0, Direction.UP), GradualItem(4, Direction.UP)))
         with pytest.raises(ValueError, match="attribute index 4 out of range for m=3"):
-            encode(p, 3)
+            encode(pat("0+", "4+"), 3)
 
 
 class TestGradualPattern:
@@ -130,11 +128,10 @@ class TestGradualPattern:
             GradualPattern((GradualItem(1, Direction.UP), GradualItem(1, Direction.DOWN)))
 
     def test_items_sorted_by_attribute(self):
-        p = GradualPattern((GradualItem(2, Direction.UP), GradualItem(0, Direction.DOWN)))
-        assert [i.attribute_index for i in p.items] == [0, 2]
+        assert [i.attribute_index for i in pat("2+", "0-").items] == [0, 2]
 
     def test_complement_flips_directions(self):
-        p = GradualPattern((GradualItem(0, Direction.UP), GradualItem(1, Direction.DOWN)))
+        p = pat("0+", "1-")
         assert p.complement().items == (
             GradualItem(0, Direction.DOWN),
             GradualItem(1, Direction.UP),
@@ -142,30 +139,29 @@ class TestGradualPattern:
         assert p.complement().complement() == p
 
     def test_render(self):
-        p = GradualPattern((GradualItem(0, Direction.UP), GradualItem(1, Direction.DOWN)))
-        assert p.render(["age", "sessions", "marks"]) == "{age+, sessions-}"
+        assert pat("0+", "1-").render(["age", "sessions", "marks"]) == "{age+, sessions-}"
 
 
 class TestValidity:
     def test_examples(self):
         s = build_space(3)
-        assert is_valid(40, s)
-        assert not is_valid(15, s)  # 001111 conflicts
-        assert not is_valid(8, s)  # 001000 single item
+        assert invalid_reason(40, s) is None
+        assert invalid_reason(15, s) is InvalidReason.CONFLICT  # 001111
+        assert invalid_reason(8, s) is InvalidReason.TOO_FEW_ITEMS  # 001000
 
     def test_enumerate_m3(self):
         s = build_space(3)
         got = enumerate_valid(s)
         assert len(got) == 20
         assert got == sorted(got)
-        assert all(is_valid(x, s) for x in got)
+        assert all(invalid_reason(x, s) is None for x in got)
 
     def test_enumerate_matches_brute_force(self):
         # The generator walks 3^m attribute states; the check here scans
         # every integer of the bitmap interval instead.
         for m in (2, 3, 4, 5, 6):
             bitmap = build_space(m, SpaceKind.BITMAP)
-            brute = [x for x in range(bitmap.lower, bitmap.upper + 1) if is_valid(x, bitmap)]
+            brute = [x for x in range(4**m) if invalid_reason(x, bitmap) is None]
             assert enumerate_valid(bitmap) == brute
             # the numeric interval contains the same valid set
             assert enumerate_valid(build_space(m)) == brute
@@ -190,23 +186,7 @@ class TestValidity:
         for x in enumerate_valid(s):
             p = to_pattern(x, s)
             comp = encode(p.complement(), 3)
-            assert s.contains(comp) and is_valid(comp, s)
-
-
-def field_oracle(x: int, m: int):
-    """Decode straight from the 2-bit fields, independently of the masks:
-    11 anywhere is a conflict, 10 is up, 01 is down, 00 is absent."""
-    fields = [(x >> (2 * (m - 1 - i))) & 3 for i in range(m)]
-    if 3 in fields:
-        return InvalidCandidate(InvalidReason.CONFLICT)
-    items = [
-        GradualItem(i, Direction.UP if f == 2 else Direction.DOWN)
-        for i, f in enumerate(fields)
-        if f
-    ]
-    if len(items) < 2:
-        return InvalidCandidate(InvalidReason.TOO_FEW_ITEMS)
-    return GradualPattern(tuple(items))
+            assert s.contains(comp) and invalid_reason(comp, s) is None
 
 
 @st.composite
@@ -228,13 +208,18 @@ class TestProperties:
     @given(candidates())
     def test_to_pattern_matches_field_oracle(self, case):
         x, space = case
-        assert to_pattern(x, space) == field_oracle(x, space.m)
+        expected = field_oracle(x, space.m)
+        if isinstance(expected, InvalidReason):
+            assert invalid_reason(x, space) is expected
+            with pytest.raises(ValueError, match=str(expected)):
+                to_pattern(x, space)
+        else:
+            assert invalid_reason(x, space) is None
+            assert to_pattern(x, space) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(candidates())
     def test_encode_inverts_to_pattern(self, case):
         x, space = case
-        p = to_pattern(x, space)
-        if isinstance(p, GradualPattern):
-            assert encode(p, space.m) == x
-            assert is_valid(x, space)
+        if invalid_reason(x, space) is None:
+            assert encode(to_pattern(x, space), space.m) == x

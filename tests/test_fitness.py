@@ -1,5 +1,5 @@
 """Concordant pairs, support and fitness, checked against the literal
-pair-scan oracle."""
+pair-scan oracle and the decode-first ``fitness_of``."""
 
 import math
 
@@ -8,49 +8,37 @@ import pytest
 from hypothesis import example, given, settings
 
 import gradmine.fitness
-from conftest import random_dataset, tied_tables
+from conftest import fitness_of, pat, random_dataset, tied_tables
 from gradmine import (
     ConcordanceIndex,
     Dataset,
     DatasetError,
-    Direction,
-    GradualItem,
     GradualPattern,
-    InvalidCandidate,
+    InvalidReason,
+    SearchConfig,
     build_space,
-    concordant_count,
     concordant_count_brute,
+    encode,
     enumerate_valid,
-    fitness_of,
-    is_frequent,
-    support,
+    run_miner,
     to_pattern,
 )
 
 
-def pat(*items):
-    return GradualPattern(tuple(GradualItem(i, d) for i, d in items))
-
-
-UP, DOWN = Direction.UP, Direction.DOWN
-
-
 class TestWorkedExample:
     def test_age_sessions_up(self, course_dataset):
-        p = pat((0, UP), (1, UP))
-        assert concordant_count(p, course_dataset) == 4
+        p = pat("0+", "1+")
+        assert course_dataset.index.count(p) == 4
         assert concordant_count_brute(p, course_dataset) == 4
-        assert abs(support(p, course_dataset) - 2 / 3) <= 1e-9
+        assert abs(fitness_of(40, build_space(3), course_dataset).support - 2 / 3) <= 1e-9
 
     def test_sessions_marks_up(self, course_dataset):
-        p = pat((1, UP), (2, UP))
-        assert concordant_count(p, course_dataset) == 3
-        assert support(p, course_dataset) == pytest.approx(0.5)
+        assert course_dataset.index.count(pat("1+", "2+")) == 3
+        assert fitness_of(10, build_space(3), course_dataset).support == pytest.approx(0.5)
 
     def test_three_item(self, course_dataset):
-        p = pat((0, UP), (1, UP), (2, UP))
-        assert concordant_count(p, course_dataset) == 3
-        assert support(p, course_dataset) == pytest.approx(0.5)
+        assert course_dataset.index.count(pat("0+", "1+", "2+")) == 3
+        assert fitness_of(42, build_space(3), course_dataset).support == pytest.approx(0.5)
 
     def test_fitness_of_best(self, course_dataset):
         e = fitness_of(40, build_space(3), course_dataset)
@@ -61,7 +49,7 @@ class TestWorkedExample:
 class TestSentinel:
     def test_conflict_candidate(self, course_dataset):
         e = fitness_of(15, build_space(3), course_dataset)
-        assert isinstance(e.pattern, InvalidCandidate)
+        assert e.pattern is InvalidReason.CONFLICT
         assert e.concordant_pairs == 0
         assert e.support == 0.0
         assert math.isinf(e.fitness)
@@ -80,14 +68,14 @@ class TestTies:
     def test_tie_disqualifies_pair(self):
         # Objects 1 and 2 tie on attribute a, so only 2 of 3 pairs count.
         d = Dataset(("a", "b"), np.array([[1.0, 1.0], [2.0, 2.0], [2.0, 3.0]]))
-        p = pat((0, UP), (1, UP))
-        assert concordant_count(p, d) == 2
+        p = pat("0+", "1+")
+        assert d.index.count(p) == 2
         assert concordant_count_brute(p, d) == 2
 
     def test_constant_column_kills_patterns_on_it(self):
         d = Dataset(("a", "b"), np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]]))
-        assert concordant_count(pat((0, UP), (1, UP)), d) == 0
-        assert concordant_count(pat((0, UP), (1, DOWN)), d) == 0
+        assert d.index.count(pat("0+", "1+")) == 0
+        assert d.index.count(pat("0+", "1-")) == 0
 
 
 class TestOracleAgreement:
@@ -101,14 +89,14 @@ class TestOracleAgreement:
             space = space_cache.setdefault(m, build_space(m))
             for x in enumerate_valid(space):
                 p = to_pattern(x, space)
-                assert concordant_count(p, d) == concordant_count_brute(p, d)
+                assert d.index.count(p) == concordant_count_brute(p, d)
 
     def test_index_reuse_matches_one_shot(self, course_dataset):
         index = ConcordanceIndex(course_dataset)
         space = build_space(3)
         for x in enumerate_valid(space):
             p = to_pattern(x, space)
-            assert index.count(p) == concordant_count(p, course_dataset)
+            assert index.count(p) == course_dataset.index.count(p)
 
 
 class TestPackedIndex:
@@ -154,10 +142,9 @@ class TestPackedIndex:
             init(self, d)
 
         monkeypatch.setattr(ConcordanceIndex, "__init__", counting_init)
-        p = pat((0, UP), (1, UP))
-        concordant_count(p, course_dataset)
-        support(p, course_dataset)
+        course_dataset.index.count(pat("0+", "1+"))
         fitness_of(40, build_space(3), course_dataset)
+        run_miner("rs", course_dataset, build_space(3), SearchConfig())
         assert len(builds) == 1 and builds[0] is course_dataset
         assert course_dataset.index is course_dataset.index
 
@@ -172,12 +159,12 @@ class TestProperties:
                 p = to_pattern(x, space)
                 if len(p) < 3:
                     continue
-                whole = concordant_count(p, d)
+                whole = d.index.count(p)
                 for drop in range(len(p)):
                     items = p.items[:drop] + p.items[drop + 1 :]
                     if len(items) < 2:
                         continue
-                    assert concordant_count(GradualPattern(items), d) >= whole
+                    assert d.index.count(GradualPattern(items)) >= whole
 
     def test_complement_invariance(self):
         rng = np.random.default_rng(11)
@@ -186,7 +173,7 @@ class TestProperties:
             d = random_dataset(rng, 6, 3, ties=True)
             for x in enumerate_valid(space):
                 p = to_pattern(x, space)
-                assert concordant_count(p, d) == concordant_count(p.complement(), d)
+                assert d.index.count(p) == d.index.count(p.complement())
 
     def test_fitness_support_consistency(self, course_dataset):
         space = build_space(3)
@@ -198,10 +185,10 @@ class TestProperties:
 
 class TestErrors:
     def test_attribute_out_of_range(self, course_dataset):
-        p = pat((0, UP), (5, UP))
+        p = pat("0+", "5+")
         message = "attribute index 5 out of range for m=3"
         with pytest.raises(ValueError, match=message):
-            concordant_count(p, course_dataset)
+            course_dataset.index.count(p)
         with pytest.raises(ValueError, match=message):
             concordant_count_brute(p, course_dataset)
         with pytest.raises(ValueError, match=message):
@@ -221,25 +208,33 @@ class TestErrors:
 
 
 class TestIsFrequent:
+    """The miners' frequency test, support >= sigma, through run_miner."""
+
+    @staticmethod
+    def frequent(d, sigma):
+        result = run_miner("graank", d, build_space(d.m), SearchConfig(sigma=sigma))
+        return {encode(p, d.m): s for p, s in result.frequent_patterns}
+
     def test_thresholds(self, course_dataset):
-        e = fitness_of(40, build_space(3), course_dataset)
-        assert is_frequent(e, 0.5)
-        assert is_frequent(e, 2 / 3)  # boundary is inclusive
-        assert not is_frequent(e, 0.7)
+        assert 40 in self.frequent(course_dataset, 0.5)
+        assert self.frequent(course_dataset, 2 / 3)[40] == 2 / 3  # boundary is inclusive
+        assert 40 not in self.frequent(course_dataset, 0.7)
 
     def test_boundary_half(self, course_dataset):
         e = fitness_of(10, build_space(3), course_dataset)
         assert e.support == pytest.approx(0.5)
-        assert is_frequent(e, 0.5)
+        assert 10 in self.frequent(course_dataset, 0.5)
 
     def test_sigma_validation(self, course_dataset):
-        e = fitness_of(40, build_space(3), course_dataset)
         for sigma in (-0.1, 1.1):
-            with pytest.raises(ValueError):
-                is_frequent(e, sigma)
+            with pytest.raises(ValueError, match="sigma must be in"):
+                SearchConfig(sigma=sigma)
+            with pytest.raises(ValueError, match="sigma must be in"):
+                self.frequent(course_dataset, sigma)
 
 
 def test_two_object_dataset():
     d = Dataset(("a", "b"), np.array([[1.0, 4.0], [2.0, 3.0]]))
-    assert support(pat((0, UP), (1, DOWN)), d) == 1.0
-    assert support(pat((0, UP), (1, UP)), d) == 0.0
+    space = build_space(2)
+    assert fitness_of(encode(pat("0+", "1-"), 2), space, d).support == 1.0
+    assert fitness_of(encode(pat("0+", "1+"), 2), space, d).support == 0.0

@@ -1,6 +1,7 @@
 """Benchmark grid, report files and the signed-rank test."""
 
 import json
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 
@@ -368,6 +369,16 @@ class TestRunBenchmark:
         )
         (cell,) = run_benchmark(spec).cells
         assert cell.peak_memory_bytes is not None and cell.peak_memory_bytes > 0
+        assert not tracemalloc.is_tracing()
+        # A caller's session keeps running, and its freed buffer is not the cell's peak.
+        tracemalloc.start()
+        try:
+            bytearray(16 * 2**20)  # freed at once: it raises only the session's peak
+            (cell,) = run_benchmark(spec).cells
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
+        assert 0 < cell.peak_memory_bytes < 2**20
 
 
 class TestScatter:

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gradmine.fitness
-from conftest import COURSE_NAMES, COURSE_ROWS, brute_frequent, random_dataset, tied_tables
+from conftest import COURSE_NAMES, COURSE_ROWS, brute_frequent, fitness_of
+from conftest import random_dataset, tied_tables
 from gradmine import (
     ALGORITHMS,
     Dataset,
@@ -20,8 +21,7 @@ from gradmine import (
     build_space,
     concordant_count_brute,
     encode,
-    fitness_of,
-    is_valid,
+    invalid_reason,
     object_pair_count,
     run_miner,
 )
@@ -240,7 +240,7 @@ def test_counts_each_candidate_once(course_dataset, monkeypatch, algo, sigma):
     c = SearchConfig(max_iterations=12, seed=0, sigma=sigma, npop=4, nparticles=3)
     r = run_miner(algo, course_dataset, s, c)
     visited = [] if algo == "graank" else [step.candidate for step in r.trajectory.steps]
-    expected = list(dict.fromkeys(x for x in visited if is_valid(x, s)))
+    expected = list(dict.fromkeys(x for x in visited if invalid_reason(x, s) is None))
     if sigma == 1.0:
         expected.append(encode(r.best_pattern, 3))
     assert counted == expected
