@@ -42,8 +42,8 @@ from .search import ALGORITHMS, SearchConfig, run_miner
 
 #: Without --algo: exhaustive mining up to this many attributes, "ga" beyond.
 #: The sweep grows about 3x per attribute; in-process, at n=160 and
-#: sigma=0.5 on a 2-vCPU x86-64 host, it took 0.04-0.05 s at m=8,
-#: 0.12-0.17 s at m=9, 0.46-0.49 s at m=10 and 1.3-1.6 s at m=11.
+#: sigma=0.5 on a 2-vCPU x86-64 host, it took 0.02-0.03 s at m=8,
+#: 0.06-0.08 s at m=9, 0.12-0.20 s at m=10 and 0.47-0.56 s at m=11.
 AUTO_ALGO_MAX_ATTRS = 8
 
 _DELIMITERS = {"comma": ",", "semicolon": ";", "tab": "\t"}

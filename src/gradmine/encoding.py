@@ -31,10 +31,10 @@ from typing import Sequence
 #: Largest attribute count for which exhaustive candidate enumeration is
 #: allowed.  The graank sweep keeps one trajectory step per candidate, so
 #: it grows about 3x per attribute.  Measured in-process at n=40 on a
-#: 2-vCPU x86-64 host (time, RSS growth during the sweep): m=11 1.9 s,
-#: 32 MiB; m=12 5.3 s, 95 MiB; m=13 14.3 s, 280 MiB; m=14 48.5 s,
-#: 828 MiB (4,782,940 candidates).  m=16 would take about 7 min and
-#: 7.5 GiB.
+#: 2-vCPU x86-64 host (time, RSS growth during the sweep): m=11 0.43 s,
+#: 33 MiB; m=12 1.4 s, 95 MiB; m=13 4.6 s, 280 MiB; m=14 15.3 s,
+#: 828 MiB (4,782,940 candidates).  m=16 would take about 2.3 min and
+#: 7.5 GiB, so memory, not time, is what this guard bounds.
 MAX_ENUM_ATTRIBUTES = 14
 
 

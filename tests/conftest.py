@@ -69,6 +69,12 @@ def random_dataset(rng: np.random.Generator, n: int, m: int, ties: bool = False)
     return Dataset(tuple(f"col{i}" for i in range(m)), values)
 
 
+def suffix_budget(d: Dataset, k: int) -> int:
+    """The ``fitness.SUFFIX_TABLE_BYTES`` at which ``d.index.counts()``
+    builds its suffix table over the last ``k`` attributes."""
+    return (3**k - 1) * d.index._rows[0].nbytes
+
+
 @st.composite
 def tied_tables(draw, max_m: int = 4):
     """Small tables whose cells come from ``{0..levels}``: levels=0 gives

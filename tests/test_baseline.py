@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gradmine.encoding
+import gradmine.fitness
 import gradmine.search
 from conftest import COURSE_NAMES, COURSE_ROWS, brute_frequent, fitness_of
-from conftest import random_dataset, tied_tables
+from conftest import random_dataset, suffix_budget, tied_tables
 from gradmine import (
     Dataset,
     EnumerationLimitError,
@@ -104,13 +105,12 @@ def test_evaluated_candidate_count(course_dataset):
     assert sweep.trajectory.evaluations == valid_candidate_count(4)
 
 
-@settings(max_examples=60, deadline=None)
-@given(tied_tables(max_m=6), st.floats(0.0, 1.0))
-@example(Dataset(COURSE_NAMES, np.array(COURSE_ROWS)), 0.5)
-@example(Dataset(COURSE_NAMES, np.array(COURSE_ROWS)), 1.0)  # best below sigma
-@example(Dataset(("a", "b", "c"), np.zeros((5, 3))), 0.0)
-def test_sweep_matches_one_candidate_at_a_time(d, sigma):
-    r = run_miner("graank", d, build_space(d.m), SearchConfig(sigma=sigma))
+def assert_sweep_matches(d, sigma, k):
+    """The sweep with a suffix table of ``k`` attributes against
+    ``reference_sweep``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gradmine.fitness, "SUFFIX_TABLE_BYTES", suffix_budget(d, k))
+        r = run_miner("graank", d, build_space(d.m), SearchConfig(sigma=sigma))
     steps, best, frequent = reference_sweep(d, sigma)
     assert r.trajectory.steps == steps
     assert r.frequent_patterns == frequent
@@ -122,6 +122,22 @@ def test_sweep_matches_one_candidate_at_a_time(d, sigma):
             best.support,
             best.fitness,
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_tables(max_m=6), st.floats(0.0, 1.0), st.integers(1, 6))
+@example(Dataset(COURSE_NAMES, np.array(COURSE_ROWS)), 0.5, 1)
+@example(Dataset(COURSE_NAMES, np.array(COURSE_ROWS)), 1.0, 3)  # best below sigma
+@example(Dataset(("a", "b", "c"), np.zeros((5, 3))), 0.0, 2)
+def test_sweep_matches_one_candidate_at_a_time(d, sigma, k):
+    assert_sweep_matches(d, sigma, min(k, d.m))
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 64, 65])
+def test_sweep_matches_at_every_split(n):
+    d = random_dataset(np.random.default_rng(n), n, 5, ties=True)
+    for k in range(1, 6):
+        assert_sweep_matches(d, 0.1, k)
 
 
 def test_sweep_decodes_only_what_it_returns(monkeypatch):

@@ -2,13 +2,14 @@
 pair-scan oracle and the decode-first ``fitness_of``."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
 import gradmine.fitness
-from conftest import fitness_of, pat, random_dataset, tied_tables
+from conftest import fitness_of, pat, random_dataset, suffix_budget, tied_tables
 from gradmine import (
     ConcordanceIndex,
     Dataset,
@@ -22,6 +23,7 @@ from gradmine import (
     enumerate_valid,
     run_miner,
     to_pattern,
+    valid_candidate_count,
 )
 
 
@@ -115,14 +117,44 @@ class TestPackedIndex:
             assert pairs == index.count(p.complement())
 
     @pytest.mark.parametrize("m", range(2, 8))
-    def test_counts_walk_every_candidate_in_order(self, m):
-        d = random_dataset(np.random.default_rng(m), 9, m, ties=True)
-        index = ConcordanceIndex(d)
+    def test_counts_walk_every_candidate_in_order(self, m, monkeypatch):
+        # One budget per suffix table width k = 1 .. m, at row lengths on
+        # both sides of a byte and of a 64-bit word: the walk must not
+        # depend on where the attributes are split.
+        widths = []
+        build = ConcordanceIndex._suffix_table
+        monkeypatch.setattr(
+            ConcordanceIndex, "_suffix_table", lambda index, k: widths.append(k) or build(index, k)
+        )
         space = build_space(m)
-        walked = list(index.counts())
-        assert [x for x, _ in walked] == enumerate_valid(space)
-        for x, pairs in walked:
-            assert pairs == index.count(to_pattern(x, space))
+        for n in (2, 7, 8, 9, 64, 65):
+            d = random_dataset(np.random.default_rng(m), n, m, ties=True)
+            expected = [(x, d.index.count(to_pattern(x, space))) for x in enumerate_valid(space)]
+            for k in range(1, m + 1):
+                monkeypatch.setattr(gradmine.fitness, "SUFFIX_TABLE_BYTES", suffix_budget(d, k))
+                assert list(d.index.counts()) == expected
+        assert widths == list(range(1, m + 1)) * 6
+
+    def test_counts_memory_stays_within_budget(self):
+        # Two rows already exceed the budget, so the suffix table holds one
+        # attribute.  The walk keeps that table, its AND buffer and one AND
+        # per prefix depth, whatever the number of candidates.
+        m = 4
+        d = random_dataset(np.random.default_rng(1), 2050, m)
+        row = d.index._rows[0].nbytes
+        assert 2 * row > gradmine.fitness.SUFFIX_TABLE_BYTES
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            walked = sum(1 for _ in d.index.counts())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert walked == valid_candidate_count(m)
+        assert peak <= gradmine.fitness.SUFFIX_TABLE_BYTES + (m + 1) * row
 
     @pytest.mark.parametrize("n", [2, 7, 8, 9, 64, 65])
     def test_footprint_is_packed(self, n):

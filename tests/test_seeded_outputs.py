@@ -9,7 +9,10 @@ objective call) and ``<algorithm>/<space>`` for ``gradmine mine`` text
 output, with the CSV path replaced by ``{data}``.  ``bench`` holds
 SHA-256 digests of what one ``gradmine bench`` run writes, with timing
 and memory figures left out and the run's directory replaced by
-``{tmp}``.
+``{tmp}``.  ``graank`` holds SHA-256 digests of the exhaustive sweep's
+trajectory, frequent set and best on two tied tables wide enough in n
+that ``ConcordanceIndex.counts`` splits its attributes into a walked
+prefix and a batched suffix table.
 """
 
 import contextlib
@@ -23,7 +26,7 @@ import numpy as np
 import pytest
 
 from conftest import COURSE_NAMES, COURSE_ROWS, random_dataset, write_csv
-from gradmine import Dataset, SearchConfig, SpaceKind, build_space, run_miner
+from gradmine import Dataset, SearchConfig, SpaceKind, build_space, encode, run_miner
 from gradmine.cli import main
 
 PINNED = json.loads(Path(__file__).with_name("seeded_outputs.json").read_text(encoding="utf-8"))
@@ -118,3 +121,21 @@ def bench_digests(tmp_path: Path) -> dict:
 
 def test_bench_artefacts(tmp_path):
     assert bench_digests(tmp_path) == PINNED["bench"]
+
+
+# (seed, n, m) of the tied tables; at the default table budget the sweep
+# walks 4 prefix attributes over a 5-attribute suffix table on the first
+# and 5 over a 2-attribute one on the second.
+GRAANK_TABLES = {"tied160x9": (9, 160, 9), "tied600x7": (7, 600, 7)}
+
+
+@pytest.mark.parametrize("table", sorted(PINNED["graank"]))
+def test_graank_sweep(table):
+    seed, n, m = GRAANK_TABLES[table]
+    d = random_dataset(np.random.default_rng(seed), n, m, ties=True)
+    r = run_miner("graank", d, build_space(m), SearchConfig(sigma=0.1))
+    steps = "".join(f"{s.iteration} {s.candidate} {s.fitness!r} {s.valid}\n" for s in r.trajectory.steps)
+    frequent = "".join(f"{encode(p, m)} {support!r}\n" for p, support in r.frequent_patterns)
+    best = f"{encode(r.best_pattern, m)} {r.best_support!r} {r.best_fitness!r}\n"
+    digests = {"trajectory": _sha256(steps), "frequent": _sha256(frequent), "best": _sha256(best)}
+    assert digests == PINNED["graank"][table]
