@@ -5,25 +5,26 @@ the result, ``space`` inspects the candidate space for an attribute
 count or a dataset, and ``bench`` runs a benchmark grid and writes
 report files.
 
-Exit codes: 0 success, 1 data or runtime failure, 2 usage error.  The
-``GRADMINE_SEED`` environment variable replaces the built-in default
-seed; an explicit ``--seed``/``--base-seed`` flag still wins.  Mining
-output deliberately excludes wall-clock time so identical seeded runs
-print identical bytes.
+Exit codes: 0 success; 2 a usage error, before anything runs; 1 any
+runtime failure, with one ``error: ...`` line; 1, silently, when stdout
+closes early (``| head``).  Only :func:`main` turns an exception into 1.
+``GRADMINE_SEED`` replaces the built-in default seed; an explicit
+``--seed``/``--base-seed`` flag still wins.  Mining output deliberately
+excludes wall-clock time so identical seeded runs print identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import Dataset, DatasetError, load_dataset
+from .dataset import Dataset, load_dataset
 from .encoding import (
-    EnumerationLimitError,
     SpaceKind,
     build_space,
     enumerate_valid,
@@ -109,20 +110,12 @@ def cmd_mine(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        d = _load(args)
-    except DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    d = _load(args)
 
     auto = args.algo is None
     algo = args.algo or ("graank" if d.m <= AUTO_ALGO_MAX_ATTRS else "ga")
     space = build_space(d.m, SpaceKind(args.space))
-    try:
-        result = run_miner(algo, d, space, config)
-    except Exception as exc:  # exit 1, never a traceback
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = run_miner(algo, d, space, config)
 
     names = d.attribute_names
     if args.out == "json":
@@ -179,23 +172,14 @@ def cmd_space(args: argparse.Namespace) -> int:
         m = args.attrs
         names = [f"col{i}" for i in range(m)]
     else:
-        try:
-            d = _load(args)
-        except DatasetError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        d = _load(args)
         m = d.m
         names = list(d.attribute_names)
 
     space = build_space(m, SpaceKind(args.space))
     print(f"bounds: [{space.lower}, {space.upper}], valid: {valid_candidate_count(m)}")
     if args.list_valid:
-        try:
-            candidates = enumerate_valid(space)
-        except EnumerationLimitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        for x in candidates:
+        for x in enumerate_valid(space):
             print(f"{x}\t{x:0{2 * m}b}\t{to_pattern(x, space).render(names)}")
     return 0
 
@@ -219,24 +203,23 @@ def _spec_from_args(args: argparse.Namespace) -> BenchSpec:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.spec is None and not args.data:
-        print("error: either --spec or --data is required", file=sys.stderr)
-        return 2
     try:
         spec = _spec_from_args(args)
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: benchmark spec: {exc}", file=sys.stderr)
         return 2
 
-    report = run_benchmark(spec)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    scatter_dir = out_dir / "scatter"
+    # Made before the grid runs, so a path that cannot be a directory
+    # fails at once, not after the last cell.
+    (scatter_dir if spec.save_trajectories else out_dir).mkdir(parents=True, exist_ok=True)
+
+    report = run_benchmark(spec)
     write_report_json(out_dir / "report.json", report)
     write_report_csv(out_dir / "report.csv", report)
 
     if spec.save_trajectories:
-        scatter_dir = out_dir / "scatter"
-        scatter_dir.mkdir(exist_ok=True)
         for cell in report.cells:
             tag = f"{cell.dataset}_{cell.algorithm}_{cell.space or 'full'}"
             for rep, steps in enumerate(cell.trajectories or ()):  # None for an error cell
@@ -320,8 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="run a benchmark grid and write report files", formatter_class=fmt
     )
-    bench.add_argument("--spec", default=None, help="JSON benchmark spec file")
-    bench.add_argument("--data", nargs="+", default=None, help="dataset CSV files")
+    grid = bench.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--spec", default=None, help="JSON benchmark spec file")
+    grid.add_argument("--data", nargs="+", default=None, help="dataset CSV files")
     bench.add_argument(
         "--algos", nargs="+", choices=ALGORITHMS, default=["rs", "ls", "ga", "pso"]
     )
@@ -345,13 +329,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     # Bounds past about 7,143 attributes exceed Python's int-to-str limit
     # (none before 3.10.7), a guard for parsing untrusted text: lift it.
     saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if saved is None:
-        return args.func(args)
-    sys.set_int_max_str_digits(0)
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python's recipe: point stdout at devnull, so the interpreter's
+        # final flush is quiet too.  A StringIO has no descriptor to point.
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 1
+    except Exception as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
-        sys.set_int_max_str_digits(saved)
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -131,12 +131,15 @@ class BenchSpec:
     measure_memory: bool = False
 
     def __post_init__(self) -> None:
-        if not self.datasets:
-            raise ValueError("need at least one dataset")
-        if not self.algorithms:
-            raise ValueError("need at least one algorithm")
-        if not self.spaces:
-            raise ValueError("need at least one space")
+        # Cells, report rows and scatter files carry a dataset's file stem.
+        stems = [Path(path).stem for path in self.datasets]
+        for what, values in (("dataset", stems), ("algorithm", self.algorithms),
+                             ("space", self.spaces)):
+            if not values:
+                raise ValueError(f"need at least one {what}")
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"repeated {what} names: {repeated}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")

@@ -1,5 +1,7 @@
 """End-to-end command-line behaviour via main()."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -62,14 +64,40 @@ class TestMine:
         assert captured.err == "error: duplicate attribute name 'a'\n"
         assert captured.out == ""
 
-    def test_miner_failure_is_runtime_error(self, course_csv, capsys, monkeypatch):
-        def fail(*args):
-            raise ValueError("high is out of bounds for int64")
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            ValueError("high is out of bounds for int64"),
+            OSError(28, "No space left on device"),
+            RuntimeError("boom"),
+        ],
+        ids=lambda exc: type(exc).__name__,
+    )
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("mine", "load_dataset"),
+            ("mine", "run_miner"),
+            ("space", "load_dataset"),
+            ("bench", "write_report_json"),
+        ],
+    )
+    def test_miner_failure_is_runtime_error(
+        self, tmp_path, course_csv, capsys, monkeypatch, command, name, exc
+    ):
+        # main alone turns a runtime failure into exit 1 and one line.
+        def fail(*args, **kwargs):
+            raise exc
 
-        monkeypatch.setattr("gradmine.cli.run_miner", fail)
-        assert main(["mine", "--data", str(course_csv), "--algo", "ga"]) == 1
+        monkeypatch.setattr(f"gradmine.cli.{name}", fail)
+        argv = {
+            "mine": ["mine", "--algo", "ga"],
+            "space": ["space", "--list-valid"],
+            "bench": ["bench", "--algos", "rs", "--reps", "1", "--out-dir", str(tmp_path / "out")],
+        }[command]
+        assert main([*argv, "--data", str(course_csv)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: high is out of bounds for int64\n"
+        assert captured.err == f"error: {exc}\n"
         assert captured.out == ""
 
     def test_index_over_memory_limit_is_runtime_error(self, course_csv, capsys, monkeypatch):
@@ -286,8 +314,65 @@ class TestBench:
         assert "wrote" in capsys.readouterr().out
 
     def test_requires_spec_or_data(self, tmp_path, capsys):
-        assert main(["bench", "--out-dir", str(tmp_path)]) == 2
-        assert "--spec or --data" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--out-dir", str(tmp_path)])
+        assert err.value.code == 2
+        assert "one of the arguments --spec --data is required" in capsys.readouterr().err
+
+    def test_spec_and_data_are_exclusive(self, tmp_path, course_csv, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"datasets": [str(course_csv)], "algorithms": ["rs"]}))
+        out_dir = tmp_path / "out"
+        argv = ["bench", "--spec", str(spec), "--data", str(course_csv), "--out-dir", str(out_dir)]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "argument --data: not allowed with argument --spec" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "data, spec, message",
+        [
+            (["d1/x.csv", "d2/x.csv"], None, "repeated dataset names: ['x']"),
+            (["a.csv", "a.csv"], None, "repeated dataset names: ['a']"),
+            (None, {"algorithms": ["rs", "ga", "rs"]}, "repeated algorithm names: ['rs']"),
+            (None, {"spaces": ["bitmap", "bitmap"]}, "repeated space names: ['bitmap']"),
+        ],
+        ids=["same-stem", "same-path", "algorithms", "spaces"],
+    )
+    def test_repeated_spec_entries_are_usage_errors(self, tmp_path, capsys, data, spec, message):
+        out_dir = tmp_path / "out"
+        argv = ["bench", "--out-dir", str(out_dir)]
+        if spec is None:
+            argv += ["--algos", "rs", "--data", *data]
+        else:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"datasets": ["x.csv"], "algorithms": ["rs"], **spec}))
+            argv += ["--spec", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: benchmark spec: {message}\n"
+        assert captured.out == "" and not out_dir.exists()
+
+    @pytest.mark.parametrize("save", [False, True], ids=["out-dir", "scatter"])
+    def test_unusable_out_dir_fails_before_the_grid(
+        self, tmp_path, course_csv, capsys, monkeypatch, save
+    ):
+        def never(spec):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(gradmine.cli, "run_benchmark", never)
+        blocker = tmp_path / "out"
+        if save:  # the report directory is fine, its scatter/ is a file
+            blocker.mkdir()
+            blocker = blocker / "scatter"
+        blocker.write_text("not a directory", encoding="utf-8")
+        argv = ["bench", "--data", str(course_csv), "--algos", "rs", "--out-dir", str(tmp_path / "out")]
+        assert main(argv + ["--save-trajectories"] * save) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno") and str(blocker) in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_bad_spec_file(self, tmp_path, capsys):
         bad = tmp_path / "spec.json"
@@ -417,14 +502,48 @@ class TestBench:
         assert failure["dataset"] == "course" and "48-byte" in failure["error"]
 
 
-def _run_fresh(code: str) -> None:
-    """Run ``code`` in a new interpreter that imports this gradmine."""
+def _fresh_env() -> dict[str, str]:
+    """The environment of a new interpreter that imports this gradmine."""
     src = str(Path(gradmine.__file__).resolve().parent.parent)
     paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a new interpreter that imports this gradmine."""
     subprocess.run(
-        [sys.executable, "-c", code], env=env, check=True, timeout=60, stdout=subprocess.DEVNULL
+        [sys.executable, "-c", code], env=_fresh_env(), check=True, timeout=60,
+        stdout=subprocess.DEVNULL,
     )
+
+
+class TestClosedStdout:
+    def test_reader_that_stops_early(self):
+        # As in `gradmine space --attrs 10 --list-valid | head -n 1`: the
+        # listing is 59,028 lines, far more than a pipe buffers.
+        argv = ["space", "--attrs", "10", "--list-valid"]
+        code = "import sys; from gradmine.cli import main; sys.exit(main())"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, *argv], env=_fresh_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert first == b"bounds: [5, 699050], valid: 59028\n"
+        assert proc.returncode == 1
+        assert err == b""  # no traceback, no "Exception ignored" at exit
+
+    def test_stream_without_a_descriptor(self, monkeypatch, capsys):
+        # perfbench and pytest hand main a StringIO-like stdout.
+        def closed(*args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(gradmine.cli, "valid_candidate_count", closed)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["space", "--attrs", "3"]) == 1
+        assert out.getvalue() == "" and capsys.readouterr().err == ""
 
 
 def test_cli_import_loads_no_scipy():

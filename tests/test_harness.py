@@ -135,6 +135,22 @@ class TestBenchSpec:
         with pytest.raises(ValueError, match="npop must be >= 2"):
             BenchSpec(datasets=("x.csv",), algorithms=("rs",), overrides={"ga": {"npop": 1}})
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            # Cells, report rows and scatter files name a dataset by its stem.
+            ({"datasets": ("d1/x.csv", "d2/x.csv")}, "repeated dataset names: ['x']"),
+            ({"datasets": ("a.csv", "b.tsv", "a.csv")}, "repeated dataset names: ['a']"),
+            ({"algorithms": ("rs", "ga", "rs", "ga")}, "repeated algorithm names: ['ga', 'rs']"),
+            ({"spaces": ("numeric", "bitmap", "numeric")}, "repeated space names: ['numeric']"),
+        ],
+        ids=["same-stem", "same-path", "algorithms", "spaces"],
+    )
+    def test_refuses_repeated_entries(self, grid, message):
+        with pytest.raises(ValueError) as err:
+            BenchSpec(**{"datasets": ("x.csv",), "algorithms": ("rs",), **grid})
+        assert str(err.value) == message
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             BenchSpec.from_dict({"datasets": ["x.csv"], "algorithms": ["rs"], "zzz": 1})
