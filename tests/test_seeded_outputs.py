@@ -31,10 +31,12 @@ from gradmine.cli import main
 
 PINNED = json.loads(Path(__file__).with_name("seeded_outputs.json").read_text(encoding="utf-8"))
 
-# (table, iteration budget); "m12" is 8 rows x 12 columns, 24-bit candidates.
+# (table, iteration budget); "m12" is 8 rows x 12 columns, 24-bit candidates;
+# "m40" is 5 x 40, 80-bit candidates past numpy's int64 draws.
 TABLES = {
     "course": (lambda: Dataset(COURSE_NAMES, np.array(COURSE_ROWS)), 20),
     "m12": (lambda: random_dataset(np.random.default_rng(12), 8, 12), 40),
+    "m40": (lambda: random_dataset(np.random.default_rng(40), 5, 40), 30),
 }
 
 
