@@ -25,6 +25,7 @@ without raising, because searchers must be able to land on it and move on;
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -135,6 +136,12 @@ class SearchSpace:
     def contains(self, x: int) -> bool:
         return self.lower <= x <= self.upper
 
+    @functools.cached_property
+    def _up_mask(self) -> int:
+        # 0b1010...10: the "increasing" bit of every attribute.  Cached on
+        # the instance, outside the fields that equality and hash read.
+        return _down_mask(self.m) << 1
+
 
 def build_space(m: int, kind: SpaceKind = SpaceKind.NUMERIC) -> SearchSpace:
     """Construct the numeric or bitmap search space for ``m`` attributes."""
@@ -165,11 +172,11 @@ def invalid_reason(x: int, space: SearchSpace) -> InvalidReason | None:
     A conflict (both bits of one attribute) takes precedence over having
     fewer than two items.
     """
-    if not space.contains(x):
+    if not space.lower <= x <= space.upper:
         raise ValueError(
             f"{x} outside [{space.lower}, {space.upper}] of the {space.kind.value} space"
         )
-    if (x & (_down_mask(space.m) << 1)) >> 1 & x:
+    if (x & space._up_mask) >> 1 & x:
         return InvalidReason.CONFLICT
     # Without conflicts, each set bit is one item.
     if x.bit_count() < 2:
@@ -194,9 +201,18 @@ def to_pattern(x: int, space: SearchSpace) -> GradualPattern:
         # Highest set bit first, so items come out in attribute order.
         pos = x.bit_length() - 1
         x ^= 1 << pos
-        attr, is_down = divmod(top - pos, 2)
-        items.append(GradualItem(attr, Direction.DOWN if is_down else Direction.UP))
+        items.append(_item(top - pos))
     return GradualPattern(tuple(items))
+
+
+@functools.cache
+def _item(offset: int) -> GradualItem:
+    # The item of bit ``2m-1-offset``: attribute ``offset // 2``, up when
+    # the offset is even.  Items are frozen, so each is built once and
+    # shared by every decode; the cache holds 2m of them for the widest
+    # space decoded.
+    attr, is_down = divmod(offset, 2)
+    return GradualItem(attr, Direction.DOWN if is_down else Direction.UP)
 
 
 def encode(pattern: GradualPattern, m: int) -> int:

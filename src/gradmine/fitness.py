@@ -73,6 +73,9 @@ class ConcordanceIndex:
         for a, col in enumerate(np.ascontiguousarray(d.values.T)):
             packed[2 * a, :row_bytes] = np.packbits(col[:, None] < col, axis=1).ravel()
             packed[2 * a + 1, :row_bytes] = np.packbits(col[:, None] > col, axis=1).ravel()
+        # Views of the rows, taken once: a list item is cheaper to reach
+        # than a fresh view of the array per counted item.
+        self._row_list = list(self._rows)
 
     def count(self, pattern: GradualPattern) -> int:
         """Concordant pairs of a pattern; ``encode`` rejects attributes
@@ -88,11 +91,12 @@ class ConcordanceIndex:
         conflict's two rows AND to zero pairs.
         """
         top = 2 * self.m - 1
+        row_list = self._row_list
         rows = []
         while x:
             pos = x.bit_length() - 1
             x ^= 1 << pos
-            rows.append(self._rows[top - pos])
+            rows.append(row_list[top - pos])
         holds = rows[0] & rows[1]
         for row in rows[2:]:
             holds &= row

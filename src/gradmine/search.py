@@ -26,7 +26,6 @@ and two mutants per iteration) and pso makes 3 per particle per iteration
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import dataclass
@@ -237,22 +236,34 @@ def _round_clamp(x: int, u: float, s: SearchSpace) -> int:
 _INT64_HIGH = 2**63
 
 
-def _wide_uniform(rng: np.random.Generator, s: SearchSpace) -> int:
+def _wide_uniform(rng: np.random.Generator, s: SearchSpace, count: int) -> list[int]:
     # Rejection sampling over the fewest bits that cover the interval, so
-    # fewer than two tries are needed on average.
+    # fewer than two tries per draw are needed on average.  Each pass
+    # takes the bytes of every open slot from one ``rng.bytes`` call and
+    # leaves only the rejected slots open for the next.
     bits = (s.size - 1).bit_length()
     nbytes = (bits + 7) // 8
-    while True:
-        v = int.from_bytes(rng.bytes(nbytes), "big") >> (8 * nbytes - bits)
-        if v < s.size:
-            return s.lower + v
+    shift = 8 * nbytes - bits
+    out = [s.lower] * count
+    open_slots = range(count)
+    while open_slots:
+        raw = rng.bytes(nbytes * len(open_slots))
+        rejected = []
+        for slot, at in zip(open_slots, range(0, len(raw), nbytes)):
+            v = int.from_bytes(raw[at : at + nbytes], "big") >> shift
+            if v < s.size:
+                out[slot] += v
+            else:
+                rejected.append(slot)
+        open_slots = rejected
+    return out
 
 
 def _uniform_candidates(rng: np.random.Generator, s: SearchSpace, count: int) -> list[int]:
     # One sized draw yields the same stream as ``count`` scalar draws.
     if s.upper < _INT64_HIGH:
         return rng.integers(s.lower, s.upper + 1, size=count).tolist()
-    return [_wide_uniform(rng, s) for _ in range(count)]
+    return _wide_uniform(rng, s, count)
 
 
 def _rs(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best:
@@ -294,13 +305,14 @@ def _mutate(rng: np.random.Generator, candidate: int, s: SearchSpace, c: SearchC
 def _ga(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best:
     """Small elitist genetic algorithm over the bit representation.
 
-    Each iteration takes the two fittest members, recombines them by
-    single-point bit crossover with probability ``crossover_rate``
-    (otherwise copies them), then mutates each offspring; all four
-    results are evaluated, appended, and the population is truncated
-    back to ``npop``.  Exactly four objective calls per iteration.
-    Members are (fitness, candidate), so unusable ones (inf) sort last
-    and ties go to the lower integer.
+    The population is a list of (fitness, candidate) members kept
+    sorted, so unusable ones (inf) come last and ties go to the lower
+    integer.  Each iteration takes the first two members as parents,
+    recombines them by single-point bit crossover with probability
+    ``crossover_rate`` (otherwise copies them), then mutates each
+    offspring; all four results are evaluated and appended, and the
+    list is sorted again and truncated to its first ``npop`` members.
+    Exactly four objective calls per iteration.
     """
     best = _NO_BEST
     pop: list[tuple[float, int]] = []
@@ -308,9 +320,10 @@ def _ga(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfi
         fitness = rec.record(0, x)
         pop.append((fitness, x))
         best = _keep_best(best, fitness, x)
+    pop.sort()
     nbits = 2 * s.m
     for t in range(1, c.max_iterations + 1):
-        (_, x1), (_, x2) = heapq.nsmallest(2, pop)
+        (_, x1), (_, x2) = pop[0], pop[1]
         if float(rng.random()) < c.crossover_rate:
             # The first ``point`` bits come from one parent, the rest from
             # the other.  Recombined bits can leave a numeric-space
@@ -325,7 +338,8 @@ def _ga(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfi
             fitness = rec.record(t, x)
             pop.append((fitness, x))
             best = _keep_best(best, fitness, x)
-        pop = heapq.nsmallest(c.npop, pop)
+        pop.sort()
+        del pop[c.npop :]
     return best
 
 

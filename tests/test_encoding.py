@@ -57,6 +57,12 @@ class TestSpaces:
         assert s.contains(5) and s.contains(42)
         assert not s.contains(4) and not s.contains(43)
 
+    def test_cached_mask_leaves_equality_and_hash_alone(self):
+        s = build_space(5)
+        assert invalid_reason(s.upper, s) is None  # caches the mask on ``s``
+        assert s == build_space(5) and hash(s) == hash(build_space(5))
+        assert repr(s) == repr(build_space(5))
+
 
 class TestDecodeEncode:
     def test_known_values(self):

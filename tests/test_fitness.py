@@ -116,6 +116,27 @@ class TestPackedIndex:
             assert pairs == index.count_candidate(x)
             assert pairs == index.count(p.complement())
 
+    @pytest.mark.parametrize("m", [24, 40])
+    def test_count_candidate_at_benchmark_widths(self, m):
+        # Bit p names row 2m - 1 - p; at m = 40 the candidates reach bit
+        # 79, past a 64-bit word.  Half the candidates have 2 to 4 items,
+        # so many counts are nonzero on 9 tied rows, and half 2 to m.
+        rng = np.random.default_rng(m)
+        d = random_dataset(rng, 9, m, ties=True)
+        space = build_space(m)
+        nonzero, widths = 0, set()
+        for i in range(300):
+            k = int(rng.integers(2, 5 if i % 2 else m + 1))
+            attrs = rng.choice(m, size=k, replace=False).tolist()
+            downs = rng.integers(0, 2, size=k).tolist()
+            x = sum(1 << (2 * m - 1 - 2 * a - down) for a, down in zip(attrs, downs))
+            pairs = d.index.count_candidate(x)
+            assert pairs == concordant_count_brute(to_pattern(x, space), d)
+            nonzero += pairs > 0
+            widths.add(x.bit_length())
+        assert nonzero >= 100
+        assert max(widths) == 2 * m and min(widths) < 2 * m - 20
+
     @pytest.mark.parametrize("m", range(2, 8))
     def test_counts_walk_every_candidate_in_order(self, m, monkeypatch):
         # One budget per suffix table width k = 1 .. m, at row lengths on

@@ -1,5 +1,6 @@
 """The miners behind run_miner: budgets, determinism, soundness."""
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -26,7 +27,17 @@ from gradmine import (
     run_miner,
 )
 from gradmine.fitness import ConcordanceIndex
-from gradmine.search import _clamp, _Recorder, _round_clamp, _rs, _wide_uniform
+from gradmine.search import (
+    _NO_BEST,
+    _clamp,
+    _keep_best,
+    _mutate,
+    _Recorder,
+    _round_clamp,
+    _rs,
+    _uniform_candidates,
+    _wide_uniform,
+)
 
 SEARCHERS = ("ga", "ls", "pso", "rs")
 
@@ -153,10 +164,11 @@ class TestWideSpaces:
 
     def test_wide_draw_is_uniform(self):
         # The big-int draw on a small interval: 3 random bits per try
-        # give 0..7; 6 and 7 are rejected and the rest map to 5..10.
+        # give 0..7; 6 and 7 are rejected and redrawn, and the rest map
+        # to 5..10.
         rng = np.random.default_rng(0)
         space = SearchSpace(SpaceKind.BITMAP, 2, 5, 10)
-        draws = [_wide_uniform(rng, space) for _ in range(6000)]
+        draws = _wide_uniform(rng, space, 6000)
         counts = np.bincount(draws, minlength=11)[5:]
         assert set(draws) == set(range(5, 11))
         assert counts.min() > 850 and counts.max() < 1150
@@ -290,7 +302,63 @@ class TestLocalSearch:
         assert run_miner("ls", d, space, c).best_fitness == 0.25
 
 
+def _heapq_ga(rec, rng, s, c):
+    """The GA loop as it was before its population became a sorted list:
+    an unsorted list, the parents taken by ``heapq.nsmallest(2, ...)`` and
+    the survivors by ``heapq.nsmallest(npop, ...)``."""
+    best = _NO_BEST
+    pop = []
+    for x in _uniform_candidates(rng, s, c.npop):
+        fitness = rec.record(0, x)
+        pop.append((fitness, x))
+        best = _keep_best(best, fitness, x)
+    nbits = 2 * s.m
+    for t in range(1, c.max_iterations + 1):
+        (_, x1), (_, x2) = heapq.nsmallest(2, pop)
+        if float(rng.random()) < c.crossover_rate:
+            low = (1 << (nbits - int(rng.integers(1, nbits)))) - 1
+            c1 = _clamp((x1 & ~low) | (x2 & low), s)
+            c2 = _clamp((x2 & ~low) | (x1 & low), s)
+        else:
+            c1, c2 = x1, x2
+        for x in (c1, c2, _mutate(rng, c1, s, c), _mutate(rng, c2, s, c)):
+            fitness = rec.record(t, x)
+            pop.append((fitness, x))
+            best = _keep_best(best, fitness, x)
+        pop = heapq.nsmallest(c.npop, pop)
+    return best
+
+
 class TestGeneticAlgorithm:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tied_tables(max_m=6),
+        st.sampled_from(list(SpaceKind)),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.1, 20.0),
+    )
+    def test_sorted_population_matches_heapq(
+        self, d, kind, seed, npop, crossover, mutation, sigma, scale
+    ):
+        # Ties in fitness are common on these tables, so the order among
+        # equal fitnesses (the lower candidate first) is exercised too.
+        s = build_space(d.m, kind)
+        c = SearchConfig(
+            max_iterations=15, seed=seed, sigma=sigma, npop=npop, crossover_rate=crossover,
+            mutation_rate=mutation, mutation_scale=scale,
+        )
+        r = run_miner("ga", d, s, c)
+        rec = _Recorder(d, s, c.sigma)
+        fitness, x = _heapq_ga(rec, np.random.default_rng(c.seed), s, c)
+        assert r.trajectory == rec.trajectory()
+        assert r.best_fitness == fitness
+        assert (None if r.best_pattern is None else encode(r.best_pattern, d.m)) == x
+        assert r.frequent_patterns == rec.frequent()
+
     def test_no_crossover_copies_parents(self, course_dataset, space):
         c = SearchConfig(max_iterations=10, seed=6, npop=6, crossover_rate=0.0)
         r = run_miner("ga", course_dataset, space, c)

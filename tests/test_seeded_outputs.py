@@ -3,7 +3,8 @@
 ``seeded_outputs.json`` was recorded from the per-bit tuple encoding
 that preceded the bit-mask one, so these tests check that decoding, GA
 crossover and GA mutation on plain integers draw the same random numbers
-in the same order and land on the same candidates.  Keys are
+in the same order and land on the same candidates; the ``m40`` entries
+pin the draw beyond int64 as batched by ``search._wide_uniform``.  Keys are
 ``<table>/<algorithm>/<space>`` for trajectories (candidate per
 objective call) and ``<algorithm>/<space>`` for ``gradmine mine`` text
 output, with the CSV path replaced by ``{data}``.  ``bench`` holds
