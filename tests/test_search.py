@@ -303,9 +303,9 @@ class TestLocalSearch:
 
 
 def _heapq_ga(rec, rng, s, c):
-    """The GA loop as it was before its population became a sorted list:
-    an unsorted list, the parents taken by ``heapq.nsmallest(2, ...)`` and
-    the survivors by ``heapq.nsmallest(npop, ...)``."""
+    """Reference GA loop that ``search._ga`` must match step for step: an
+    unsorted population, the parents taken by ``heapq.nsmallest(2, ...)``
+    and the survivors by ``heapq.nsmallest(npop, ...)``."""
     best = _NO_BEST
     pop = []
     for x in _uniform_candidates(rng, s, c.npop):
