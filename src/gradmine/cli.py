@@ -8,9 +8,9 @@ report files.
 Exit codes: 0 success; 2 a usage error, before anything runs; 1 any
 runtime failure, with one ``error: ...`` line; 1, silently, when stdout
 closes early (``| head``).  Only :func:`main` turns an exception into 1.
-``GRADMINE_SEED`` replaces the built-in default seed; an explicit
-``--seed``/``--base-seed`` flag still wins.  Mining output deliberately
-excludes wall-clock time so identical seeded runs print identical bytes.
+A flag takes its default from the SearchConfig or BenchSpec field it
+sets, and only ``--seed``/``--base-seed`` set the seed.  Mining output
+excludes wall-clock time, so its bytes depend on argv and files alone.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
@@ -69,18 +70,6 @@ _TUNING = (
 )
 
 
-def _resolve_seed(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get("GRADMINE_SEED")
-    if raw is None or raw == "":
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"GRADMINE_SEED must be an integer, got {raw!r}") from None
-
-
 def _attr_count(text: str) -> int:
     value = int(text)
     if value < 2:
@@ -96,17 +85,16 @@ def _load(args: argparse.Namespace) -> Dataset:
     )
 
 
-def _config_from_args(args: argparse.Namespace, seed: int) -> SearchConfig:
+def _config_from_args(args: argparse.Namespace) -> SearchConfig:
     # argparse keeps --coef-p as args.coef_p.
     tuning = {name: getattr(args, flag[2:].replace("-", "_")) for flag, name, _ in _TUNING}
-    return SearchConfig(max_iterations=args.iters, seed=seed, sigma=args.min_sup, **tuning)
+    return SearchConfig(max_iterations=args.iters, seed=args.seed, sigma=args.min_sup, **tuning)
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
     # Usage errors first, so a bad flag exits 2 whatever the data file.
     try:
-        seed = _resolve_seed(args.seed)
-        config = _config_from_args(args, seed)
+        config = _config_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -135,7 +123,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
             "space": args.space,
             "bounds": [space.lower, space.upper],
             "min_support": args.min_sup,
-            "seed": seed,
+            "seed": config.seed,
             "iterations": args.iters,
             "best": best,
             "frequent_patterns": [
@@ -151,7 +139,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     print(f"algorithm: {algo}{' (auto)' if auto else ''}")
     print(f"space: {args.space} [{space.lower}, {space.upper}]")
     print(f"min support: {args.min_sup}")
-    print(f"seed: {seed}")
+    print(f"seed: {config.seed}")
     if result.best_pattern is None:
         print("best: none (no usable candidate evaluated)")
     else:
@@ -193,7 +181,7 @@ def _spec_from_args(args: argparse.Namespace) -> BenchSpec:
         spaces=tuple(dict.fromkeys(args.spaces)),
         repetitions=args.reps,
         sigma=args.min_sup,
-        base_seed=_resolve_seed(args.base_seed),
+        base_seed=args.base_seed,
         max_iterations=args.iters,
         delimiter=_DELIMITERS[args.delimiter],
         has_header=not args.no_header,
@@ -277,9 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="miner; default picks graank for narrow data, ga for wide",
     )
     mine.add_argument("--space", choices=_SPACES, default="numeric")
-    mine.add_argument("--min-sup", type=float, default=0.5, help="support threshold")
+    mine.add_argument("--min-sup", type=float, default=_DEFAULTS.sigma, help="support threshold")
     mine.add_argument("--iters", type=int, default=_DEFAULTS.max_iterations)
-    mine.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+    mine.add_argument("--seed", type=int, default=_DEFAULTS.seed, help="RNG seed")
     for flag, name, text in _TUNING:
         default = getattr(_DEFAULTS, name)
         mine.add_argument(flag, type=type(default), default=default, help=text)
@@ -309,11 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--algos", nargs="+", choices=ALGORITHMS, default=["rs", "ls", "ga", "pso"]
     )
-    bench.add_argument("--spaces", nargs="+", choices=_SPACES, default=["numeric"])
-    bench.add_argument("--reps", type=int, default=3, help="repetitions per cell")
-    bench.add_argument("--min-sup", type=float, default=0.5)
-    bench.add_argument("--iters", type=int, default=_DEFAULTS.max_iterations)
-    bench.add_argument("--base-seed", type=int, default=None, help="seed for rep 0 (default 0)")
+    spec = {f.name: f.default for f in fields(BenchSpec)}
+    bench.add_argument("--spaces", nargs="+", choices=_SPACES, default=list(spec["spaces"]))
+    bench.add_argument("--reps", type=int, default=spec["repetitions"], help="repetitions per cell")
+    bench.add_argument("--min-sup", type=float, default=spec["sigma"])
+    bench.add_argument("--iters", type=int, default=spec["max_iterations"])
+    bench.add_argument("--base-seed", type=int, default=spec["base_seed"], help="seed for rep 0")
     bench.add_argument("--save-trajectories", action="store_true")
     bench.add_argument("--measure-memory", action="store_true")
     bench.add_argument("--out-dir", required=True, help="directory for report files")

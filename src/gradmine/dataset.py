@@ -10,6 +10,7 @@ in both axes.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -106,13 +107,14 @@ def _parse_number(cell: str) -> float | None:
 def load_dataset(path, delimiter: str = ",", has_header: bool = True) -> Dataset:
     """Read a delimited text file and clean it into a :class:`Dataset`.
 
-    Each cell is parsed once.  Raises :class:`DatasetError` if the file
-    cannot be read or decoded as UTF-8 CSV, or if fewer than two columns /
-    two rows survive cleaning.
+    Each cell is parsed once; a leading byte-order mark is skipped.
+    Raises :class:`DatasetError` if the file cannot be read or decoded as
+    UTF-8 CSV, or if fewer than two columns / two rows survive cleaning.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
+            lines = itertools.chain([next(fh, "").removeprefix("\ufeff")], fh)
+            rows = [row for row in csv.reader(lines, delimiter=delimiter) if row]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     if not rows:

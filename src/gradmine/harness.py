@@ -27,6 +27,7 @@ from .search import (
     ALGORITHMS,
     SearchConfig,
     TrajectoryStep,
+    check_scalar_fields,
     run_miner,
 )
 
@@ -95,35 +96,23 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonOutc
     return WilcoxonOutcome(statistic=w, p_value=p, n=n, zeros_dropped=zeros_dropped)
 
 
-#: The JSON types a scalar spec field takes, by the type of its default.
-_SCALAR_KINDS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
-
-
-def _check_kind(name: str, value: Any, default: Any) -> None:
-    """Raise unless ``value`` fits a field whose default is ``default``."""
-    kinds = _SCALAR_KINDS.get(type(default))
-    # bool is an int subclass: it fits bool fields alone.
-    if kinds and (not isinstance(value, kinds) or isinstance(value, bool) != (kinds == (bool,))):
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise ValueError(f"{name} must be {names}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class BenchSpec:
     """What to benchmark: the cell grid plus run bookkeeping.
 
-    A spec is checked when it is made: each algorithm's config, with its
-    overrides, is built once, so :class:`SearchConfig`'s own checks run
-    before any cell does.
+    A spec is checked when it is made, in code or from JSON: each scalar
+    field must hold its default's kind, and each algorithm's config, with
+    its overrides, is built once, so :class:`SearchConfig`'s own checks
+    run before any cell does.
     """
 
     datasets: tuple[str, ...]
     algorithms: tuple[str, ...]
     spaces: tuple[str, ...] = ("numeric",)
     repetitions: int = 3
-    sigma: float = 0.5
-    base_seed: int = 0
-    max_iterations: int = 20
+    sigma: float = SearchConfig.sigma
+    base_seed: int = SearchConfig.seed
+    max_iterations: int = SearchConfig.max_iterations
     overrides: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
     delimiter: str = ","
     has_header: bool = True
@@ -131,6 +120,7 @@ class BenchSpec:
     measure_memory: bool = False
 
     def __post_init__(self) -> None:
+        check_scalar_fields(self)
         # Cells, report rows and scatter files carry a dataset's file stem.
         stems = [Path(path).stem for path in self.datasets]
         for what, values in (("dataset", stems), ("algorithm", self.algorithms),
@@ -140,7 +130,7 @@ class BenchSpec:
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ValueError(f"repeated {what} names: {repeated}")
-        unknown = set(self.algorithms) - set(ALGORITHMS)
+        unknown = {*self.algorithms, *self.overrides} - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
         bad_spaces = set(self.spaces) - {kind.value for kind in SpaceKind}
@@ -148,18 +138,13 @@ class BenchSpec:
             raise ValueError(f"unknown spaces: {sorted(bad_spaces)}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
+        if len(self.delimiter) != 1:
             raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
-        defaults = {f.name: f.default for f in fields(SearchConfig)}
-        del defaults["seed"], defaults["sigma"]  # the spec's own, the same for every algorithm
+        tunable = {f.name for f in fields(SearchConfig)} - {"seed", "sigma"}  # the spec sets these
         for algo, over in self.overrides.items():
-            if algo not in ALGORITHMS:
-                raise ValueError(f"override for unknown algorithm {algo!r}")
-            bad = set(over) - set(defaults)
+            bad = set(over) - tunable
             if bad:
                 raise ValueError(f"unknown config overrides for {algo}: {sorted(bad)}")
-            for name, value in over.items():
-                _check_kind(f"{algo} override {name}", value, defaults[name])
         for algo in (*self.algorithms, *self.overrides):
             self.config_for(algo, self.base_seed)
 
@@ -170,9 +155,6 @@ class BenchSpec:
         if unknown:
             raise ValueError(f"unknown benchmark spec keys: {sorted(unknown)}")
         data = dict(raw)
-        for f in fields(cls):
-            if f.name in data:
-                _check_kind(f.name, data[f.name], f.default)
         for key in ("datasets", "algorithms", "spaces"):
             if key in data:
                 value = data[key]
@@ -197,7 +179,10 @@ class BenchSpec:
     def config_for(self, algorithm: str, seed: int) -> SearchConfig:
         base = SearchConfig(max_iterations=self.max_iterations, seed=seed, sigma=self.sigma)
         over = self.overrides.get(algorithm)
-        return replace(base, **dict(over)) if over else base
+        try:
+            return replace(base, **over) if over else base
+        except ValueError as exc:
+            raise ValueError(f"{algorithm} override {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,10 @@ and two mutants per iteration) and pso makes 3 per particle per iteration
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, fields
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -46,15 +47,35 @@ from .encoding import (
 from .fitness import INFINITE_FITNESS
 
 
+#: By the type of a field's default: the values it takes, and their name.
+_SCALAR_KINDS = {bool: (bool, "bool"), int: (numbers.Integral, "int"),
+                 float: (numbers.Real, "int or float"), str: (str, "str")}
+
+
+def check_scalar_fields(record: Any) -> None:
+    """Raise ValueError naming the first field of the dataclass ``record``
+    whose value is not of its scalar default's kind, or is a float that
+    is not finite.  numpy scalars count as Python ones, and bool, an int
+    subclass, fits bool fields alone."""
+    for f in fields(record):
+        if type(f.default) in _SCALAR_KINDS:
+            kinds, name = _SCALAR_KINDS[type(f.default)]
+            value = getattr(record, f.name)
+            if not isinstance(value, kinds) or (isinstance(value, bool) and name != "bool"):
+                raise ValueError(f"{f.name} must be {name}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
-    """Tuning knobs for every miner.
+    """Tuning knobs for every miner, checked when the config is made.
 
     Fields the chosen algorithm does not use are ignored, so one config
-    can drive a whole benchmark.  Defaults are round mid-range values;
-    ``max_iterations`` follows the small-budget convention used
-    throughout the test suite.  Every float field must be finite and
-    ``seed`` nonnegative.
+    can drive a whole benchmark.  Defaults are round mid-range values,
+    and the CLI's flags take theirs from here.  Each field must hold its
+    default's kind (an int field takes no float or bool), every float
+    field must be finite and ``seed`` nonnegative.
     """
 
     max_iterations: int = 20
@@ -75,9 +96,7 @@ class SearchConfig:
     inertia: float = 1.0
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        check_scalar_fields(self)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_iterations < 1:
@@ -228,7 +247,10 @@ def _round_clamp(x: int, u: float, s: SearchSpace) -> int:
     # step on wider positions (m >= 27), and narrower ones round exactly
     # as ``int(round(x + u))``.
     low = x & (_FLOAT_EXACT - 1)
-    return min(max(x - low + round(low + u), s.lower), s.upper)
+    try:
+        return min(max(x - low + round(low + u), s.lower), s.upper)
+    except OverflowError:  # an infinite step (a GA nudge past float64) reaches a bound
+        return s.upper if u > 0 else s.lower
 
 
 #: numpy's integer draws take an int64 ``high`` (exclusive), so spaces
@@ -284,7 +306,10 @@ def _ls(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfi
     (x,) = _uniform_candidates(rng, s, 1)
     current = rec.record(0, x)
     best = _keep_best(_NO_BEST, current, x)
-    steps = rng.uniform(-c.step_size, c.step_size, size=c.max_iterations).tolist()
+    try:
+        steps = rng.uniform(-c.step_size, c.step_size, size=c.max_iterations).tolist()
+    except OverflowError:  # 2 * step_size is past the float range; nothing was drawn
+        steps = (rng.uniform(-1.0, 1.0, size=c.max_iterations) * c.step_size).tolist()
     for t, u in enumerate(steps, start=1):
         proposal = _round_clamp(x, u, s)
         fitness = rec.record(t, proposal)
@@ -343,6 +368,14 @@ def _ga(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfi
     return best
 
 
+def _exact_velocity(c: SearchConfig, v0: float, rp: float, dp: int, rg: float, dg: int) -> float:
+    # _pso's clipped velocity, summed in exact fractions where float64 fails.
+    from fractions import Fraction as F  # imported off the common path
+
+    v = F(c.inertia) * F(v0) + F(c.coef_p) * F(rp) * dp + F(c.coef_g) * F(rg) * dg
+    return float(min(max(v, -c.max_velocity), c.max_velocity))
+
+
 def _pso(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best:
     """Particle swarm over the integer interval.
 
@@ -372,11 +405,13 @@ def _pso(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConf
         best = _keep_best(best, fg, gbest)
         r = rng.random(2 * c.nparticles).tolist()
         for i in range(c.nparticles):
-            v = (
-                c.inertia * velocities[i]
-                + c.coef_p * r[2 * i] * (pbest[i] - positions[i])
-                + c.coef_g * r[2 * i + 1] * (gbest - positions[i])
-            )
+            rp, rg, dp, dg = r[2 * i], r[2 * i + 1], pbest[i] - positions[i], gbest - positions[i]
+            try:
+                v = c.inertia * velocities[i] + c.coef_p * rp * dp + c.coef_g * rg * dg
+            except OverflowError:  # a pull past float64's range (m > 512)
+                v = math.nan
+            if v != v:  # ... or inf - inf of huge weights
+                v = _exact_velocity(c, velocities[i], rp, dp, rg, dg)
             velocities[i] = min(max(v, -c.max_velocity), c.max_velocity)
             positions[i] = _round_clamp(positions[i], velocities[i], s)
     return best

@@ -147,7 +147,7 @@ def reference_clean(path, delimiter=",", has_header=True):
     with a missing cell in a surviving column; two surviving columns may
     not share a name.  Returns (names, rows), or None where the loader
     must raise ``DatasetError``."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
     if not rows:
         return None

@@ -15,13 +15,8 @@ import pytest
 
 import gradmine
 from conftest import write_csv
-from gradmine import SearchConfig
-from gradmine.cli import _TUNING, main
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("GRADMINE_SEED", raising=False)
+from gradmine import BenchSpec, SearchConfig
+from gradmine.cli import _TUNING, _config_from_args, _spec_from_args, build_parser, main
 
 
 class TestMine:
@@ -128,26 +123,17 @@ class TestMine:
         assert len(payload["frequent_patterns"]) == 8
         assert payload["evaluations"] == 20
 
-    def test_env_seed_replaces_default(self, course_csv, capsys, monkeypatch):
+    def test_seed_comes_from_argv_alone(self, course_csv, capsys, monkeypatch):
+        # GRADMINE_SEED in the environment does not set the seed: the
+        # output depends on argv and files alone.
         argv = ["mine", "--data", str(course_csv), "--algo", "rs"]
+        monkeypatch.delenv("GRADMINE_SEED", raising=False)
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
         monkeypatch.setenv("GRADMINE_SEED", "7")
         assert main(argv) == 0
-        via_env = capsys.readouterr().out
-        assert "seed: 7" in via_env
-        monkeypatch.delenv("GRADMINE_SEED")
-        assert main(argv + ["--seed", "7"]) == 0
-        assert capsys.readouterr().out == via_env
-
-    def test_explicit_seed_beats_env(self, course_csv, capsys, monkeypatch):
-        monkeypatch.setenv("GRADMINE_SEED", "7")
-        argv = ["mine", "--data", str(course_csv), "--algo", "rs", "--seed", "3"]
-        assert main(argv) == 0
-        assert "seed: 3" in capsys.readouterr().out
-
-    def test_bad_env_seed_is_usage_error(self, course_csv, capsys, monkeypatch):
-        monkeypatch.setenv("GRADMINE_SEED", "seven")
-        assert main(["mine", "--data", str(course_csv), "--algo", "rs"]) == 2
-        assert "GRADMINE_SEED" in capsys.readouterr().err
+        assert capsys.readouterr().out == plain
+        assert "seed: 0\n" in plain
 
     def test_tuning_flags_cover_the_searcher_fields(self):
         tuned = [name for _, name, _ in _TUNING]
@@ -196,11 +182,6 @@ class TestMine:
     ):
         assert main(["mine", "--data", str(course_csv), "--algo", algo, *flags]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-
-    def test_negative_env_seed_is_usage_error(self, course_csv, capsys, monkeypatch):
-        monkeypatch.setenv("GRADMINE_SEED", "-3")
-        assert main(["mine", "--data", str(course_csv), "--algo", "rs"]) == 2
-        assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
 
     @pytest.mark.parametrize("out", ["text", "json"])
     def test_bounds_beyond_the_int_to_str_limit(self, tmp_path, capsys, out):
@@ -500,6 +481,17 @@ class TestBench:
         assert report["cells"] == []
         [failure] = report["dataset_failures"]
         assert failure["dataset"] == "course" and "48-byte" in failure["error"]
+
+
+def test_flag_defaults_are_the_types_defaults():
+    # Only the data and output paths are given: every other setting comes
+    # from SearchConfig or BenchSpec, and --algos from its own default.
+    parser = build_parser()
+    config = _config_from_args(parser.parse_args(["mine", "--data", "f.csv"]))
+    assert config == SearchConfig()
+    spec = _spec_from_args(parser.parse_args(["bench", "--data", "f.csv", "--out-dir", "d"]))
+    assert spec.algorithms == ("rs", "ls", "ga", "pso")
+    assert spec == BenchSpec(datasets=("f.csv",), algorithms=("rs", "ls", "ga", "pso"))
 
 
 def _fresh_env() -> dict[str, str]:

@@ -27,6 +27,19 @@ def test_no_header(tmp_path):
     assert d.n == 2
 
 
+@pytest.mark.parametrize("has_header", [True, False], ids=["header", "no-header"])
+def test_byte_order_mark_is_not_data(tmp_path, has_header):
+    # Spreadsheet exports often start with a UTF-8 BOM: it is neither part
+    # of the first name nor a text first cell.
+    path = tmp_path / "bom.csv"
+    body = '"age",sessions,marks\n' * has_header + "23,2,55\n32,4,64\n40,5,78\n"
+    path.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+    d = load_dataset(path, has_header=has_header)
+    assert d.attribute_names == (COURSE_NAMES if has_header else ("col0", "col1", "col2"))
+    assert d.values.tolist() == [[23.0, 2.0, 55.0], [32.0, 4.0, 64.0], [40.0, 5.0, 78.0]]
+    assert reference_clean(path, has_header=has_header) == (d.attribute_names, d.values.tolist())
+
+
 def test_semicolon_and_tab_delimiters(tmp_path):
     semi = tmp_path / "semi.csv"
     semi.write_text("a;b\n1;2\n3;4\n", encoding="utf-8")

@@ -136,6 +136,35 @@ class TestBenchSpec:
             BenchSpec(datasets=("x.csv",), algorithms=("rs",), overrides={"ga": {"npop": 1}})
 
     @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"repetitions": 2.5}, "repetitions must be int, got 2.5"),
+            ({"base_seed": 1.5}, "base_seed must be int, got 1.5"),
+            ({"save_trajectories": "no"}, "save_trajectories must be bool, got 'no'"),
+            ({"max_iterations": True}, "max_iterations must be int, got True"),
+            ({"delimiter": 5}, "delimiter must be str, got 5"),
+            ({"overrides": {"ga": {"npop": 4.5}}}, "ga override npop must be int, got 4.5"),
+            ({"overrides": {"ls": {"step_size": True}}},
+             "ls override step_size must be int or float, got True"),
+        ],
+        ids=["reps", "seed", "save", "iters", "delimiter", "npop-override", "step-override"],
+    )
+    def test_rejects_a_value_of_another_kind(self, kwargs, message):
+        # Built in code, not only from JSON; an override's error names its
+        # algorithm.
+        with pytest.raises(ValueError) as err:
+            BenchSpec(datasets=("x.csv",), algorithms=("rs",), **kwargs)
+        assert str(err.value) == message
+
+    def test_numpy_scalars_count_as_python_ones(self):
+        spec = BenchSpec(
+            datasets=("x.csv",), algorithms=("ga",), repetitions=np.int64(2),
+            sigma=np.float64(0.25), base_seed=np.int64(3),
+            overrides={"ga": {"npop": np.int64(4)}},
+        )
+        assert spec.config_for("ga", 3) == SearchConfig(seed=3, sigma=0.25, npop=4)
+
+    @pytest.mark.parametrize(
         "grid, message",
         [
             # Cells, report rows and scatter files name a dataset by its stem.

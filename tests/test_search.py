@@ -30,6 +30,7 @@ from gradmine.fitness import ConcordanceIndex
 from gradmine.search import (
     _NO_BEST,
     _clamp,
+    _exact_velocity,
     _keep_best,
     _mutate,
     _Recorder,
@@ -162,6 +163,29 @@ class TestWideSpaces:
         exact = Fraction(x) + Fraction(u)
         assert abs(_round_clamp(x, u, s) - min(max(exact, 0), s.upper)) <= 1
 
+    @pytest.mark.parametrize("algo", ["ga", "pso"])
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    def test_past_the_float_range(self, algo, kind):
+        # From m = 513, a pso pull (pbest or gbest minus a position) may
+        # exceed float64; the velocity is then summed exactly.
+        d = random_dataset(np.random.default_rng(520), 4, 520)
+        s = build_space(520, kind)
+        r = run_miner(algo, d, s, SearchConfig())
+        assert r.trajectory.evaluations == (3 * 5 * 20 if algo == "pso" else 10 + 4 * 20)
+        visited = {st.candidate for st in r.trajectory.steps}
+        assert all(s.contains(x) for x in visited) and len(visited) > 10
+
+    @given(
+        st.floats(0.0, 1e6), st.floats(-10.0, 10.0), st.floats(0.0, 1.0), st.integers(-99, 99),
+        st.floats(0.0, 1.0), st.integers(-99, 99),
+    )
+    def test_exact_velocity_matches_the_float_one(self, w, v0, rp, dp, rg, dg):
+        c = SearchConfig(inertia=w, max_velocity=4.0)
+        v = w * v0 + c.coef_p * rp * dp + c.coef_g * rg * dg
+        assert _exact_velocity(c, v0, rp, dp, rg, dg) == pytest.approx(
+            min(max(v, -4.0), 4.0), rel=1e-9, abs=1e-9
+        )
+
     def test_wide_draw_is_uniform(self):
         # The big-int draw on a small interval: 3 random bits per try
         # give 0..7; 6 and 7 are rejected and redrawn, and the rest map
@@ -279,6 +303,15 @@ class TestLocalSearch:
         r = run_miner("ls", course_dataset, space, c)
         assert r.trajectory.evaluations == 26
 
+    def test_step_past_half_the_float_range(self, course_dataset, space):
+        # 2 * step_size overflows numpy's uniform draw; the steps are drawn
+        # on [-1, 1) and scaled instead.
+        r = run_miner("ls", course_dataset, space, SearchConfig(step_size=1e308))
+        assert r.trajectory.evaluations == 21
+        assert {st.candidate for st in r.trajectory.steps} <= {space.lower, space.upper} | {
+            r.trajectory.steps[0].candidate
+        }
+
     def test_best_no_worse_than_start(self, course_dataset, space):
         c = SearchConfig(max_iterations=20, seed=4)
         r = run_miner("ls", course_dataset, space, c)
@@ -368,6 +401,13 @@ class TestGeneticAlgorithm:
         first_children = {st.candidate for st in r.trajectory.steps[c.npop : c.npop + 2]}
         assert first_children == parents
 
+    def test_huge_mutation_scale(self, course_dataset, space):
+        # A Gaussian nudge past float64 is infinite: it takes the mutant to
+        # the bound on its side.
+        r = run_miner("ga", course_dataset, space, SearchConfig(mutation_scale=1e308))
+        assert r.trajectory.evaluations == 10 + 4 * 20
+        assert {st.candidate for st in r.trajectory.steps} >= {space.lower, space.upper}
+
     def test_four_calls_per_iteration(self, course_dataset, space):
         c = SearchConfig(max_iterations=15, seed=6, npop=4)
         r = run_miner("ga", course_dataset, space, c)
@@ -388,6 +428,14 @@ class TestParticleSwarm:
         positions = {t: steps[0::3] for t, steps in per_iter.items()}
         for t in range(2, 7):
             assert positions[t] == positions[1]
+
+    def test_huge_weights_do_not_end_the_run(self, course_dataset, space):
+        # inertia * velocity and a pull can overflow to opposite infinities;
+        # their float sum is NaN, so the velocity is summed exactly.
+        huge = dict(inertia=1e308, max_velocity=1e308, coef_p=1e308, coef_g=1e308)
+        for seed in range(10):
+            r = run_miner("pso", course_dataset, space, SearchConfig(seed=seed, **huge))
+            assert r.trajectory.evaluations == 3 * 5 * 20
 
     def test_single_particle_runs(self, course_dataset, space):
         c = SearchConfig(max_iterations=10, seed=8, nparticles=1)
@@ -475,3 +523,28 @@ class TestConfigValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             SearchConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("npop", 4.5, "npop must be int, got 4.5"),
+            ("max_iterations", True, "max_iterations must be int, got True"),
+            ("seed", 1.5, "seed must be int, got 1.5"),
+            ("step_size", True, "step_size must be int or float, got True"),
+            ("sigma", "0.5", "sigma must be int or float, got '0.5'"),
+            ("nparticles", np.float64(3.0), "nparticles must be int, got np.float64(3.0)"),
+        ],
+    )
+    def test_rejects_a_value_of_another_kind(self, name, value, message):
+        # Built in code, not only through the CLI or a bench spec.
+        with pytest.raises(ValueError) as err:
+            SearchConfig(**{name: value})
+        assert str(err.value) == message
+
+    def test_numpy_scalars_count_as_python_ones(self, course_dataset, space):
+        c = SearchConfig(seed=np.int64(3), sigma=np.float64(0.5), npop=np.int32(6))
+        assert c == SearchConfig(seed=3, sigma=0.5, npop=6)
+        for algo in SEARCHERS:
+            a = run_miner(algo, course_dataset, space, c)
+            b = run_miner(algo, course_dataset, space, SearchConfig(seed=3, npop=6))
+            assert a.trajectory == b.trajectory

@@ -41,11 +41,6 @@ TABLES = {
 }
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("GRADMINE_SEED", raising=False)
-
-
 @pytest.mark.parametrize("key", sorted(PINNED["trajectories"]))
 def test_trajectory(key):
     table, algo, space_name = key.split("/")
