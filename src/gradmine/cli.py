@@ -44,8 +44,8 @@ from .search import ALGORITHMS, SearchConfig, run_miner
 
 #: Without --algo: exhaustive mining up to this many attributes, "ga" beyond.
 #: The sweep grows about 3x per attribute; in-process, at n=160 and
-#: sigma=0.5 on a 2-vCPU x86-64 host, it took 0.02-0.03 s at m=8,
-#: 0.06-0.08 s at m=9, 0.12-0.20 s at m=10 and 0.47-0.56 s at m=11.
+#: sigma=0.5 on a 2-vCPU x86-64 host, it took 0.011-0.014 s at m=8,
+#: 0.03 s at m=9, 0.09-0.10 s at m=10 and 0.24-0.26 s at m=11.
 AUTO_ALGO_MAX_ATTRS = 8
 
 _DELIMITERS = {"comma": ",", "semicolon": ";", "tab": "\t"}
@@ -264,14 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="miner; default picks graank for narrow data, ga for wide",
     )
-    mine.add_argument("--space", choices=_SPACES, default="numeric")
+    mine.add_argument("--space", choices=_SPACES, default="numeric", help="candidate space")
     mine.add_argument("--min-sup", type=float, default=_DEFAULTS.sigma, help="support threshold")
-    mine.add_argument("--iters", type=int, default=_DEFAULTS.max_iterations)
+    mine.add_argument(
+        "--iters", type=int, default=_DEFAULTS.max_iterations, help="searcher iterations"
+    )
     mine.add_argument("--seed", type=int, default=_DEFAULTS.seed, help="RNG seed")
     for flag, name, text in _TUNING:
         default = getattr(_DEFAULTS, name)
         mine.add_argument(flag, type=type(default), default=default, help=text)
-    mine.add_argument("--out", choices=("text", "json"), default="text")
+    mine.add_argument("--out", choices=("text", "json"), default="text", help="output format")
     _add_data_flags(mine)
     mine.set_defaults(func=cmd_mine)
 
@@ -281,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     which = space.add_mutually_exclusive_group(required=True)
     which.add_argument("--attrs", type=_attr_count, default=None, help="attribute count")
     which.add_argument("--data", default=None, help="CSV file to take the attribute count from")
-    space.add_argument("--space", choices=_SPACES, default="numeric")
+    space.add_argument("--space", choices=_SPACES, default="numeric", help="candidate space")
     space.add_argument(
         "--list-valid", action="store_true", help="print decimal, bits and pattern per candidate"
     )
@@ -295,16 +297,26 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--spec", default=None, help="JSON benchmark spec file")
     grid.add_argument("--data", nargs="+", default=None, help="dataset CSV files")
     bench.add_argument(
-        "--algos", nargs="+", choices=ALGORITHMS, default=["rs", "ls", "ga", "pso"]
+        "--algos", nargs="+", choices=ALGORITHMS, default=["rs", "ls", "ga", "pso"],
+        help="miners to run",
     )
     spec = {f.name: f.default for f in fields(BenchSpec)}
-    bench.add_argument("--spaces", nargs="+", choices=_SPACES, default=list(spec["spaces"]))
+    bench.add_argument(
+        "--spaces", nargs="+", choices=_SPACES, default=list(spec["spaces"]),
+        help="candidate spaces of the searchers",
+    )
     bench.add_argument("--reps", type=int, default=spec["repetitions"], help="repetitions per cell")
-    bench.add_argument("--min-sup", type=float, default=spec["sigma"])
-    bench.add_argument("--iters", type=int, default=spec["max_iterations"])
+    bench.add_argument("--min-sup", type=float, default=spec["sigma"], help="support threshold")
+    bench.add_argument(
+        "--iters", type=int, default=spec["max_iterations"], help="searcher iterations"
+    )
     bench.add_argument("--base-seed", type=int, default=spec["base_seed"], help="seed for rep 0")
-    bench.add_argument("--save-trajectories", action="store_true")
-    bench.add_argument("--measure-memory", action="store_true")
+    bench.add_argument(
+        "--save-trajectories", action="store_true", help="write one scatter CSV per run"
+    )
+    bench.add_argument(
+        "--measure-memory", action="store_true", help="report each cell's peak traced memory"
+    )
     bench.add_argument("--out-dir", required=True, help="directory for report files")
     _add_data_flags(bench)
     bench.set_defaults(func=cmd_bench)

@@ -30,12 +30,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 #: Largest attribute count for which exhaustive candidate enumeration is
-#: allowed.  The graank sweep keeps one trajectory step per candidate, so
-#: it grows about 3x per attribute.  Measured in-process at n=40 on a
-#: 2-vCPU x86-64 host (time, RSS growth during the sweep): m=11 0.43 s,
-#: 33 MiB; m=12 1.4 s, 95 MiB; m=13 4.6 s, 280 MiB; m=14 15.3 s,
-#: 828 MiB (4,782,940 candidates).  m=16 would take about 2.3 min and
-#: 7.5 GiB, so memory, not time, is what this guard bounds.
+#: allowed.  The graank sweep keeps three trajectory columns, about 96
+#: bytes per candidate, so it grows about 3x per attribute.  Measured
+#: in-process at n=40 on a 2-vCPU x86-64 host (time, RSS growth during
+#: the sweep): m=11 0.07 s, 17 MiB; m=12 0.2 s, 50 MiB; m=13 0.6 s,
+#: 148 MiB; m=14 1.5-2.1 s, 440 MiB (4,782,940 candidates).  m=16 would
+#: take about 15 s and 4 GiB, so memory, not time, is what this guard
+#: bounds.
 MAX_ENUM_ATTRIBUTES = 14
 
 
@@ -44,9 +45,6 @@ class Direction(enum.Enum):
 
     UP = "+"
     DOWN = "-"
-
-    def flipped(self) -> "Direction":
-        return Direction.DOWN if self is Direction.UP else Direction.UP
 
 
 class SpaceKind(enum.Enum):
@@ -105,15 +103,6 @@ class GradualPattern:
 
     def __len__(self) -> int:
         return len(self.items)
-
-    def complement(self) -> "GradualPattern":
-        """The same attributes with every direction flipped."""
-        return GradualPattern(
-            tuple(
-                GradualItem(it.attribute_index, it.direction.flipped())
-                for it in self.items
-            )
-        )
 
     def render(self, names: Sequence[str]) -> str:
         """Text form used by the CLI and reports: ``{age+, sessions-}``."""

@@ -10,8 +10,10 @@ against them but never keep them.
 
 The miners count through :class:`ConcordanceIndex` (bit-packed, built once
 per dataset as ``Dataset.index``): the searchers one candidate at a time,
-the exhaustive sweep in batches, one AND and one popcount per prefix over
-a table of every suffix (:meth:`ConcordanceIndex.counts`).
+the exhaustive sweep one batch per prefix, ``(candidates, pairs)`` arrays
+from one AND and one popcount over a table of every suffix
+(:meth:`ConcordanceIndex.counts`).  A run logs the pair counts; fitness
+is derived from them where it is read.
 :func:`concordant_count_brute`, a literal pair-by-pair scan, stays beside
 it as the reference the index is tested against and the benchmark's
 support spot check.
@@ -102,9 +104,10 @@ class ConcordanceIndex:
             holds &= row
         return int(np.bitwise_count(holds).sum())
 
-    def counts(self) -> Iterator[tuple[int, int]]:
-        """``(candidate, concordant pairs)`` for every valid candidate over
-        the index's ``m`` attributes, in ascending candidate order.
+    def counts(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``(candidates, concordant pairs)`` int64 arrays, one pair per
+        prefix, for every valid candidate over the index's ``m``
+        attributes, in ascending order.
 
         The last ``k`` attributes form a suffix table: the AND rows of
         their ``3**k - 1`` non-empty states, ``k`` being the largest, and
@@ -112,46 +115,41 @@ class ConcordanceIndex:
         ``m - k`` attributes are walked depth first, each taking the
         states absent, down and up; in the integer layout of ``encoding``
         that is ascending order.  The AND of the rows chosen so far is
-        shared by every prefix below it.  A prefix of two or more items is
-        counted on its own, then every prefix is counted against the
-        whole table with one AND and one popcount, keeping the suffixes
-        that bring it to two items.
+        shared by every prefix below it.  Each prefix is counted against
+        the whole table with one AND and one popcount, keeping the
+        suffixes that bring it to two items; a prefix of two or more
+        items leads its batch, counted on its own.
         """
         rows, m = self._rows, self.m
         k = 1
         while k < m and (3 ** (k + 1) - 1) * rows[0].nbytes <= SUFFIX_TABLE_BYTES:
             k += 1
         table, suffixes = self._suffix_table(k)
+        two_items = np.bitwise_count(suffixes) >= 2
         buf = np.empty_like(table)
-        # (attribute, prefix, AND of the parent's rows, row to add, items);
-        # a child's AND is taken when it is popped, so at most one array
-        # per depth is alive.
-        stack = [(0, 0, None, None, 0)]
-        while stack:
-            a, x, holds, row, items = stack.pop()
-            if row is not None:
-                holds = row if holds is None else holds & row
+
+        def walk(a: int, x: int, holds: np.ndarray | None):
             if a < m - k:
                 up = 1 << (2 * (m - a) - 1)
-                stack += [
-                    (a + 1, x | up, holds, rows[2 * a], items + 1),
-                    (a + 1, x | up >> 1, holds, rows[2 * a + 1], items + 1),
-                    (a + 1, x, holds, None, items),
-                ]
-                continue
-            if holds is None:
-                batch = table
+                yield from walk(a + 1, x, holds)
+                for bit, row in ((up >> 1, rows[2 * a + 1]), (up, rows[2 * a])):
+                    yield from walk(a + 1, x | bit, row if holds is None else holds & row)
             else:
-                if items >= 2:
-                    yield x, int(np.bitwise_count(holds).sum())
-                batch = np.bitwise_and(table, holds, out=buf)
-            for s, pairs in zip(suffixes, np.bitwise_count(batch).sum(axis=1).tolist()):
-                if items or s.bit_count() >= 2:
-                    yield x | s, pairs
+                batch = table if holds is None else np.bitwise_and(table, holds, out=buf)
+                pairs = np.bitwise_count(batch).sum(axis=1, dtype=np.int64)
+                if not x:
+                    yield suffixes[two_items], pairs[two_items]
+                elif x.bit_count() == 1:  # one item: every suffix completes it
+                    yield x | suffixes, pairs
+                else:
+                    alone = np.bitwise_count(holds).sum(dtype=np.int64)
+                    yield np.r_[x, x | suffixes], np.r_[alone, pairs]
 
-    def _suffix_table(self, k: int) -> tuple[np.ndarray, list[int]]:
+        return walk(0, 0, None)
+
+    def _suffix_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The AND rows of every non-empty state of the last ``k``
-        attributes, and the candidate bits of each, in ascending order.
+        attributes and the candidate bits of each (int64), ascending.
 
         The table of attributes ``a..m-1`` is that of ``a+1..m-1``, then
         ``a`` down alone and ANDed with each of its rows, then the same
@@ -168,7 +166,7 @@ class ConcordanceIndex:
                 table[at] = row
                 np.bitwise_and(table[:inner], row, out=table[at + 1 : at + 1 + inner])
                 bits += [bit] + [bit | b for b in bits[:inner]]
-        return table, bits
+        return table, np.array(bits, dtype=np.int64)
 
 
 def concordant_count_brute(pattern: GradualPattern, d: Dataset) -> int:

@@ -194,10 +194,10 @@ class BenchCell:
     all-repetitions, so they are comparable across repetition counts.
 
     ``invalid_candidate_count`` counts the distinct *unusable* candidates
-    the runs evaluated, the steps whose ``valid`` flag is False: those
-    that do not decode to a pattern and those with zero concordant
-    pairs.  Every candidate of the exhaustive sweep decodes, so its count
-    is the number of zero-pair patterns.
+    the runs evaluated, the calls logged with zero pairs (not ``valid``):
+    candidates that decode to no pattern and patterns with no pair.
+    Every candidate of the exhaustive sweep decodes, so its count is the
+    number of zero-pair patterns.
 
     ``error`` is set, and the numbers left at zero, when any run of the
     cell raised, e.g. enumeration beyond the attribute guard.
@@ -266,7 +266,8 @@ def _run_cell(
                     tracemalloc.stop()
         wall_times.append(result.wall_time)
         frequent.update(result.frequent_patterns)
-        invalid.update(step.candidate for step in result.trajectory.steps if not step.valid)
+        t = result.trajectory
+        invalid.update(x for x, pairs in zip(t.candidates, t.pairs) if not pairs)
         best_support = max(best_support, result.best_support)
         if spec.save_trajectories:
             trajectories.append(result.trajectory.steps)

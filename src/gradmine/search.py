@@ -10,13 +10,14 @@ the recorder and the best into a :class:`SearchResult`.  The searchers
 
 * draw every random number from the one generator, seeded with
   ``c.seed``, so (dataset, space, config) fully determines the run;
-* log every objective call, in call order, as one trajectory step;
+* log every objective call, in call order, in the trajectory's columns;
 * never let an unusable candidate (infinite fitness) become the incumbent
-  best, a personal best or the global best;
-* collect every distinct usable candidate whose support meets ``sigma``.
+  best, a personal best or the global best.
 
-The sweep scores through the same recorder, so its answer follows the
-same rules; :func:`graank_mine` is its frequent set on its own.
+The sweep fills the same columns a batch at a time.  :func:`run_miner`
+reads every miner's frequent set (each distinct usable candidate whose
+support meets ``sigma``) off them, so one rule holds for all five;
+:func:`graank_mine` is the sweep's frequent set on its own.
 
 Objective-call budgets are part of the contract: rs makes T calls, ls
 makes T+1 (the starting point counts), ga makes npop + 4T (two offspring
@@ -26,6 +27,7 @@ and two mutants per iteration) and pso makes 3 per particle per iteration
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
@@ -54,17 +56,23 @@ _SCALAR_KINDS = {bool: (bool, "bool"), int: (numbers.Integral, "int"),
 
 def check_scalar_fields(record: Any) -> None:
     """Raise ValueError naming the first field of the dataclass ``record``
-    whose value is not of its scalar default's kind, or is a float that
-    is not finite.  numpy scalars count as Python ones, and bool, an int
-    subclass, fits bool fields alone."""
+    whose value is not of its scalar default's kind, or whose float
+    field holds a value that is not finite as a float (an int past the
+    float range included).  numpy scalars count as Python ones, and
+    bool, an int subclass, fits bool fields alone."""
     for f in fields(record):
         if type(f.default) in _SCALAR_KINDS:
             kinds, name = _SCALAR_KINDS[type(f.default)]
             value = getattr(record, f.name)
             if not isinstance(value, kinds) or (isinstance(value, bool) and name != "bool"):
                 raise ValueError(f"{f.name} must be {name}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+            if kinds is numbers.Real:
+                try:
+                    finite = math.isfinite(float(value))
+                except OverflowError:
+                    finite = False
+                if not finite:
+                    raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -130,13 +138,25 @@ class TrajectoryStep(NamedTuple):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Every objective call of one run, in call order."""
+    """Every objective call of one run, in call order, as columns: the
+    iteration, the candidate and its concordant pairs (0 when unusable)."""
 
-    steps: tuple[TrajectoryStep, ...]
+    iterations: list[int]
+    candidates: list[int]
+    pairs: list[int]
+
+    @functools.cached_property
+    def steps(self) -> tuple[TrajectoryStep, ...]:
+        """The calls as steps, built on first read: fitness ``1/pairs``,
+        valid when there is a pair, infinite and not valid otherwise."""
+        return tuple(
+            TrajectoryStep(t, x, 1.0 / p if p else INFINITE_FITNESS, p > 0)
+            for t, x, p in zip(self.iterations, self.candidates, self.pairs)
+        )
 
     @property
     def evaluations(self) -> int:
-        return len(self.steps)
+        return len(self.candidates)
 
 
 @dataclass(frozen=True)
@@ -158,64 +178,33 @@ class SearchResult:
 
 
 class _Recorder:
-    """The instrumented objective function, the one home of its rules.
-
-    :meth:`score` turns a pair count into a fitness and notes frequent
-    candidates; :meth:`log` appends one trajectory step per objective
-    call; :meth:`record` is the searchers' call, memoizing the fitness of
-    each candidate integer (the spaces are tiny, so repeat visits are
-    common) before logging it.  Pair counts are kept for frequent
-    candidates only.  Candidates are checked and counted as integers;
-    only the results are decoded, when :func:`run_miner` builds its
-    result.  The recorder reaches the dataset's index, built on first
-    use, only to count, so a miner can refuse a run before it exists.
+    """The instrumented objective function: a memo of pair counts and
+    the trajectory's columns.  :meth:`record`, the searchers' call,
+    counts each candidate integer once (the spaces are tiny, so repeat
+    visits are common), logs the call and returns its fitness:
+    ``1/pairs``, or infinite (unusable) at zero pairs.  Candidates are
+    checked and counted as integers; only the results are decoded.  The
+    dataset's index, built on first use, is reached only to count, so a
+    miner can refuse a run before it exists.
     """
 
-    def __init__(self, d: Dataset, space: SearchSpace, sigma: float) -> None:
+    def __init__(self, d: Dataset, space: SearchSpace) -> None:
         self.d = d
         self.space = space
-        self.sigma = sigma
-        self._all_pairs = object_pair_count(d)
-        self._memo: dict[int, float] = {}
-        self._steps: list[TrajectoryStep] = []
-        self._frequent: dict[int, int] = {}
+        self._memo: dict[int, int] = {}
+        self.iterations: list[int] = []
+        self.candidates: list[int] = []
+        self.pairs: list[int] = []
 
     def record(self, iteration: int, x: int) -> float:
-        fitness = self._memo.get(x)
-        if fitness is None:
-            if invalid_reason(x, self.space) is not None:
-                fitness = INFINITE_FITNESS
-            else:
-                fitness = self.score(x, self.d.index.count_candidate(x))
-            self._memo[x] = fitness
-        return self.log(iteration, x, fitness)
-
-    def score(self, x: int, pairs: int) -> float:
-        """Fitness of a valid candidate with ``pairs`` concordant pairs:
-        ``1/pairs``, or infinite (unusable) at zero pairs."""
-        if pairs == 0:
-            return INFINITE_FITNESS
-        if pairs / self._all_pairs >= self.sigma:
-            self._frequent[x] = pairs
-        return 1.0 / pairs
-
-    def log(self, iteration: int, x: int, fitness: float) -> float:
-        self._steps.append(TrajectoryStep(iteration, x, fitness, fitness < INFINITE_FITNESS))
-        return fitness
-
-    def support(self, x: int) -> float:
-        # Only a non-frequent best is counted again.
-        pairs = self._frequent.get(x)
+        pairs = self._memo.get(x)
         if pairs is None:
-            pairs = self.d.index.count_candidate(x)
-        return pairs / self._all_pairs
-
-    def trajectory(self) -> Trajectory:
-        return Trajectory(tuple(self._steps))
-
-    def frequent(self) -> tuple[tuple[GradualPattern, float], ...]:
-        order = sorted(self._frequent, key=lambda x: (-self._frequent[x], x))
-        return tuple((to_pattern(x, self.space), self.support(x)) for x in order)
+            valid = invalid_reason(x, self.space) is None
+            pairs = self._memo[x] = self.d.index.count_candidate(x) if valid else 0
+        self.iterations.append(iteration)
+        self.candidates.append(x)
+        self.pairs.append(pairs)
+        return 1.0 / pairs if pairs else INFINITE_FITNESS
 
 
 #: A miner's incumbent best: (fitness, candidate).
@@ -419,14 +408,20 @@ def _pso(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConf
 
 def _graank(rec: _Recorder, rng: None, s: SearchSpace, c: SearchConfig) -> _Best:
     """The exhaustive sweep: every valid candidate once, in ascending
-    order, counted by :meth:`ConcordanceIndex.counts`.  It gets no
-    generator, and the space kind and the iteration budget play no part."""
+    order, a batch at a time from :meth:`ConcordanceIndex.counts`.  It
+    gets no generator, and the space kind and iteration budget play no part."""
     if rec.d.m > MAX_ENUM_ATTRIBUTES:
         raise EnumerationLimitError(rec.d.m, MAX_ENUM_ATTRIBUTES)
-    best = _NO_BEST
-    for t, (x, pairs) in enumerate(rec.d.index.counts(), start=1):
-        best = _keep_best(best, rec.log(t, x, rec.score(x, pairs)), x)
-    return best
+    for xs, pairs in rec.d.index.counts():
+        rec.candidates += xs.tolist()
+        rec.pairs += pairs.tolist()
+    rec.iterations += range(1, len(rec.candidates) + 1)
+    # The last candidate with the most pairs, as _keep_best's "<=" keeps:
+    # 1/p strictly decreases over distinct pair counts below 2**31.
+    top = max(rec.pairs, default=0)
+    if top == 0:
+        return _NO_BEST
+    return 1.0 / top, rec.candidates[len(rec.pairs) - 1 - rec.pairs[::-1].index(top)]
 
 
 def graank_mine(d: Dataset, sigma: float) -> tuple[tuple[GradualPattern, float], ...]:
@@ -471,15 +466,21 @@ def run_miner(algorithm: str, d: Dataset, s: SearchSpace, c: SearchConfig) -> Se
     if s.m != d.m:
         raise ValueError(f"a space over {s.m} attributes cannot search a table of {d.m}")
     t0 = time.perf_counter()
-    rec = _Recorder(d, s, c.sigma)
+    rec = _Recorder(d, s)
     # The sweep draws nothing, and a process's first generator imports
     # numpy.random: 12-19 ms of each exhaustive ``gradmine mine`` on a
     # 2-vCPU x86-64 host.
     rng = None if miner is _graank else np.random.default_rng(c.seed)
     fitness, x = miner(rec, rng, s, c)
-    frequent = rec.frequent()
+    all_pairs = object_pair_count(d)
+    frequent = {y: p for y, p in zip(rec.candidates, rec.pairs) if p and p / all_pairs >= c.sigma}
+    order = sorted(frequent, key=lambda y: (-frequent[y], y))
+    patterns = tuple((to_pattern(y, s), frequent[y] / all_pairs) for y in order)
     if x is None:
         pattern, sup = None, 0.0
     else:
-        pattern, sup = to_pattern(x, s), rec.support(x)
-    return SearchResult(pattern, sup, fitness, frequent, rec.trajectory(), time.perf_counter() - t0)
+        # Only a best below sigma is counted again.
+        pairs = frequent.get(x) or d.index.count_candidate(x)
+        pattern, sup = to_pattern(x, s), pairs / all_pairs
+    trajectory = Trajectory(rec.iterations, rec.candidates, rec.pairs)
+    return SearchResult(pattern, sup, fitness, patterns, trajectory, time.perf_counter() - t0)

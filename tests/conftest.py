@@ -41,6 +41,12 @@ def pat(*items: str) -> GradualPattern:
     return GradualPattern(tuple(GradualItem(int(s[:-1]), dirs[s[-1]]) for s in items))
 
 
+def complement(p: GradualPattern) -> GradualPattern:
+    """The same attributes with every direction flipped."""
+    flip = {Direction.UP: Direction.DOWN, Direction.DOWN: Direction.UP}
+    return GradualPattern(tuple(GradualItem(i.attribute_index, flip[i.direction]) for i in p.items))
+
+
 def field_oracle(x: int, m: int) -> GradualPattern | InvalidReason:
     """Decode straight from the 2-bit fields, independently of the masks:
     11 anywhere is a conflict, 10 is up, 01 is down, 00 is absent."""

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from conftest import COURSE_NAMES, COURSE_ROWS, field_oracle, fitness_of, pat
+from conftest import COURSE_NAMES, COURSE_ROWS, complement, field_oracle, fitness_of, pat
 from conftest import random_dataset, write_csv
 from gradmine import (
     ALGORITHMS,
@@ -149,7 +149,7 @@ def test_a04_oracle_agreement_and_invariants():
             assert got == concordant_count_brute(p, d)
             counts[p] = got
         for p, got in counts.items():
-            assert counts[p.complement()] == got
+            assert counts[complement(p)] == got
             if len(p) >= 3:
                 for dropped in range(len(p)):
                     rest = p.items[:dropped] + p.items[dropped + 1 :]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import gradmine.encoding
 import gradmine.fitness
 import gradmine.search
-from conftest import COURSE_NAMES, COURSE_ROWS, brute_frequent, fitness_of
+from conftest import COURSE_NAMES, COURSE_ROWS, brute_frequent, complement, fitness_of
 from conftest import random_dataset, suffix_budget, tied_tables
 from gradmine import (
     Dataset,
@@ -71,7 +71,7 @@ def test_sorted_by_support_then_candidate(course_dataset):
 def test_complement_pairs_share_support(course_dataset):
     got = dict(graank_mine(course_dataset, 0.0))
     for p, s in got.items():
-        assert got[p.complement()] == s
+        assert got[complement(p)] == s
 
 
 def test_random_datasets_match_brute(course_dataset):

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour via main()."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -122,6 +123,26 @@ class TestMine:
         assert payload["best"]["support"] == pytest.approx(5 / 6)
         assert len(payload["frequent_patterns"]) == 8
         assert payload["evaluations"] == 20
+
+    @pytest.mark.parametrize("out", ["text", "json"])
+    @pytest.mark.parametrize("algo", ["graank", "ga"])
+    def test_mine_builds_no_trajectory_step(self, course_csv, capsys, monkeypatch, algo, out):
+        # The trajectory's steps are a view built on first read, and mine
+        # prints only the evaluation count.
+        built = []
+        step = gradmine.search.TrajectoryStep
+
+        def counting(*values):
+            built.append(values)
+            return step(*values)
+
+        monkeypatch.setattr(gradmine.search, "TrajectoryStep", counting)
+        assert main(["mine", "--data", str(course_csv), "--algo", algo, "--out", out]) == 0
+        assert "evaluations" in capsys.readouterr().out
+        assert built == []
+        d = gradmine.load_dataset(course_csv)
+        r = gradmine.run_miner(algo, d, gradmine.build_space(3), SearchConfig())
+        assert len(r.trajectory.steps) == len(built) == r.trajectory.evaluations
 
     def test_seed_comes_from_argv_alone(self, course_csv, capsys, monkeypatch):
         # GRADMINE_SEED in the environment does not set the seed: the
@@ -380,11 +401,13 @@ class TestBench:
             (["--base-seed", "-1"], None),
             ([], {"base_seed": -1}),
             ([], {"overrides": {"pso": {"max_velocity": float("nan")}}}),
+            ([], {"overrides": {"ga": {"mutation_scale": 10**400}}}),
         ],
         ids=[
             "iters-0", "npop-1", "npop-str", "reps-str", "datasets-str", "override-int",
             "seed-str", "seed-float", "delimiter-int", "delimiter-two-chars", "header-str",
             "npop-float", "step-bool", "seed-negative-flag", "seed-negative", "vmax-nan",
+            "mscale-past-float",
         ],
     )
     def test_spec_errors_are_usage_errors(self, tmp_path, course_csv, capsys, flags, spec):
@@ -492,6 +515,18 @@ def test_flag_defaults_are_the_types_defaults():
     spec = _spec_from_args(parser.parse_args(["bench", "--data", "f.csv", "--out-dir", "d"]))
     assert spec.algorithms == ("rs", "ls", "ga", "pso")
     assert spec == BenchSpec(datasets=("f.csv",), algorithms=("rs", "ls", "ga", "pso"))
+
+
+@pytest.mark.parametrize("command", ["mine", "bench"])
+def test_help_shows_every_default(command, capsys):
+    # ArgumentDefaultsHelpFormatter shows a default only after help text.
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for action in sub.choices[command]._actions:
+        if action.option_strings and action.default not in (None, argparse.SUPPRESS):
+            assert f"{action.help} (default: {action.default})" in text, action.option_strings
 
 
 def _fresh_env() -> dict[str, str]:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import field_oracle, pat
+from conftest import complement, field_oracle, pat
 from gradmine import (
     Direction,
     EnumerationLimitError,
@@ -138,11 +138,11 @@ class TestGradualPattern:
 
     def test_complement_flips_directions(self):
         p = pat("0+", "1-")
-        assert p.complement().items == (
+        assert complement(p).items == (
             GradualItem(0, Direction.DOWN),
             GradualItem(1, Direction.UP),
         )
-        assert p.complement().complement() == p
+        assert complement(complement(p)) == p
 
     def test_render(self):
         assert pat("0+", "1-").render(["age", "sessions", "marks"]) == "{age+, sessions-}"
@@ -191,7 +191,7 @@ class TestValidity:
         s = build_space(3)
         for x in enumerate_valid(s):
             p = to_pattern(x, s)
-            comp = encode(p.complement(), 3)
+            comp = encode(complement(p), 3)
             assert s.contains(comp) and invalid_reason(comp, s) is None
 
 

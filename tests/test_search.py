@@ -19,6 +19,7 @@ from gradmine import (
     SearchConfig,
     SearchSpace,
     SpaceKind,
+    Trajectory,
     build_space,
     concordant_count_brute,
     encode,
@@ -385,12 +386,13 @@ class TestGeneticAlgorithm:
             mutation_rate=mutation, mutation_scale=scale,
         )
         r = run_miner("ga", d, s, c)
-        rec = _Recorder(d, s, c.sigma)
+        rec = _Recorder(d, s)
         fitness, x = _heapq_ga(rec, np.random.default_rng(c.seed), s, c)
-        assert r.trajectory == rec.trajectory()
+        # The frequent set is read off the trajectory, so equal
+        # trajectories give equal frequent sets.
+        assert r.trajectory == Trajectory(rec.iterations, rec.candidates, rec.pairs)
         assert r.best_fitness == fitness
         assert (None if r.best_pattern is None else encode(r.best_pattern, d.m)) == x
-        assert r.frequent_patterns == rec.frequent()
 
     def test_no_crossover_copies_parents(self, course_dataset, space):
         c = SearchConfig(max_iterations=10, seed=6, npop=6, crossover_rate=0.0)
@@ -446,11 +448,16 @@ class TestParticleSwarm:
 class TestRunMiner:
     def test_dispatch_matches_direct_call(self, course_dataset, space):
         c = SearchConfig(max_iterations=12, seed=5)
-        rec = _Recorder(course_dataset, space, c.sigma)
+        rec = _Recorder(course_dataset, space)
         best = _rs(rec, np.random.default_rng(c.seed), space, c)
         r = run_miner("rs", course_dataset, space, c)
-        assert r.trajectory == rec.trajectory()
+        assert r.trajectory == Trajectory(rec.iterations, rec.candidates, rec.pairs)
         assert (r.best_fitness, encode(r.best_pattern, 3)) == best
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_steps_are_built_once(self, course_dataset, space, algo):
+        r = run_miner(algo, course_dataset, space, SearchConfig())
+        assert r.trajectory.steps is r.trajectory.steps
 
     def test_unknown_algorithm(self, course_dataset, space):
         with pytest.raises(ValueError):
@@ -540,6 +547,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError) as err:
             SearchConfig(**{name: value})
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("name", ["mutation_scale", "step_size"])
+    def test_rejects_an_int_past_the_float_range(self, name):
+        # Taken as a float, such an int would end a ga or ls run with
+        # OverflowError; an int within the float range is accepted.
+        with pytest.raises(ValueError) as err:
+            SearchConfig(**{name: 10**400})
+        assert str(err.value) == f"{name} must be finite, got {10**400}"
+        assert getattr(SearchConfig(**{name: 10**300}), name) == 10**300
 
     def test_numpy_scalars_count_as_python_ones(self, course_dataset, space):
         c = SearchConfig(seed=np.int64(3), sigma=np.float64(0.5), npop=np.int32(6))
