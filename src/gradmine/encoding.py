@@ -30,13 +30,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 #: Largest attribute count for which exhaustive candidate enumeration is
-#: allowed.  The graank sweep keeps three trajectory columns, about 96
-#: bytes per candidate, so it grows about 3x per attribute.  Measured
-#: in-process at n=40 on a 2-vCPU x86-64 host (time, RSS growth during
-#: the sweep): m=11 0.07 s, 17 MiB; m=12 0.2 s, 50 MiB; m=13 0.6 s,
-#: 148 MiB; m=14 1.5-2.1 s, 440 MiB (4,782,940 candidates).  m=16 would
-#: take about 15 s and 4 GiB, so memory, not time, is what this guard
-#: bounds.
+#: allowed.  The graank sweep keeps two trajectory lists (its iteration
+#: column is a range), about 56 bytes per candidate, so it grows about
+#: 3x per attribute.  Measured in-process at n=40 on a 2-vCPU x86-64
+#: host (time, RSS growth during the sweep): m=11 0.06 s, 11 MiB; m=12
+#: 0.2 s, 30 MiB; m=13 0.5-0.6 s, 87 MiB; m=14 1.5 s, 258 MiB
+#: (4,782,940 candidates).  m=16 would take about 14 s and 2.3 GiB, so
+#: memory, not time, is what this guard bounds.
 MAX_ENUM_ATTRIBUTES = 14
 
 

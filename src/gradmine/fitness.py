@@ -1,19 +1,19 @@
-"""Concordant-pair counting and the fitness sentinel.
+"""Concordant-pair counting.
 
 A pattern's support is the fraction of unordered object pairs that admit an
 orientation under which every item's attribute strictly moves in its stated
-direction; ties on any item's attribute disqualify the pair.  Fitness is the
-inverse of the concordant-pair count, so minimising fitness maximises
-support.  Candidates that decode to no pattern, or to a pattern with zero
-concordant pairs, get an infinite fitness sentinel: searchers compare
-against them but never keep them.
+direction; ties on any item's attribute disqualify the pair.  The paper's
+fitness is the inverse of the concordant-pair count, so minimising fitness
+maximises support, and the miners compare the counts themselves.
+Candidates that decode to no pattern, or to a pattern with zero concordant
+pairs, count 0: searchers compare against them but never keep them.
 
 The miners count through :class:`ConcordanceIndex` (bit-packed, built once
 per dataset as ``Dataset.index``): the searchers one candidate at a time,
 the exhaustive sweep one batch per prefix, ``(candidates, pairs)`` arrays
 from one AND and one popcount over a table of every suffix
 (:meth:`ConcordanceIndex.counts`).  A run logs the pair counts; fitness
-is derived from them where it is read.
+is derived from them only where it is read.
 :func:`concordant_count_brute`, a literal pair-by-pair scan, stays beside
 it as the reference the index is tested against and the benchmark's
 support spot check.
@@ -21,16 +21,12 @@ support spot check.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import numpy as np
 
 from .dataset import Dataset, DatasetError
 from .encoding import Direction, GradualPattern, encode
-
-#: Fitness assigned to unusable candidates (invalid or zero support).
-INFINITE_FITNESS = math.inf
 
 #: Largest concordance index, in bytes, that :class:`ConcordanceIndex`
 #: allocates; a larger table is refused with a ``DatasetError``.

@@ -4,14 +4,18 @@ Four seeded searchers walk an integer-encoded candidate space: random
 search ("rs"), stochastic hill climbing ("ls"), a small genetic algorithm
 ("ga") and particle swarm optimization ("pso"); "graank" sweeps every
 valid candidate once.  Each miner is a bare loop ``(rec, rng, s, c) ->
-(fitness, candidate)`` over a recorder and a generator that
+(pairs, candidate)`` over a recorder and a generator that
 :func:`run_miner` builds; :func:`run_miner` also times the run and turns
-the recorder and the best into a :class:`SearchResult`.  The searchers
+the recorder and the best into a :class:`SearchResult`, deriving the
+support and the fitness (``1/pairs``) of the best there, once.  The
+searchers
 
+* compare concordant-pair counts: more pairs is lower fitness, so a
+  candidate with at least as many pairs as the incumbent replaces it;
 * draw every random number from the one generator, seeded with
   ``c.seed``, so (dataset, space, config) fully determines the run;
 * log every objective call, in call order, in the trajectory's columns;
-* never let an unusable candidate (infinite fitness) become the incumbent
+* never let an unusable candidate (zero pairs) become the incumbent
   best, a personal best or the global best.
 
 The sweep fills the same columns a batch at a time.  :func:`run_miner`
@@ -32,7 +36,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, fields
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,7 +50,6 @@ from .encoding import (
     invalid_reason,
     to_pattern,
 )
-from .fitness import INFINITE_FITNESS
 
 
 #: By the type of a field's default: the values it takes, and their name.
@@ -141,7 +144,7 @@ class Trajectory:
     """Every objective call of one run, in call order, as columns: the
     iteration, the candidate and its concordant pairs (0 when unusable)."""
 
-    iterations: list[int]
+    iterations: Sequence[int]
     candidates: list[int]
     pairs: list[int]
 
@@ -150,7 +153,7 @@ class Trajectory:
         """The calls as steps, built on first read: fitness ``1/pairs``,
         valid when there is a pair, infinite and not valid otherwise."""
         return tuple(
-            TrajectoryStep(t, x, 1.0 / p if p else INFINITE_FITNESS, p > 0)
+            TrajectoryStep(t, x, 1.0 / p if p else math.inf, p > 0)
             for t, x, p in zip(self.iterations, self.candidates, self.pairs)
         )
 
@@ -181,11 +184,11 @@ class _Recorder:
     """The instrumented objective function: a memo of pair counts and
     the trajectory's columns.  :meth:`record`, the searchers' call,
     counts each candidate integer once (the spaces are tiny, so repeat
-    visits are common), logs the call and returns its fitness:
-    ``1/pairs``, or infinite (unusable) at zero pairs.  Candidates are
-    checked and counted as integers; only the results are decoded.  The
-    dataset's index, built on first use, is reached only to count, so a
-    miner can refuse a run before it exists.
+    visits are common), logs the call and returns its pair count, 0 for
+    an unusable candidate.  Candidates are checked and counted as
+    integers; only the results are decoded.  The dataset's index, built
+    on first use, is reached only to count, so a miner can refuse a run
+    before it exists.
     """
 
     def __init__(self, d: Dataset, space: SearchSpace) -> None:
@@ -196,7 +199,7 @@ class _Recorder:
         self.candidates: list[int] = []
         self.pairs: list[int] = []
 
-    def record(self, iteration: int, x: int) -> float:
+    def record(self, iteration: int, x: int) -> int:
         pairs = self._memo.get(x)
         if pairs is None:
             valid = invalid_reason(x, self.space) is None
@@ -204,22 +207,20 @@ class _Recorder:
         self.iterations.append(iteration)
         self.candidates.append(x)
         self.pairs.append(pairs)
-        return 1.0 / pairs if pairs else INFINITE_FITNESS
+        return pairs
 
 
-#: A miner's incumbent best: (fitness, candidate).
-_Best = tuple[float, int | None]
+#: A miner's incumbent best: (pairs, candidate).
+_Best = tuple[int, int | None]
 
 #: The incumbent before any usable candidate.
-_NO_BEST: _Best = (INFINITE_FITNESS, None)
+_NO_BEST: _Best = (0, None)
 
 
-def _keep_best(best: _Best, fitness: float, x: int) -> _Best:
-    # "<=" so a later candidate with equal fitness replaces the incumbent;
-    # an unusable (infinite) one never does.
-    if fitness <= best[0] and fitness < INFINITE_FITNESS:
-        return fitness, x
-    return best
+def _keep_best(best: _Best, pairs: int, x: int) -> _Best:
+    # A later candidate with as many pairs replaces the incumbent; one
+    # with none never does.
+    return (pairs, x) if pairs and pairs >= best[0] else best
 
 
 def _clamp(x: int, s: SearchSpace) -> int:
@@ -288,8 +289,8 @@ def _rs(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfi
 def _ls(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best:
     """Stochastic hill climbing with a bounded random step.
 
-    A proposal is adopted when its fitness is no worse than the current
-    point's.  Because inf <= inf holds, the walk keeps drifting across
+    A proposal is adopted when it has at least as many pairs as the
+    current point.  Because 0 >= 0 holds, the walk keeps drifting across
     unusable ground instead of freezing on it.
     """
     (x,) = _uniform_candidates(rng, s, 1)
@@ -301,10 +302,10 @@ def _ls(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfi
         steps = (rng.uniform(-1.0, 1.0, size=c.max_iterations) * c.step_size).tolist()
     for t, u in enumerate(steps, start=1):
         proposal = _round_clamp(x, u, s)
-        fitness = rec.record(t, proposal)
-        if fitness <= current:
-            x, current = proposal, fitness
-        best = _keep_best(best, fitness, proposal)
+        pairs = rec.record(t, proposal)
+        if pairs >= current:
+            x, current = proposal, pairs
+        best = _keep_best(best, pairs, proposal)
     return best
 
 
@@ -319,21 +320,22 @@ def _mutate(rng: np.random.Generator, candidate: int, s: SearchSpace, c: SearchC
 def _ga(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best:
     """Small elitist genetic algorithm over the bit representation.
 
-    The population is a list of (fitness, candidate) members kept
-    sorted, so unusable ones (inf) come last and ties go to the lower
-    integer.  Each iteration takes the first two members as parents,
-    recombines them by single-point bit crossover with probability
-    ``crossover_rate`` (otherwise copies them), then mutates each
-    offspring; all four results are evaluated and appended, and the
-    list is sorted again and truncated to its first ``npop`` members.
+    The population is a list of (-pairs, candidate) members kept
+    sorted, the order of (fitness, candidate): unusable ones (0 pairs)
+    come last and ties go to the lower integer.  Each iteration takes
+    the first two members as parents, recombines them by single-point
+    bit crossover with probability ``crossover_rate`` (otherwise copies
+    them), then mutates each offspring; all four results are evaluated
+    and appended, and the list is sorted again and truncated to its
+    first ``npop`` members.
     Exactly four objective calls per iteration.
     """
     best = _NO_BEST
-    pop: list[tuple[float, int]] = []
+    pop: list[tuple[int, int]] = []
     for x in _uniform_candidates(rng, s, c.npop):
-        fitness = rec.record(0, x)
-        pop.append((fitness, x))
-        best = _keep_best(best, fitness, x)
+        pairs = rec.record(0, x)
+        pop.append((-pairs, x))
+        best = _keep_best(best, pairs, x)
     pop.sort()
     nbits = 2 * s.m
     for t in range(1, c.max_iterations + 1):
@@ -349,9 +351,9 @@ def _ga(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfi
         else:
             c1, c2 = x1, x2
         for x in (c1, c2, _mutate(rng, c1, s, c), _mutate(rng, c2, s, c)):
-            fitness = rec.record(t, x)
-            pop.append((fitness, x))
-            best = _keep_best(best, fitness, x)
+            pairs = rec.record(t, x)
+            pop.append((-pairs, x))
+            best = _keep_best(best, pairs, x)
         pop.sort()
         del pop[c.npop :]
     return best
@@ -370,11 +372,11 @@ def _pso(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConf
 
     Per particle and iteration there are exactly three objective calls:
     the position, the personal best and the global best, in that order.
-    Personal and global bests only move to usable positions whose cost
-    is no higher than the incumbent's.  After the swarm sweep the global
-    best is folded into the run best; then every particle moves with a
-    velocity clipped to ``max_velocity`` and a position rounded and
-    clamped to the interval.
+    Personal and global bests only move to usable positions with at
+    least as many pairs as the incumbent.  After the swarm sweep the
+    global best is folded into the run best; then every particle moves
+    with a velocity clipped to ``max_velocity`` and a position rounded
+    and clamped to the interval.
     """
     positions = _uniform_candidates(rng, s, c.nparticles)
     velocities = [0.0] * c.nparticles
@@ -383,15 +385,13 @@ def _pso(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConf
     best = _NO_BEST
     for t in range(1, c.max_iterations + 1):
         for i, x in enumerate(positions):
-            fx = rec.record(t, x)
-            fp = rec.record(t, pbest[i])
-            usable = fx < INFINITE_FITNESS
-            if usable and fx <= fp:
+            px, pp = rec.record(t, x), rec.record(t, pbest[i])
+            if px and px >= pp:
                 pbest[i] = x
-            fg = rec.record(t, gbest)
-            if usable and fx <= fg:
-                gbest, fg = x, fx
-        best = _keep_best(best, fg, gbest)
+            pg = rec.record(t, gbest)
+            if px and px >= pg:
+                gbest, pg = x, px
+        best = _keep_best(best, pg, gbest)
         r = rng.random(2 * c.nparticles).tolist()
         for i in range(c.nparticles):
             rp, rg, dp, dg = r[2 * i], r[2 * i + 1], pbest[i] - positions[i], gbest - positions[i]
@@ -415,13 +415,12 @@ def _graank(rec: _Recorder, rng: None, s: SearchSpace, c: SearchConfig) -> _Best
     for xs, pairs in rec.d.index.counts():
         rec.candidates += xs.tolist()
         rec.pairs += pairs.tolist()
-    rec.iterations += range(1, len(rec.candidates) + 1)
-    # The last candidate with the most pairs, as _keep_best's "<=" keeps:
-    # 1/p strictly decreases over distinct pair counts below 2**31.
+    rec.iterations = range(1, len(rec.candidates) + 1)
+    # The last candidate with the most pairs, as _keep_best keeps.
     top = max(rec.pairs, default=0)
     if top == 0:
         return _NO_BEST
-    return 1.0 / top, rec.candidates[len(rec.pairs) - 1 - rec.pairs[::-1].index(top)]
+    return top, rec.candidates[len(rec.pairs) - 1 - rec.pairs[::-1].index(top)]
 
 
 def graank_mine(d: Dataset, sigma: float) -> tuple[tuple[GradualPattern, float], ...]:
@@ -439,7 +438,7 @@ def graank_mine(d: Dataset, sigma: float) -> tuple[tuple[GradualPattern, float],
     return run_miner("graank", d, build_space(d.m), SearchConfig(sigma=sigma)).frequent_patterns
 
 
-#: Each miner is a loop ``(rec, rng, s, c) -> (fitness, candidate)``.
+#: Each miner is a loop ``(rec, rng, s, c) -> (pairs, candidate)``.
 _MINERS: dict[str, Callable[..., _Best]] = {
     "rs": _rs, "ls": _ls, "ga": _ga, "pso": _pso, "graank": _graank
 }
@@ -471,16 +470,14 @@ def run_miner(algorithm: str, d: Dataset, s: SearchSpace, c: SearchConfig) -> Se
     # numpy.random: 12-19 ms of each exhaustive ``gradmine mine`` on a
     # 2-vCPU x86-64 host.
     rng = None if miner is _graank else np.random.default_rng(c.seed)
-    fitness, x = miner(rec, rng, s, c)
+    pairs, x = miner(rec, rng, s, c)
     all_pairs = object_pair_count(d)
     frequent = {y: p for y, p in zip(rec.candidates, rec.pairs) if p and p / all_pairs >= c.sigma}
     order = sorted(frequent, key=lambda y: (-frequent[y], y))
     patterns = tuple((to_pattern(y, s), frequent[y] / all_pairs) for y in order)
-    if x is None:
-        pattern, sup = None, 0.0
-    else:
-        # Only a best below sigma is counted again.
-        pairs = frequent.get(x) or d.index.count_candidate(x)
-        pattern, sup = to_pattern(x, s), pairs / all_pairs
+    pattern = None if x is None else to_pattern(x, s)
+    fitness = 1.0 / pairs if pairs else math.inf
     trajectory = Trajectory(rec.iterations, rec.candidates, rec.pairs)
-    return SearchResult(pattern, sup, fitness, patterns, trajectory, time.perf_counter() - t0)
+    return SearchResult(
+        pattern, pairs / all_pairs, fitness, patterns, trajectory, time.perf_counter() - t0
+    )

@@ -263,8 +263,9 @@ class TestRecorderOracle:
 @pytest.mark.parametrize("sigma", (0.0, 1.0))
 def test_counts_each_candidate_once(course_dataset, monkeypatch, algo, sigma):
     # Searchers count each distinct decodable candidate on its first
-    # visit, the sweep counts through ``counts()``; after that only a
-    # best below sigma is counted again, for its support.
+    # visit, the sweep counts through ``counts()``; nothing is counted
+    # again, not even a best below sigma, whose support comes from the
+    # count the miner kept.
     counted = []
     count_candidate = ConcordanceIndex.count_candidate
 
@@ -278,8 +279,6 @@ def test_counts_each_candidate_once(course_dataset, monkeypatch, algo, sigma):
     r = run_miner(algo, course_dataset, s, c)
     visited = [] if algo == "graank" else [step.candidate for step in r.trajectory.steps]
     expected = list(dict.fromkeys(x for x in visited if invalid_reason(x, s) is None))
-    if sigma == 1.0:
-        expected.append(encode(r.best_pattern, 3))
     assert counted == expected
 
 
@@ -339,13 +338,13 @@ class TestLocalSearch:
 def _heapq_ga(rec, rng, s, c):
     """Reference GA loop that ``search._ga`` must match step for step: an
     unsorted population, the parents taken by ``heapq.nsmallest(2, ...)``
-    and the survivors by ``heapq.nsmallest(npop, ...)``."""
+    and the survivors by ``heapq.nsmallest(npop, ...)`` on (-pairs, x)."""
     best = _NO_BEST
     pop = []
     for x in _uniform_candidates(rng, s, c.npop):
-        fitness = rec.record(0, x)
-        pop.append((fitness, x))
-        best = _keep_best(best, fitness, x)
+        pairs = rec.record(0, x)
+        pop.append((-pairs, x))
+        best = _keep_best(best, pairs, x)
     nbits = 2 * s.m
     for t in range(1, c.max_iterations + 1):
         (_, x1), (_, x2) = heapq.nsmallest(2, pop)
@@ -356,9 +355,9 @@ def _heapq_ga(rec, rng, s, c):
         else:
             c1, c2 = x1, x2
         for x in (c1, c2, _mutate(rng, c1, s, c), _mutate(rng, c2, s, c)):
-            fitness = rec.record(t, x)
-            pop.append((fitness, x))
-            best = _keep_best(best, fitness, x)
+            pairs = rec.record(t, x)
+            pop.append((-pairs, x))
+            best = _keep_best(best, pairs, x)
         pop = heapq.nsmallest(c.npop, pop)
     return best
 
@@ -378,8 +377,8 @@ class TestGeneticAlgorithm:
     def test_sorted_population_matches_heapq(
         self, d, kind, seed, npop, crossover, mutation, sigma, scale
     ):
-        # Ties in fitness are common on these tables, so the order among
-        # equal fitnesses (the lower candidate first) is exercised too.
+        # Ties in pair counts are common on these tables, so the order
+        # among equal counts (the lower candidate first) is exercised too.
         s = build_space(d.m, kind)
         c = SearchConfig(
             max_iterations=15, seed=seed, sigma=sigma, npop=npop, crossover_rate=crossover,
@@ -387,11 +386,11 @@ class TestGeneticAlgorithm:
         )
         r = run_miner("ga", d, s, c)
         rec = _Recorder(d, s)
-        fitness, x = _heapq_ga(rec, np.random.default_rng(c.seed), s, c)
+        pairs, x = _heapq_ga(rec, np.random.default_rng(c.seed), s, c)
         # The frequent set is read off the trajectory, so equal
         # trajectories give equal frequent sets.
         assert r.trajectory == Trajectory(rec.iterations, rec.candidates, rec.pairs)
-        assert r.best_fitness == fitness
+        assert r.best_fitness == (1.0 / pairs if pairs else math.inf)
         assert (None if r.best_pattern is None else encode(r.best_pattern, d.m)) == x
 
     def test_no_crossover_copies_parents(self, course_dataset, space):
@@ -449,10 +448,12 @@ class TestRunMiner:
     def test_dispatch_matches_direct_call(self, course_dataset, space):
         c = SearchConfig(max_iterations=12, seed=5)
         rec = _Recorder(course_dataset, space)
-        best = _rs(rec, np.random.default_rng(c.seed), space, c)
+        pairs, x = _rs(rec, np.random.default_rng(c.seed), space, c)
         r = run_miner("rs", course_dataset, space, c)
         assert r.trajectory == Trajectory(rec.iterations, rec.candidates, rec.pairs)
-        assert (r.best_fitness, encode(r.best_pattern, 3)) == best
+        assert encode(r.best_pattern, 3) == x
+        all_pairs = object_pair_count(course_dataset)
+        assert (r.best_support, r.best_fitness) == (pairs / all_pairs, 1.0 / pairs)
 
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_steps_are_built_once(self, course_dataset, space, algo):
