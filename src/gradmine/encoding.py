@@ -31,11 +31,11 @@ from typing import Sequence
 
 #: Largest attribute count for which exhaustive candidate enumeration is
 #: allowed.  The graank sweep keeps two trajectory lists (its iteration
-#: column is a range), about 56 bytes per candidate, so it grows about
+#: column is a range), about 48 bytes per candidate, so it grows about
 #: 3x per attribute.  Measured in-process at n=40 on a 2-vCPU x86-64
-#: host (time, RSS growth during the sweep): m=11 0.06 s, 11 MiB; m=12
-#: 0.2 s, 30 MiB; m=13 0.5-0.6 s, 87 MiB; m=14 1.5 s, 258 MiB
-#: (4,782,940 candidates).  m=16 would take about 14 s and 2.3 GiB, so
+#: host (time, RSS growth during the sweep): m=11 0.06 s, 9 MiB; m=12
+#: 0.2 s, 26 MiB; m=13 0.5-0.6 s, 75 MiB; m=14 1.5 s, 221 MiB
+#: (4,782,940 candidates).  m=16 would take about 14 s and 2 GiB, so
 #: memory, not time, is what this guard bounds.
 MAX_ENUM_ATTRIBUTES = 14
 
@@ -159,7 +159,8 @@ def invalid_reason(x: int, space: SearchSpace) -> InvalidReason | None:
     it does; ``ValueError`` outside the space.
 
     A conflict (both bits of one attribute) takes precedence over having
-    fewer than two items.
+    fewer than two items.  The searchers' recorder inlines the same test
+    on its hot path, so the two must change together.
     """
     if not space.lower <= x <= space.upper:
         raise ValueError(

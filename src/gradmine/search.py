@@ -18,6 +18,12 @@ searchers
 * never let an unusable candidate (zero pairs) become the incumbent
   best, a personal best or the global best.
 
+One best rule holds for rs, ls, ga and the sweep: the best is the last
+call with the most pairs, never a zero-pair one, read off the
+trajectory's columns once the loop ends.  pso alone keeps a running
+best: each iteration's global best, which can differ from the columns'
+last maximum when a personal-best re-check ties it.
+
 The sweep fills the same columns a batch at a time.  :func:`run_miner`
 reads every miner's frequent set (each distinct usable candidate whose
 support meets ``sigma``) off them, so one rule holds for all five;
@@ -34,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 import time
 from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple, Sequence
@@ -46,6 +53,7 @@ from .encoding import (
     EnumerationLimitError,
     GradualPattern,
     SearchSpace,
+    _down_mask,
     build_space,
     invalid_reason,
     to_pattern,
@@ -186,14 +194,17 @@ class _Recorder:
     counts each candidate integer once (the spaces are tiny, so repeat
     visits are common), logs the call and returns its pair count, 0 for
     an unusable candidate.  Candidates are checked and counted as
-    integers; only the results are decoded.  The dataset's index, built
-    on first use, is reached only to count, so a miner can refuse a run
-    before it exists.
+    integers; only the results are decoded.  A new candidate is checked
+    by :func:`invalid_reason`'s test, inlined on the space's down mask,
+    and one outside the space raises its ``ValueError`` unlogged.  The
+    dataset's index, built on first use, is reached only to count, so a
+    miner can refuse a run before it exists.
     """
 
     def __init__(self, d: Dataset, space: SearchSpace) -> None:
         self.d = d
         self.space = space
+        self._down = _down_mask(space.m)
         self._memo: dict[int, int] = {}
         self.iterations: list[int] = []
         self.candidates: list[int] = []
@@ -202,8 +213,12 @@ class _Recorder:
     def record(self, iteration: int, x: int) -> int:
         pairs = self._memo.get(x)
         if pairs is None:
-            valid = invalid_reason(x, self.space) is None
-            pairs = self._memo[x] = self.d.index.count_candidate(x) if valid else 0
+            s = self.space
+            if not s.lower <= x <= s.upper:
+                invalid_reason(x, s)  # raises ValueError
+            # A conflict (both bits of one attribute) or fewer than two items.
+            unusable = x & (x >> 1) & self._down or x.bit_count() < 2
+            pairs = self._memo[x] = 0 if unusable else self.d.index.count_candidate(x)
         self.iterations.append(iteration)
         self.candidates.append(x)
         self.pairs.append(pairs)
@@ -223,6 +238,16 @@ def _keep_best(best: _Best, pairs: int, x: int) -> _Best:
     return (pairs, x) if pairs and pairs >= best[0] else best
 
 
+def _last_best(rec: _Recorder) -> _Best:
+    # _keep_best folded over every call: the last candidate with the most
+    # pairs, or _NO_BEST when no call had a pair.  reversed() walks the
+    # column without the copy a [::-1] makes (36 MiB of an m = 14 sweep).
+    top = max(rec.pairs, default=0)
+    if top == 0:
+        return _NO_BEST
+    return top, rec.candidates[len(rec.pairs) - 1 - operator.indexOf(reversed(rec.pairs), top)]
+
+
 def _clamp(x: int, s: SearchSpace) -> int:
     return min(max(x, s.lower), s.upper)
 
@@ -238,9 +263,10 @@ def _round_clamp(x: int, u: float, s: SearchSpace) -> int:
     # as ``int(round(x + u))``.
     low = x & (_FLOAT_EXACT - 1)
     try:
-        return min(max(x - low + round(low + u), s.lower), s.upper)
+        y = x - low + round(low + u)
     except OverflowError:  # an infinite step (a GA nudge past float64) reaches a bound
         return s.upper if u > 0 else s.lower
+    return s.lower if y < s.lower else s.upper if y > s.upper else y
 
 
 #: numpy's integer draws take an int64 ``high`` (exclusive), so spaces
@@ -279,11 +305,10 @@ def _uniform_candidates(rng: np.random.Generator, s: SearchSpace, count: int) ->
 
 
 def _rs(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best:
-    """Uniform probing: one independent draw per iteration, best kept."""
-    best = _NO_BEST
+    """Uniform probing: one independent draw per iteration."""
     for t, x in enumerate(_uniform_candidates(rng, s, c.max_iterations), start=1):
-        best = _keep_best(best, rec.record(t, x), x)
-    return best
+        rec.record(t, x)
+    return _last_best(rec)
 
 
 def _ls(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best:
@@ -295,7 +320,6 @@ def _ls(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfi
     """
     (x,) = _uniform_candidates(rng, s, 1)
     current = rec.record(0, x)
-    best = _keep_best(_NO_BEST, current, x)
     try:
         steps = rng.uniform(-c.step_size, c.step_size, size=c.max_iterations).tolist()
     except OverflowError:  # 2 * step_size is past the float range; nothing was drawn
@@ -305,16 +329,21 @@ def _ls(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfi
         pairs = rec.record(t, proposal)
         if pairs >= current:
             x, current = proposal, pairs
-        best = _keep_best(best, pairs, proposal)
-    return best
+    return _last_best(rec)
+
+
+#: Maps the bytes of a bool array to the digits "0" and "1".
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _mutate(rng: np.random.Generator, candidate: int, s: SearchSpace, c: SearchConfig) -> int:
     # Bit flips first, then an integer-scale Gaussian nudge; both respect
-    # the interval by rounding and clamping.  flips[0] is the top bit.
-    flips = np.packbits(rng.random(2 * s.m) < c.mutation_rate)
-    mask = int.from_bytes(flips.tobytes(), "big") >> ((-2 * s.m) % 8)
-    return _round_clamp(candidate ^ mask, float(rng.normal(0.0, c.mutation_scale)), s)
+    # the interval by rounding and clamping.  The first flip is the top
+    # bit.  Base 2 is exempt from int's digit limit, and the nudge is
+    # numpy's ``normal(0, scale)`` without its ``0.0 +``.
+    flips = (rng.random(2 * s.m) < c.mutation_rate).tobytes()
+    mask = int(flips.translate(_BINARY_DIGITS), 2)
+    return _round_clamp(candidate ^ mask, rng.standard_normal() * c.mutation_scale, s)
 
 
 def _ga(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best:
@@ -330,12 +359,7 @@ def _ga(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfi
     first ``npop`` members.
     Exactly four objective calls per iteration.
     """
-    best = _NO_BEST
-    pop: list[tuple[int, int]] = []
-    for x in _uniform_candidates(rng, s, c.npop):
-        pairs = rec.record(0, x)
-        pop.append((-pairs, x))
-        best = _keep_best(best, pairs, x)
+    pop = [(-rec.record(0, x), x) for x in _uniform_candidates(rng, s, c.npop)]
     pop.sort()
     nbits = 2 * s.m
     for t in range(1, c.max_iterations + 1):
@@ -351,12 +375,10 @@ def _ga(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfi
         else:
             c1, c2 = x1, x2
         for x in (c1, c2, _mutate(rng, c1, s, c), _mutate(rng, c2, s, c)):
-            pairs = rec.record(t, x)
-            pop.append((-pairs, x))
-            best = _keep_best(best, pairs, x)
+            pop.append((-rec.record(t, x), x))
         pop.sort()
         del pop[c.npop :]
-    return best
+    return _last_best(rec)
 
 
 def _exact_velocity(c: SearchConfig, v0: float, rp: float, dp: int, rg: float, dg: int) -> float:
@@ -416,11 +438,7 @@ def _graank(rec: _Recorder, rng: None, s: SearchSpace, c: SearchConfig) -> _Best
         rec.candidates += xs.tolist()
         rec.pairs += pairs.tolist()
     rec.iterations = range(1, len(rec.candidates) + 1)
-    # The last candidate with the most pairs, as _keep_best keeps.
-    top = max(rec.pairs, default=0)
-    if top == 0:
-        return _NO_BEST
-    return top, rec.candidates[len(rec.pairs) - 1 - rec.pairs[::-1].index(top)]
+    return _last_best(rec)
 
 
 def graank_mine(d: Dataset, sigma: float) -> tuple[tuple[GradualPattern, float], ...]:

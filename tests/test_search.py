@@ -3,6 +3,7 @@
 import heapq
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from gradmine import (
 )
 from gradmine.fitness import ConcordanceIndex
 from gradmine.search import (
+    _MINERS,
     _NO_BEST,
     _clamp,
     _exact_velocity,
@@ -282,6 +284,88 @@ def test_counts_each_candidate_once(course_dataset, monkeypatch, algo, sigma):
     assert counted == expected
 
 
+class TestBestRule:
+    """rs, ls, ga and the sweep read their best off the trajectory's
+    columns; it must be the best that folding ``_keep_best`` over every
+    call keeps."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tied_tables(max_m=6),
+        st.sampled_from(("rs", "ls", "ga", "graank")),
+        st.sampled_from(list(SpaceKind)),
+        st.integers(0, 2**32 - 1),
+    )
+    # An all-tie table has no usable call: no best, infinite fitness.
+    @example(Dataset(("a", "b", "c"), np.zeros((5, 3))), "rs", SpaceKind.NUMERIC, 0)
+    @example(Dataset(("a", "b", "c"), np.zeros((5, 3))), "ls", SpaceKind.BITMAP, 0)
+    @example(Dataset(("a", "b", "c"), np.zeros((5, 3))), "ga", SpaceKind.NUMERIC, 0)
+    @example(Dataset(("a", "b", "c"), np.zeros((5, 3))), "graank", SpaceKind.BITMAP, 0)
+    def test_best_is_the_folded_best(self, d, algo, kind, seed):
+        s = build_space(d.m, kind)
+        c = SearchConfig(max_iterations=12, seed=seed, npop=4)
+        r = run_miner(algo, d, s, c)
+        folded = _NO_BEST
+        for x, pairs in zip(r.trajectory.candidates, r.trajectory.pairs):
+            folded = _keep_best(folded, pairs, x)
+        pairs, x = folded
+        assert r.best_fitness == (1.0 / pairs if pairs else math.inf)
+        assert (None if r.best_pattern is None else encode(r.best_pattern, d.m)) == x
+        if x is None:
+            assert r.best_support == 0.0
+        rng = None if algo == "graank" else np.random.default_rng(seed)
+        assert _MINERS[algo](_Recorder(d, s), rng, s, c) == folded
+
+
+class TestRecorderValidity:
+    """The recorder's inlined validity test against ``invalid_reason``.
+    Its index counts one pair for every candidate it is asked about, so
+    a 0 from the recorder can only come from the validity test."""
+
+    @staticmethod
+    def _recorder(s):
+        counted = []
+        index = SimpleNamespace(count_candidate=lambda x: counted.append(x) or 1)
+        return _Recorder(SimpleNamespace(index=index), s), counted
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    def test_exhaustive(self, m, kind):
+        s = build_space(m, kind)
+        rec, counted = self._recorder(s)
+        for x in range(s.lower, s.upper + 1):
+            assert (rec.record(0, x) == 0) == (invalid_reason(x, s) is not None), x
+        assert counted == [x for x in range(s.lower, s.upper + 1) if invalid_reason(x, s) is None]
+
+    @pytest.mark.parametrize("m", [24, 31, 32, 40])
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    def test_random_draws(self, m, kind):
+        # Uniform draws are almost all invalid at these widths, so draws
+        # built attribute by attribute (absent, down, up or both bits)
+        # add valid and conflicting candidates in numbers.
+        s = build_space(m, kind)
+        rng = np.random.default_rng(m)
+        states = rng.choice(4, size=(2000, m), p=[0.8, 0.09, 0.09, 0.02])
+        built = [int("".join(format(v, "02b") for v in row), 2) for row in states]
+        xs = _uniform_candidates(rng, s, 2000) + [x for x in built if s.contains(x)]
+        rec, _ = self._recorder(s)
+        reasons = [invalid_reason(x, s) for x in xs]
+        assert [rec.record(0, x) == 0 for x in xs] == [r is not None for r in reasons]
+        assert reasons.count(None) > 500 and len(set(reasons)) == 3
+
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    def test_outside_the_space_raises_and_logs_nothing(self, kind):
+        s = build_space(4, kind)
+        rec, counted = self._recorder(s)
+        up = build_space(4).upper  # every attribute increasing: valid in both spaces
+        rec.record(1, up)
+        for x in (s.lower - 1, s.upper + 1, -(2**70), 2**70):
+            with pytest.raises(ValueError, match="outside"):
+                rec.record(2, x)
+        assert (rec.iterations, rec.candidates, rec.pairs) == ([1], [up], [1])
+        assert rec._memo == {up: 1} and counted == [up]
+
+
 class TestRandomSearch:
     def test_two_object_best_fitness_one(self, space):
         d = Dataset(("a", "b", "c"), np.array([[1.0, 2.0, 9.0], [2.0, 1.0, 5.0]]))
@@ -360,6 +444,33 @@ def _heapq_ga(rec, rng, s, c):
             best = _keep_best(best, pairs, x)
         pop = heapq.nsmallest(c.npop, pop)
     return best
+
+
+def _packbits_mutate(rng, candidate, s, c):
+    """The reference mutation: the flips packed with ``np.packbits`` and
+    the nudge drawn by ``rng.normal(0.0, scale)``."""
+    flips = np.packbits(rng.random(2 * s.m) < c.mutation_rate)
+    mask = int.from_bytes(flips.tobytes(), "big") >> ((-2 * s.m) % 8)
+    return _round_clamp(candidate ^ mask, float(rng.normal(0.0, c.mutation_scale)), s)
+
+
+class TestMutation:
+    # 2m not a multiple of 8 (3, 5, 13), masks past 64 bits (40) and
+    # past int's 4,300-digit string limit (2200).
+    @pytest.mark.parametrize("m", [3, 5, 13, 24, 40, 2200])
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    def test_matches_packbits(self, m, kind):
+        s = build_space(m, kind)
+        ours, ref = np.random.default_rng(m), np.random.default_rng(m)
+        starts = [s.lower, s.upper] + _uniform_candidates(np.random.default_rng(0), s, 6)
+        # A scale of 1e-300 leaves the nudge rounding to nothing, so the
+        # bitmap mutant of 0 is the mask itself; 1e308 overflows to a bound.
+        for rate in (0.0, 0.1, 0.5, 1.0):
+            for scale in (1e-300, 1.0, 5.0, 1e6, 1e308):
+                c = SearchConfig(mutation_rate=rate, mutation_scale=scale)
+                for x in starts:
+                    assert _mutate(ours, x, s, c) == _packbits_mutate(ref, x, s, c)
+                    assert ours.bit_generator.state == ref.bit_generator.state
 
 
 class TestGeneticAlgorithm:
