@@ -125,12 +125,6 @@ class SearchSpace:
     def contains(self, x: int) -> bool:
         return self.lower <= x <= self.upper
 
-    @functools.cached_property
-    def _up_mask(self) -> int:
-        # 0b1010...10: the "increasing" bit of every attribute.  Cached on
-        # the instance, outside the fields that equality and hash read.
-        return _down_mask(self.m) << 1
-
 
 def build_space(m: int, kind: SpaceKind = SpaceKind.NUMERIC) -> SearchSpace:
     """Construct the numeric or bitmap search space for ``m`` attributes."""
@@ -166,7 +160,8 @@ def invalid_reason(x: int, space: SearchSpace) -> InvalidReason | None:
         raise ValueError(
             f"{x} outside [{space.lower}, {space.upper}] of the {space.kind.value} space"
         )
-    if (x & space._up_mask) >> 1 & x:
+    # An attribute's up bit sits just above its down bit.
+    if x & (x >> 1) & _down_mask(space.m):
         return InvalidReason.CONFLICT
     # Without conflicts, each set bit is one item.
     if x.bit_count() < 2:

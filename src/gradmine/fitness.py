@@ -121,27 +121,35 @@ class ConcordanceIndex:
         while k < m and (3 ** (k + 1) - 1) * rows[0].nbytes <= SUFFIX_TABLE_BYTES:
             k += 1
         table, suffixes = self._suffix_table(k)
-        two_items = np.bitwise_count(suffixes) >= 2
-        buf = np.empty_like(table)
+        state = (table, suffixes, np.bitwise_count(suffixes) >= 2, np.empty_like(table))
+        return self._walk(0, m - k, 0, None, state)
 
-        def walk(a: int, x: int, holds: np.ndarray | None):
-            if a < m - k:
-                up = 1 << (2 * (m - a) - 1)
-                yield from walk(a + 1, x, holds)
-                for bit, row in ((up >> 1, rows[2 * a + 1]), (up, rows[2 * a])):
-                    yield from walk(a + 1, x | bit, row if holds is None else holds & row)
-            else:
-                batch = table if holds is None else np.bitwise_and(table, holds, out=buf)
-                pairs = np.bitwise_count(batch).sum(axis=1, dtype=np.int64)
-                if not x:
-                    yield suffixes[two_items], pairs[two_items]
-                elif x.bit_count() == 1:  # one item: every suffix completes it
-                    yield x | suffixes, pairs
-                else:
-                    alone = np.bitwise_count(holds).sum(dtype=np.int64)
-                    yield np.r_[x, x | suffixes], np.r_[alone, pairs]
-
-        return walk(0, 0, None)
+    def _walk(
+        self, a: int, stop: int, x: int, holds: np.ndarray | None, state: tuple
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        # The batches of prefix ``x`` (its rows ANDed into ``holds``)
+        # extended over attributes ``a..stop-1``.  A method, not a closure
+        # over itself, so a finished walk frees its table without the
+        # cyclic garbage collector.
+        if a < stop:
+            up = 1 << (2 * (self.m - a) - 1)
+            yield from self._walk(a + 1, stop, x, holds, state)
+            for bit, row in ((up >> 1, self._rows[2 * a + 1]), (up, self._rows[2 * a])):
+                # The AND is passed, not named, so it dies with its branch.
+                yield from self._walk(
+                    a + 1, stop, x | bit, row if holds is None else holds & row, state
+                )
+            return
+        table, suffixes, two_items, buf = state
+        batch = table if holds is None else np.bitwise_and(table, holds, out=buf)
+        pairs = np.bitwise_count(batch).sum(axis=1, dtype=np.int64)
+        if not x:
+            yield suffixes[two_items], pairs[two_items]
+        elif x.bit_count() == 1:  # one item: every suffix completes it
+            yield x | suffixes, pairs
+        else:
+            alone = np.bitwise_count(holds).sum(dtype=np.int64)
+            yield np.r_[x, x | suffixes], np.r_[alone, pairs]
 
     def _suffix_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The AND rows of every non-empty state of the last ``k``

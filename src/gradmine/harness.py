@@ -100,7 +100,9 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonOutc
 class BenchSpec:
     """What to benchmark: the cell grid plus run bookkeeping.
 
-    A spec is checked when it is made, in code or from JSON: each scalar
+    A spec is checked when it is made, in code or from JSON: ``datasets``,
+    ``algorithms`` and ``spaces`` must be lists (or tuples) of strings,
+    stored as tuples, ``overrides`` a mapping of mappings, each scalar
     field must hold its default's kind, and each algorithm's config, with
     its overrides, is built once, so :class:`SearchConfig`'s own checks
     run before any cell does.
@@ -120,6 +122,15 @@ class BenchSpec:
     measure_memory: bool = False
 
     def __post_init__(self) -> None:
+        for key in ("datasets", "algorithms", "spaces"):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+                raise ValueError(f"{key} must be a list of strings")
+            object.__setattr__(self, key, tuple(value))
+        if not isinstance(self.overrides, Mapping) or not all(
+            isinstance(over, Mapping) for over in self.overrides.values()
+        ):
+            raise ValueError("overrides must map algorithm names to objects")
         check_scalar_fields(self)
         # Cells, report rows and scatter files carry a dataset's file stem.
         stems = [Path(path).stem for path in self.datasets]
@@ -154,19 +165,7 @@ class BenchSpec:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown benchmark spec keys: {sorted(unknown)}")
-        data = dict(raw)
-        for key in ("datasets", "algorithms", "spaces"):
-            if key in data:
-                value = data[key]
-                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                    raise ValueError(f"{key} must be a list of strings")
-                data[key] = tuple(value)
-        overrides = data.get("overrides", {})
-        if not isinstance(overrides, dict) or not all(
-            isinstance(over, dict) for over in overrides.values()
-        ):
-            raise ValueError("overrides must map algorithm names to objects")
-        return cls(**data)
+        return cls(**raw)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "BenchSpec":

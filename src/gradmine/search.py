@@ -20,8 +20,8 @@ searchers
 
 One best rule holds for rs, ls, ga and the sweep: the best is the last
 call with the most pairs, never a zero-pair one, read off the
-trajectory's columns once the loop ends.  pso alone keeps a running
-best: each iteration's global best, which can differ from the columns'
+trajectory's columns once the loop ends.  pso's best is its final global
+best, whose pair count never falls; it can differ from the columns'
 last maximum when a personal-best re-check ties it.
 
 The sweep fills the same columns a batch at a time.  :func:`run_miner`
@@ -232,16 +232,10 @@ _Best = tuple[int, int | None]
 _NO_BEST: _Best = (0, None)
 
 
-def _keep_best(best: _Best, pairs: int, x: int) -> _Best:
-    # A later candidate with as many pairs replaces the incumbent; one
-    # with none never does.
-    return (pairs, x) if pairs and pairs >= best[0] else best
-
-
 def _last_best(rec: _Recorder) -> _Best:
-    # _keep_best folded over every call: the last candidate with the most
-    # pairs, or _NO_BEST when no call had a pair.  reversed() walks the
-    # column without the copy a [::-1] makes (36 MiB of an m = 14 sweep).
+    # The last candidate with the most pairs, or _NO_BEST when no call
+    # had a pair.  reversed() walks the column without the copy a [::-1]
+    # makes (36 MiB of an m = 14 sweep).
     top = max(rec.pairs, default=0)
     if top == 0:
         return _NO_BEST
@@ -395,16 +389,15 @@ def _pso(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConf
     Per particle and iteration there are exactly three objective calls:
     the position, the personal best and the global best, in that order.
     Personal and global bests only move to usable positions with at
-    least as many pairs as the incumbent.  After the swarm sweep the
-    global best is folded into the run best; then every particle moves
-    with a velocity clipped to ``max_velocity`` and a position rounded
-    and clamped to the interval.
+    least as many pairs as the incumbent, so the global best's pairs
+    never fall and the final global best is the run's best.  After the
+    swarm sweep every particle moves with a velocity clipped to
+    ``max_velocity`` and a position rounded and clamped to the interval.
     """
     positions = _uniform_candidates(rng, s, c.nparticles)
     velocities = [0.0] * c.nparticles
     pbest = list(positions)
     gbest = pbest[0]
-    best = _NO_BEST
     for t in range(1, c.max_iterations + 1):
         for i, x in enumerate(positions):
             px, pp = rec.record(t, x), rec.record(t, pbest[i])
@@ -413,7 +406,6 @@ def _pso(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConf
             pg = rec.record(t, gbest)
             if px and px >= pg:
                 gbest, pg = x, px
-        best = _keep_best(best, pg, gbest)
         r = rng.random(2 * c.nparticles).tolist()
         for i in range(c.nparticles):
             rp, rg, dp, dg = r[2 * i], r[2 * i + 1], pbest[i] - positions[i], gbest - positions[i]
@@ -425,7 +417,7 @@ def _pso(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConf
                 v = _exact_velocity(c, velocities[i], rp, dp, rg, dg)
             velocities[i] = min(max(v, -c.max_velocity), c.max_velocity)
             positions[i] = _round_clamp(positions[i], velocities[i], s)
-    return best
+    return (pg, gbest) if pg else _NO_BEST
 
 
 def _graank(rec: _Recorder, rng: None, s: SearchSpace, c: SearchConfig) -> _Best:

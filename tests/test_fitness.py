@@ -1,6 +1,7 @@
 """Concordant pairs, support and fitness, checked against the literal
 pair-scan oracle and the decode-first ``fitness_of``."""
 
+import gc
 import math
 import tracemalloc
 
@@ -182,6 +183,25 @@ class TestPackedIndex:
                 tracemalloc.stop()
         assert candidates == valid_candidate_count(m)
         assert peak <= gradmine.fitness.SUFFIX_TABLE_BYTES + (m + 1) * row
+
+    def test_a_finished_sweep_leaves_no_cyclic_garbage(self):
+        # Reference counting alone frees the suffix table, its AND buffer
+        # and the walk's arrays once the walk ends.  At n = 160, m = 8 the
+        # table holds five attributes, so the walk recurses over three.
+        d = random_dataset(np.random.default_rng(2), 160, 8)
+        s = build_space(d.m)
+        run_miner("graank", d, s, SearchConfig())  # warm every lazy cache
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert sum(len(xs) for xs, _ in d.index.counts()) == valid_candidate_count(d.m)
+            assert gc.collect() == 0
+            run_miner("graank", d, s, SearchConfig())
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("n", [2, 7, 8, 9, 64, 65])
     def test_footprint_is_packed(self, n):

@@ -199,6 +199,36 @@ class TestBenchSpec:
         with pytest.raises(ValueError):
             BenchSpec.from_dict({"datasets": ["t0.csv"], "algorithms": ["ga"], **bad})
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            # A bare string would pass as one name per character.
+            ({"datasets": "abc"}, "datasets must be a list of strings"),
+            ({"datasets": ("t0.csv", 5)}, "datasets must be a list of strings"),
+            ({"algorithms": "rs"}, "algorithms must be a list of strings"),
+            ({"spaces": "numeric"}, "spaces must be a list of strings"),
+            ({"overrides": ("ga",)}, "overrides must map algorithm names to objects"),
+            ({"overrides": {"ga": 5}}, "overrides must map algorithm names to objects"),
+        ],
+        ids=["datasets-str", "datasets-int", "algorithms-str", "spaces-str", "overrides-seq",
+             "override-int"],
+    )
+    def test_made_in_code_refuses_wrong_shapes(self, bad, message):
+        # The same checks and messages as a spec read from JSON.
+        raw = {"datasets": ("t0.csv",), "algorithms": ("rs",), **bad}
+        with pytest.raises(ValueError) as err:
+            BenchSpec(**raw)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            BenchSpec.from_dict(json.loads(json.dumps(raw)))
+        assert str(err.value) == message
+
+    def test_made_in_code_stores_lists_as_tuples(self):
+        spec = BenchSpec(datasets=["t0.csv"], algorithms=["rs", "ga"], spaces=["bitmap"])
+        assert (spec.datasets, spec.algorithms, spec.spaces) == (
+            ("t0.csv",), ("rs", "ga"), ("bitmap",)
+        )
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 import gradmine.fitness
 from conftest import COURSE_NAMES, COURSE_ROWS, brute_frequent, fitness_of
-from conftest import random_dataset, tied_tables
+from conftest import field_oracle, random_dataset, tied_tables
 from gradmine import (
     ALGORITHMS,
     Dataset,
     EnumerationLimitError,
+    InvalidReason,
     SearchConfig,
     SearchSpace,
     SpaceKind,
@@ -34,7 +35,6 @@ from gradmine.search import (
     _NO_BEST,
     _clamp,
     _exact_velocity,
-    _keep_best,
     _mutate,
     _Recorder,
     _round_clamp,
@@ -284,15 +284,33 @@ def test_counts_each_candidate_once(course_dataset, monkeypatch, algo, sigma):
     assert counted == expected
 
 
+def _keep_best(best, pairs, x):
+    """The reference best rule, one call at a time: a later candidate with
+    as many pairs replaces the incumbent; one with none never does."""
+    return (pairs, x) if pairs and pairs >= best[0] else best
+
+
+def _pso_global_bests(trajectory, nparticles):
+    """(pairs, candidate) of each pso iteration's global best once its
+    swarm sweep ends: the last particle's position when it is usable and
+    has at least as many pairs as the global best it was compared with,
+    else that global best."""
+    xs, ps = trajectory.candidates, trajectory.pairs
+    for end in range(3 * nparticles, len(xs) + 1, 3 * nparticles):
+        px, pg = ps[end - 3], ps[end - 1]
+        yield (px, xs[end - 3]) if px and px >= pg else (pg, xs[end - 1])
+
+
 class TestBestRule:
     """rs, ls, ga and the sweep read their best off the trajectory's
-    columns; it must be the best that folding ``_keep_best`` over every
-    call keeps."""
+    columns, and pso returns its final global best.  Each must be the
+    best that folding ``_keep_best`` keeps: over every call, and for pso
+    over each iteration's global best."""
 
     @settings(max_examples=150, deadline=None)
     @given(
         tied_tables(max_m=6),
-        st.sampled_from(("rs", "ls", "ga", "graank")),
+        st.sampled_from(("rs", "ls", "ga", "pso", "graank")),
         st.sampled_from(list(SpaceKind)),
         st.integers(0, 2**32 - 1),
     )
@@ -300,13 +318,29 @@ class TestBestRule:
     @example(Dataset(("a", "b", "c"), np.zeros((5, 3))), "rs", SpaceKind.NUMERIC, 0)
     @example(Dataset(("a", "b", "c"), np.zeros((5, 3))), "ls", SpaceKind.BITMAP, 0)
     @example(Dataset(("a", "b", "c"), np.zeros((5, 3))), "ga", SpaceKind.NUMERIC, 0)
+    @example(Dataset(("a", "b", "c"), np.zeros((5, 3))), "pso", SpaceKind.NUMERIC, 0)
+    @example(Dataset(("a", "b", "c"), np.zeros((5, 3))), "pso", SpaceKind.BITMAP, 0)
     @example(Dataset(("a", "b", "c"), np.zeros((5, 3))), "graank", SpaceKind.BITMAP, 0)
+    # pso's global best is not the column's last maximum here: a
+    # personal-best re-check logs another candidate with as many pairs.
+    @example(
+        Dataset(("a", "b", "c"), np.array([[1.0, 2, 1], [3, 0, 3], [2, 1, 2]])),
+        "pso", SpaceKind.NUMERIC, 0,
+    )
+    @example(
+        Dataset(("a", "b", "c"), np.array([[3.0, 3, 1], [1, 0, 2], [2, 3, 3]])),
+        "pso", SpaceKind.BITMAP, 0,
+    )
     def test_best_is_the_folded_best(self, d, algo, kind, seed):
         s = build_space(d.m, kind)
-        c = SearchConfig(max_iterations=12, seed=seed, npop=4)
+        c = SearchConfig(max_iterations=12, seed=seed, npop=4, nparticles=3)
         r = run_miner(algo, d, s, c)
+        if algo == "pso":
+            calls = _pso_global_bests(r.trajectory, c.nparticles)
+        else:
+            calls = zip(r.trajectory.pairs, r.trajectory.candidates)
         folded = _NO_BEST
-        for x, pairs in zip(r.trajectory.candidates, r.trajectory.pairs):
+        for pairs, x in calls:
             folded = _keep_best(folded, pairs, x)
         pairs, x = folded
         assert r.best_fitness == (1.0 / pairs if pairs else math.inf)
@@ -317,10 +351,18 @@ class TestBestRule:
         assert _MINERS[algo](_Recorder(d, s), rng, s, c) == folded
 
 
+def _oracle_reason(x, m):
+    # field_oracle's InvalidReason, or None for a pattern.
+    decoded = field_oracle(x, m)
+    return decoded if isinstance(decoded, InvalidReason) else None
+
+
 class TestRecorderValidity:
-    """The recorder's inlined validity test against ``invalid_reason``.
-    Its index counts one pair for every candidate it is asked about, so
-    a 0 from the recorder can only come from the validity test."""
+    """The recorder's inlined validity test against ``field_oracle``,
+    which reads the 2-bit fields without the masks that the recorder and
+    ``invalid_reason`` share.  Its index counts one pair for every
+    candidate it is asked about, so a 0 from the recorder can only come
+    from the validity test."""
 
     @staticmethod
     def _recorder(s):
@@ -333,9 +375,10 @@ class TestRecorderValidity:
     def test_exhaustive(self, m, kind):
         s = build_space(m, kind)
         rec, counted = self._recorder(s)
-        for x in range(s.lower, s.upper + 1):
-            assert (rec.record(0, x) == 0) == (invalid_reason(x, s) is not None), x
-        assert counted == [x for x in range(s.lower, s.upper + 1) if invalid_reason(x, s) is None]
+        valid = [_oracle_reason(x, m) is None for x in range(s.lower, s.upper + 1)]
+        for x, ok in zip(range(s.lower, s.upper + 1), valid):
+            assert (rec.record(0, x) != 0) == ok, x
+        assert counted == [x for x, ok in zip(range(s.lower, s.upper + 1), valid) if ok]
 
     @pytest.mark.parametrize("m", [24, 31, 32, 40])
     @pytest.mark.parametrize("kind", list(SpaceKind))
@@ -349,7 +392,7 @@ class TestRecorderValidity:
         built = [int("".join(format(v, "02b") for v in row), 2) for row in states]
         xs = _uniform_candidates(rng, s, 2000) + [x for x in built if s.contains(x)]
         rec, _ = self._recorder(s)
-        reasons = [invalid_reason(x, s) for x in xs]
+        reasons = [_oracle_reason(x, m) for x in xs]
         assert [rec.record(0, x) == 0 for x in xs] == [r is not None for r in reasons]
         assert reasons.count(None) > 500 and len(set(reasons)) == 3
 
