@@ -93,10 +93,8 @@ def object_pair_count(d: Dataset) -> int:
 
 def _parse_number(cell: str) -> float | None:
     # Dot decimal separator and scientific notation only; a comma anywhere
-    # disqualifies the cell, and non-finite parses (inf/nan spellings) are
-    # rejected rather than kept.
-    if "," in cell:
-        return None
+    # disqualifies the cell (``float`` rejects every comma), and non-finite
+    # parses (inf/nan spellings) are rejected rather than kept.
     try:
         value = float(cell)
     except ValueError:

@@ -52,6 +52,9 @@ class ConcordanceIndex:
     every row and never count.  Rows are stored as 64-bit words, so the
     index takes ``2 * m * n * ceil(n / 8)`` bytes plus at most 7 per row;
     above ``MAX_INDEX_BYTES`` it raises ``DatasetError`` before allocating.
+    An attribute of L distinct values costs ``2 * L * n`` small-integer
+    comparisons and a gather of its two rows, not ``2 * n * n`` float
+    comparisons.
     """
 
     def __init__(self, d: Dataset) -> None:
@@ -66,11 +69,17 @@ class ConcordanceIndex:
             )
         self._rows = np.zeros((2 * d.m, row_words), dtype=np.uint64)
         packed = self._rows.view(np.uint8)
-        # One attribute at a time, so the transient boolean matrices take
-        # n * n bytes, not m * n * n.
+        # One attribute at a time, by the dense level r of each value: line
+        # i of row 2a marks the objects above level r[i], of row 2a + 1
+        # those below, so each level's lines are packed once and gathered.
+        # Transient: L * (n + ceil(n / 8)) bytes, then L * ceil(n / 8)
+        # plus one row.
         for a, col in enumerate(np.ascontiguousarray(d.values.T)):
-            packed[2 * a, :row_bytes] = np.packbits(col[:, None] < col, axis=1).ravel()
-            packed[2 * a + 1, :row_bytes] = np.packbits(col[:, None] > col, axis=1).ravel()
+            levels, r = np.unique(col, return_inverse=True)
+            r = r.astype(np.min_scalar_type(len(levels)))
+            g = np.arange(len(levels), dtype=r.dtype)[:, None]
+            for b, holds in enumerate((np.greater, np.less)):
+                packed[2 * a + b, :row_bytes] = np.packbits(holds(r, g), axis=1)[r].ravel()
         # Views of the rows, taken once: a list item is cheaper to reach
         # than a fresh view of the array per counted item.
         self._row_list = list(self._rows)

@@ -81,6 +81,19 @@ def suffix_budget(d: Dataset, k: int) -> int:
     return (3**k - 1) * d.index._rows[0].nbytes
 
 
+def comparison_rows(d: Dataset) -> np.ndarray:
+    """Reference for ``ConcordanceIndex(d)._rows``: each attribute's two
+    rows packed straight from its n x n strict comparisons, "increases
+    from i to j" then "decreases", in zeroed 64-bit words."""
+    row_bytes = d.n * ((d.n + 7) // 8)
+    rows = np.zeros((2 * d.m, (row_bytes + 7) // 8), dtype=np.uint64)
+    packed = rows.view(np.uint8)
+    for a, col in enumerate(d.values.T):
+        packed[2 * a, :row_bytes] = np.packbits(col[:, None] < col, axis=1).ravel()
+        packed[2 * a + 1, :row_bytes] = np.packbits(col[:, None] > col, axis=1).ravel()
+    return rows
+
+
 @st.composite
 def tied_tables(draw, max_m: int = 4):
     """Small tables whose cells come from ``{0..levels}``: levels=0 gives

@@ -11,7 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gradmine.fitness
-from conftest import complement, fitness_of, pat, random_dataset, suffix_budget, tied_tables
+from conftest import (
+    comparison_rows,
+    complement,
+    fitness_of,
+    pat,
+    random_dataset,
+    suffix_budget,
+    tied_tables,
+)
 from gradmine import (
     ConcordanceIndex,
     Dataset,
@@ -211,6 +219,63 @@ class TestPackedIndex:
         rows = ConcordanceIndex(d)._rows
         assert 2 * 3 * n * ((n + 7) // 8) <= rows.nbytes
         assert rows.nbytes < 2 * 3 * (n * ((n + 7) // 8) + 8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_tables())
+    @example(Dataset(("a", "b"), np.array([[3.0, 1.0], [3.0, 2.0], [3.0, 0.0]])))
+    @example(Dataset(("a", "b"), np.array([[-0.0, 1.0], [0.0, 2.0], [1.0, 3.0], [0.0, 0.0]])))
+    def test_rows_match_the_comparison_build(self, d):
+        # Byte for byte, padding included.  A constant column is one
+        # level, and so are -0.0 and 0.0, which compare equal.
+        assert ConcordanceIndex(d)._rows.tobytes() == comparison_rows(d).tobytes()
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 64, 65])
+    def test_rows_match_at_line_and_word_padding(self, n, ties):
+        d = random_dataset(np.random.default_rng(n), n, 3, ties=ties)
+        assert ConcordanceIndex(d)._rows.tobytes() == comparison_rows(d).tobytes()
+
+    @pytest.mark.parametrize("levels", [255, 256, 257])
+    def test_rows_match_where_the_rank_dtype_changes(self, levels):
+        # Levels are ranked in np.min_scalar_type of their count: uint8
+        # for 255, uint16 for 256 and 257.
+        rng = np.random.default_rng(levels)
+        col = rng.permutation(np.arange(levels + 5) % levels).astype(float)
+        d = Dataset(("a", "b"), np.column_stack([col, rng.random(levels + 5)]))
+        assert len(np.unique(col)) == levels
+        assert ConcordanceIndex(d)._rows.tobytes() == comparison_rows(d).tobytes()
+
+    @pytest.mark.parametrize("levels", [None, 24])
+    def test_build_memory_grows_with_levels(self, levels):
+        # Per attribute of L levels the build holds the L x n comparison
+        # (L * n bytes) while it packs it into L lines of c = ceil(n / 8)
+        # bytes, then those lines while it gathers one row (n * c).  Beside
+        # them live the transposed table (8 * m * n) and the levels, the
+        # ranks and np.unique's int64 working arrays (under 64 * n).  All
+        # values distinct, L = n: one n x n comparison and one row, as the
+        # comparison build took.  24 levels: one row plus O(L * n).
+        n, m = 2000, 3
+        rng = np.random.default_rng(3)
+        if levels is None:
+            values, L = rng.random((n, m)), n
+        else:
+            values, L = rng.integers(0, levels, (n, m)).astype(float), levels
+        d = Dataset(("a", "b", "c"), values)
+        c = (n + 7) // 8
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            index = ConcordanceIndex(d)
+            transient = tracemalloc.get_traced_memory()[1] - base - index._rows.nbytes
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        bound = max(L * n + L * c, L * c + n * c) + 8 * m * n + 64 * n
+        assert transient <= bound
+        if levels is not None:
+            assert bound < n * n / 4
 
     def test_dataset_builds_its_index_once(self, course_dataset, monkeypatch):
         builds = []
