@@ -85,12 +85,24 @@ class GradualItem:
 class GradualPattern:
     """A set of two or more gradual items over distinct attributes.
 
-    Items are normalised to ascending attribute order on construction.
+    Items are normalised to ascending attribute order on construction;
+    a tuple already in that order, with no attribute repeated, is kept
+    as it is.
     """
 
     items: tuple[GradualItem, ...]
 
     def __post_init__(self) -> None:
+        if type(self.items) is tuple and len(self.items) >= 2:
+            last = -1
+            for it in self.items:
+                if it.attribute_index <= last:
+                    break
+                last = it.attribute_index
+            else:
+                # Strictly ascending from attribute 0 or above, as
+                # to_pattern yields them: already normalised and valid.
+                return
         items = tuple(sorted(self.items, key=lambda it: it.attribute_index))
         if len(items) < 2:
             raise ValueError("a gradual pattern needs at least two items")
@@ -154,7 +166,9 @@ def invalid_reason(x: int, space: SearchSpace) -> InvalidReason | None:
 
     A conflict (both bits of one attribute) takes precedence over having
     fewer than two items.  The searchers' recorder inlines the same test
-    on its hot path, so the two must change together.
+    on its hot path, once per candidate in ``record`` and once as an
+    array expression over a whole draw in ``record_draw``, so the three
+    must change together.
     """
     if not space.lower <= x <= space.upper:
         raise ValueError(

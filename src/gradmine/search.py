@@ -24,7 +24,8 @@ trajectory's columns once the loop ends.  pso's best is its final global
 best, whose pair count never falls; it can differ from the columns'
 last maximum when a personal-best re-check ties it.
 
-The sweep fills the same columns a batch at a time.  :func:`run_miner`
+The sweep fills the same columns a batch at a time, and so does rs,
+which draws every candidate before it counts any.  :func:`run_miner`
 reads every miner's frequent set (each distinct usable candidate whose
 support meets ``sigma``) off them, so one rule holds for all five;
 :func:`graank_mine` is the sweep's frequent set on its own.
@@ -190,15 +191,17 @@ class SearchResult:
 
 class _Recorder:
     """The instrumented objective function: a memo of pair counts and
-    the trajectory's columns.  :meth:`record`, the searchers' call,
-    counts each candidate integer once (the spaces are tiny, so repeat
-    visits are common), logs the call and returns its pair count, 0 for
-    an unusable candidate.  Candidates are checked and counted as
+    the trajectory's columns.  :meth:`record`, the call of ls, ga and
+    pso, counts each candidate integer once (the spaces are tiny, so
+    repeat visits are common), logs the call and returns its pair count,
+    0 for an unusable candidate.  Candidates are checked and counted as
     integers; only the results are decoded.  A new candidate is checked
     by :func:`invalid_reason`'s test, inlined on the space's down mask,
-    and one outside the space raises its ``ValueError`` unlogged.  The
-    dataset's index, built on first use, is reached only to count, so a
-    miner can refuse a run before it exists.
+    and one outside the space raises its ``ValueError`` unlogged.
+    :meth:`record_draw` logs rs's whole draw at once and memoizes its
+    usable draws alone, since rs asks nothing again.  The dataset's
+    index, built on first use, is reached only to count, so a miner can
+    refuse a run before it exists.
     """
 
     def __init__(self, d: Dataset, space: SearchSpace) -> None:
@@ -223,6 +226,22 @@ class _Recorder:
         self.candidates.append(x)
         self.pairs.append(pairs)
         return pairs
+
+    def record_draw(self, a: np.ndarray) -> None:
+        """Log the in-space draw ``a`` (int64, or object past int64) as
+        calls 1..len(a) of a fresh recorder: one array pass checks every
+        draw, and the usable ones are counted in draw order."""
+        usable = ((a & (a >> 1) & self._down) == 0) & ((a & (a - 1)) != 0)
+        self.iterations = range(1, len(a) + 1)
+        self.candidates = xs = a.tolist()
+        self.pairs = pairs = [0] * len(xs)
+        memo, count = self._memo, self.d.index.count_candidate
+        for i in np.flatnonzero(usable).tolist():
+            x = xs[i]
+            p = memo.get(x)
+            if p is None:
+                p = memo[x] = count(x)
+            pairs[i] = p
 
 
 #: A miner's incumbent best: (pairs, candidate).
@@ -291,17 +310,23 @@ def _wide_uniform(rng: np.random.Generator, s: SearchSpace, count: int) -> list[
     return out
 
 
-def _uniform_candidates(rng: np.random.Generator, s: SearchSpace, count: int) -> list[int]:
+def _draw(rng: np.random.Generator, s: SearchSpace, count: int) -> np.ndarray:
     # One sized draw yields the same stream as ``count`` scalar draws.
+    # Wide draws stay Python ints: an array of them made by np.asarray
+    # would be uint64, or float64 past it, which loses bits.
     if s.upper < _INT64_HIGH:
-        return rng.integers(s.lower, s.upper + 1, size=count).tolist()
-    return _wide_uniform(rng, s, count)
+        return rng.integers(s.lower, s.upper + 1, size=count)
+    return np.array(_wide_uniform(rng, s, count), dtype=object)
+
+
+def _uniform_candidates(rng: np.random.Generator, s: SearchSpace, count: int) -> list[int]:
+    return _draw(rng, s, count).tolist()
 
 
 def _rs(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best:
-    """Uniform probing: one independent draw per iteration."""
-    for t, x in enumerate(_uniform_candidates(rng, s, c.max_iterations), start=1):
-        rec.record(t, x)
+    """Uniform probing: one independent draw per iteration, all drawn
+    first and logged as one batch."""
+    rec.record_draw(_draw(rng, s, c.max_iterations))
     return _last_best(rec)
 
 

@@ -136,6 +136,33 @@ class TestGradualPattern:
     def test_items_sorted_by_attribute(self):
         assert [i.attribute_index for i in pat("2+", "0-").items] == [0, 2]
 
+    def test_ascending_tuple_is_kept(self):
+        # What to_pattern builds: strictly ascending, so not sorted again.
+        items = (GradualItem(0, Direction.UP), GradualItem(3, Direction.DOWN))
+        assert GradualPattern(items).items is items
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-2, 5), st.sampled_from(Direction)), max_size=5),
+        st.sampled_from((tuple, list, iter)),
+    )
+    def test_matches_sort_then_check(self, fields, container):
+        # The reference sorts every input, then checks it.
+        items = [GradualItem(a, d) for a, d in fields]
+        ordered = sorted(items, key=lambda it: it.attribute_index)
+        indexes = [it.attribute_index for it in ordered]
+        if len(ordered) < 2:
+            error = "at least two items"
+        elif len(set(indexes)) != len(indexes):
+            error = "conflicting"
+        elif indexes[0] < 0:
+            error = "non-negative"
+        else:
+            assert GradualPattern(container(items)).items == tuple(ordered)
+            return
+        with pytest.raises(ValueError, match=error):
+            GradualPattern(container(items))
+
     def test_complement_flips_directions(self):
         p = pat("0+", "1-")
         assert complement(p).items == (

@@ -4,6 +4,7 @@ import heapq
 import math
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from gradmine.search import (
     _MINERS,
     _NO_BEST,
     _clamp,
+    _draw,
     _exact_velocity,
+    _last_best,
     _mutate,
     _Recorder,
     _round_clamp,
@@ -199,6 +202,16 @@ class TestWideSpaces:
         counts = np.bincount(draws, minlength=11)[5:]
         assert set(draws) == set(range(5, 11))
         assert counts.min() > 850 and counts.max() < 1150
+
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    def test_draw_dtype_at_the_int64_boundary(self, kind):
+        # Past m = 31 a draw is an object array of Python ints: as uint64
+        # its shifts fail, and as float64 it loses bits.
+        assert _draw(np.random.default_rng(0), build_space(31, kind), 3).dtype == np.int64
+        s = build_space(32, kind)
+        wide = _draw(np.random.default_rng(0), s, 50)
+        assert wide.dtype == object and all(type(x) is int for x in wide)
+        assert wide.tolist() == _wide_uniform(np.random.default_rng(0), s, 50)
 
 
 def _expected_best(algo: str, steps, nparticles: int):
@@ -380,21 +393,66 @@ class TestRecorderValidity:
             assert (rec.record(0, x) != 0) == ok, x
         assert counted == [x for x, ok in zip(range(s.lower, s.upper + 1), valid) if ok]
 
-    @pytest.mark.parametrize("m", [24, 31, 32, 40])
-    @pytest.mark.parametrize("kind", list(SpaceKind))
-    def test_random_draws(self, m, kind):
+    @staticmethod
+    def _draws(m, s):
         # Uniform draws are almost all invalid at these widths, so draws
         # built attribute by attribute (absent, down, up or both bits)
         # add valid and conflicting candidates in numbers.
-        s = build_space(m, kind)
         rng = np.random.default_rng(m)
         states = rng.choice(4, size=(2000, m), p=[0.8, 0.09, 0.09, 0.02])
         built = [int("".join(format(v, "02b") for v in row), 2) for row in states]
-        xs = _uniform_candidates(rng, s, 2000) + [x for x in built if s.contains(x)]
+        return _uniform_candidates(rng, s, 2000) + [x for x in built if s.contains(x)]
+
+    def _per_call(self, s, xs):
+        # A recorder that logged ``xs`` one record call at a time, as
+        # calls 1..len(xs), and the candidates its index counted.
+        rec, counted = self._recorder(s)
+        for t, x in enumerate(xs, start=1):
+            rec.record(t, x)
+        return rec, counted
+
+    def _check_draw(self, s, xs, dtype):
+        # record_draw logs the columns and counts the candidates, in the
+        # same order, that one record call per candidate does.
+        rec, counted = self._recorder(s)
+        rec.record_draw(np.array(xs, dtype=dtype))
+        ref, ref_counted = self._per_call(s, xs)
+        assert list(rec.iterations) == ref.iterations
+        assert rec.candidates == ref.candidates and rec.pairs == ref.pairs
+        assert all(type(x) is int for x in rec.candidates)
+        assert counted == ref_counted
+        return rec
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    def test_exhaustive_draw(self, m, kind):
+        s = build_space(m, kind)
+        xs = list(range(s.lower, s.upper + 1))
+        rec = self._check_draw(s, xs, np.int64)
+        assert [p != 0 for p in rec.pairs] == [_oracle_reason(x, m) is None for x in xs]
+
+    @pytest.mark.parametrize("m", [24, 31, 32, 40])
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    def test_random_draws(self, m, kind):
+        s = build_space(m, kind)
+        xs = self._draws(m, s)
         rec, _ = self._recorder(s)
         reasons = [_oracle_reason(x, m) for x in xs]
         assert [rec.record(0, x) == 0 for x in xs] == [r is not None for r in reasons]
         assert reasons.count(None) > 500 and len(set(reasons)) == 3
+
+    @pytest.mark.parametrize("m", [24, 31, 32, 40])
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    def test_random_draws_as_one_draw(self, m, kind):
+        # Every seventh candidate again, so the draw repeats usable ones.
+        s = build_space(m, kind)
+        xs = self._draws(m, s)
+        xs += xs[::7]
+        rec = self._check_draw(s, xs, object if m >= 32 else np.int64)
+        reasons = [_oracle_reason(x, m) for x in xs]
+        assert [p == 0 for p in rec.pairs] == [r is not None for r in reasons]
+        # Unusable draws never enter the memo.
+        assert set(rec._memo) == {x for x, r in zip(xs, reasons) if r is None}
 
     @pytest.mark.parametrize("kind", list(SpaceKind))
     def test_outside_the_space_raises_and_logs_nothing(self, kind):
@@ -409,7 +467,50 @@ class TestRecorderValidity:
         assert rec._memo == {up: 1} and counted == [up]
 
 
+def _per_call_rs(rec, rng, s, c):
+    """Reference rs loop that ``search._rs`` must match: one ``record``
+    call per draw."""
+    for t, x in enumerate(_uniform_candidates(rng, s, c.max_iterations), start=1):
+        rec.record(t, x)
+    return _last_best(rec)
+
+
+def _assert_rs_matches_per_call(d, s, c):
+    r = run_miner("rs", d, s, c)
+    with mock.patch.dict(_MINERS, rs=_per_call_rs):
+        ref = run_miner("rs", d, s, c)
+    t, u = r.trajectory, ref.trajectory
+    assert list(t.iterations) == u.iterations == list(range(1, c.max_iterations + 1))
+    assert t.candidates == u.candidates and t.pairs == u.pairs
+    assert all(type(x) is int for x in t.candidates)
+    assert (r.best_pattern, r.best_support, r.best_fitness) == (
+        ref.best_pattern, ref.best_support, ref.best_fitness
+    )
+    assert r.frequent_patterns == ref.frequent_patterns
+
+
 class TestRandomSearch:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tied_tables(max_m=6),
+        st.sampled_from(list(SpaceKind)),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.sampled_from((0.0, 0.2, 0.5, 1.0)),
+    )
+    def test_draw_matches_per_call_records(self, d, kind, seed, iterations, sigma):
+        c = SearchConfig(max_iterations=iterations, seed=seed, sigma=sigma)
+        _assert_rs_matches_per_call(d, build_space(d.m, kind), c)
+
+    # Either side of the int64 draw, which ends at m = 31.
+    @pytest.mark.parametrize("m", [31, 32, 33])
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    @pytest.mark.parametrize("iterations", [1, 7, 5000])
+    def test_draw_matches_per_call_records_at_width(self, m, kind, iterations):
+        d = random_dataset(np.random.default_rng(m), 6, m)
+        c = SearchConfig(max_iterations=iterations, seed=m, sigma=0.0)
+        _assert_rs_matches_per_call(d, build_space(m, kind), c)
+
     def test_two_object_best_fitness_one(self, space):
         d = Dataset(("a", "b", "c"), np.array([[1.0, 2.0, 9.0], [2.0, 1.0, 5.0]]))
         r = run_miner("rs", d, space, SearchConfig(max_iterations=20, seed=0))
