@@ -10,7 +10,6 @@ in both axes.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -110,9 +109,8 @@ def load_dataset(path, delimiter: str = ",", has_header: bool = True) -> Dataset
     UTF-8 CSV, or if fewer than two columns / two rows survive cleaning.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = itertools.chain([next(fh, "").removeprefix("\ufeff")], fh)
-            rows = [row for row in csv.reader(lines, delimiter=delimiter) if row]
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     if not rows:

@@ -85,24 +85,12 @@ class GradualItem:
 class GradualPattern:
     """A set of two or more gradual items over distinct attributes.
 
-    Items are normalised to ascending attribute order on construction;
-    a tuple already in that order, with no attribute repeated, is kept
-    as it is.
+    Items are normalised to ascending attribute order on construction.
     """
 
     items: tuple[GradualItem, ...]
 
     def __post_init__(self) -> None:
-        if type(self.items) is tuple and len(self.items) >= 2:
-            last = -1
-            for it in self.items:
-                if it.attribute_index <= last:
-                    break
-                last = it.attribute_index
-            else:
-                # Strictly ascending from attribute 0 or above, as
-                # to_pattern yields them: already normalised and valid.
-                return
         items = tuple(sorted(self.items, key=lambda it: it.attribute_index))
         if len(items) < 2:
             raise ValueError("a gradual pattern needs at least two items")
@@ -133,9 +121,6 @@ class SearchSpace:
     @property
     def size(self) -> int:
         return self.upper - self.lower + 1
-
-    def contains(self, x: int) -> bool:
-        return self.lower <= x <= self.upper
 
 
 def build_space(m: int, kind: SpaceKind = SpaceKind.NUMERIC) -> SearchSpace:
@@ -201,7 +186,12 @@ def to_pattern(x: int, space: SearchSpace) -> GradualPattern:
         pos = x.bit_length() - 1
         x ^= 1 << pos
         items.append(_item(top - pos))
-    return GradualPattern(tuple(items))
+    # invalid_reason has bounded and checked x, and the bits come out high
+    # to low, so the items are already ascending and valid: the
+    # constructor's sort and checks would only repeat that.
+    pattern = object.__new__(GradualPattern)
+    object.__setattr__(pattern, "items", tuple(items))
+    return pattern
 
 
 @functools.cache

@@ -319,10 +319,6 @@ def _draw(rng: np.random.Generator, s: SearchSpace, count: int) -> np.ndarray:
     return np.array(_wide_uniform(rng, s, count), dtype=object)
 
 
-def _uniform_candidates(rng: np.random.Generator, s: SearchSpace, count: int) -> list[int]:
-    return _draw(rng, s, count).tolist()
-
-
 def _rs(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best:
     """Uniform probing: one independent draw per iteration, all drawn
     first and logged as one batch."""
@@ -337,7 +333,7 @@ def _ls(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfi
     current point.  Because 0 >= 0 holds, the walk keeps drifting across
     unusable ground instead of freezing on it.
     """
-    (x,) = _uniform_candidates(rng, s, 1)
+    (x,) = _draw(rng, s, 1).tolist()
     current = rec.record(0, x)
     try:
         steps = rng.uniform(-c.step_size, c.step_size, size=c.max_iterations).tolist()
@@ -378,7 +374,7 @@ def _ga(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfi
     first ``npop`` members.
     Exactly four objective calls per iteration.
     """
-    pop = [(-rec.record(0, x), x) for x in _uniform_candidates(rng, s, c.npop)]
+    pop = [(-rec.record(0, x), x) for x in _draw(rng, s, c.npop).tolist()]
     pop.sort()
     nbits = 2 * s.m
     for t in range(1, c.max_iterations + 1):
@@ -419,7 +415,7 @@ def _pso(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConf
     swarm sweep every particle moves with a velocity clipped to
     ``max_velocity`` and a position rounded and clamped to the interval.
     """
-    positions = _uniform_candidates(rng, s, c.nparticles)
+    positions = _draw(rng, s, c.nparticles).tolist()
     velocities = [0.0] * c.nparticles
     pbest = list(positions)
     gbest = pbest[0]

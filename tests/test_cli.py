@@ -382,6 +382,16 @@ class TestBench:
         assert main(["bench", "--spec", str(bad), "--out-dir", str(tmp_path)]) == 2
         assert main(["bench", "--spec", "no/such.json", "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("top", [["t.csv"], "t.csv"], ids=["list", "string"])
+    def test_spec_that_is_not_an_object(self, tmp_path, capsys, top):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(top), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["bench", "--spec", str(path), "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: benchmark spec: benchmark spec must be a JSON object\n"
+        assert captured.out == "" and not out_dir.exists()
+
     @pytest.mark.parametrize(
         "flags, spec",
         [
@@ -458,6 +468,36 @@ class TestBench:
         ]
         assert main(argv) == 0
         assert "wilcoxon rs: skipped" in capsys.readouterr().out
+
+    def test_wilcoxon_result_per_searcher(self, tmp_path, capsys):
+        rng = np.random.default_rng(22)
+        tables = []
+        for i in range(6):
+            path = tmp_path / f"t{i}.csv"
+            rows = rng.normal(size=(12, 1)) + rng.normal(size=(12, 4))
+            write_csv(path, ("a", "b", "c", "d"), rows.round(3).tolist())
+            tables.append(str(path))
+        searchers = ("rs", "ls", "ga", "pso")
+        argv = [
+            "bench",
+            "--data", *tables,
+            "--algos", *searchers,
+            "--spaces", "numeric", "bitmap",
+            "--reps", "1",
+            "--iters", "5",
+            "--out-dir", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wilcoxon")]
+        assert [line.split(":")[0] for line in lines] == [f"wilcoxon {a}" for a in searchers]
+        for line in lines:
+            match = re.fullmatch(
+                r"wilcoxon \w+: W=(\S+) p=(\d\.\d{4}) n=(\d+) zeros_dropped=(\d+)", line
+            )
+            assert match, line
+            w, p, n, zeros = float(match[1]), float(match[2]), int(match[3]), int(match[4])
+            assert 5 <= n and n + zeros == len(tables)
+            assert 0 <= w <= n * (n + 1) / 2 and 0 <= p <= 1
 
     def test_failed_cell_or_dataset_exits_1(self, tmp_path, course_csv, capsys, monkeypatch):
         real = gradmine.harness.run_miner

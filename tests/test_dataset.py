@@ -225,6 +225,9 @@ class TestDatasetType:
             Dataset(("a", "b"), np.array([[1.0, np.nan], [2.0, 3.0]]))
         with pytest.raises(DatasetError, match="duplicate attribute name 'b'"):
             Dataset(("b", "c", "b"), np.ones((2, 3)))
+        for shape in ((4,), (2, 2, 2)):
+            with pytest.raises(DatasetError, match="2-d"):
+                Dataset(("a", "b"), np.ones(shape))
 
     def test_values_frozen_and_copied(self):
         source = np.ones((2, 2))

@@ -1,5 +1,7 @@
 """Candidate encoding: spaces, integer <-> pattern, validity."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,8 +56,8 @@ class TestSpaces:
     def test_size_and_contains(self):
         s = build_space(3)
         assert s.size == 38
-        assert s.contains(5) and s.contains(42)
-        assert not s.contains(4) and not s.contains(43)
+        assert all(s.lower <= x <= s.upper for x in (5, 42))
+        assert not any(s.lower <= x <= s.upper for x in (4, 43))
 
     def test_cached_mask_leaves_equality_and_hash_alone(self):
         s = build_space(5)
@@ -136,10 +138,28 @@ class TestGradualPattern:
     def test_items_sorted_by_attribute(self):
         assert [i.attribute_index for i in pat("2+", "0-").items] == [0, 2]
 
-    def test_ascending_tuple_is_kept(self):
-        # What to_pattern builds: strictly ascending, so not sorted again.
-        items = (GradualItem(0, Direction.UP), GradualItem(3, Direction.DOWN))
-        assert GradualPattern(items).items is items
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    def test_decode_matches_constructor(self, kind):
+        # to_pattern skips the constructor's sort and checks; its pattern
+        # must still be the one the constructor makes of the same items
+        # in any order, and encode must map it back.
+        rng = random.Random(7)
+        cases = [(x, build_space(m, kind)) for m in range(2, 7) for x in enumerate_valid(build_space(m))]
+        for m in (24, 40):
+            s = build_space(m, kind)
+            for _ in range(300):
+                states = [0] * m
+                while sum(map(bool, states)) < 2:
+                    states = [rng.choice((0, 0, 1, 2)) for _ in range(m)]
+                cases.append((sum(v << (2 * (m - 1 - i)) for i, v in enumerate(states)), s))
+        for x, s in cases:
+            p = to_pattern(x, s)
+            items = list(p.items)
+            rng.shuffle(items)
+            built = GradualPattern(items)
+            assert type(p) is GradualPattern and type(p.items) is tuple
+            assert p == built and hash(p) == hash(built) and repr(p) == repr(built)
+            assert encode(p, s.m) == x
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -219,7 +239,7 @@ class TestValidity:
         for x in enumerate_valid(s):
             p = to_pattern(x, s)
             comp = encode(complement(p), 3)
-            assert s.contains(comp) and invalid_reason(comp, s) is None
+            assert s.lower <= comp <= s.upper and invalid_reason(comp, s) is None
 
 
 @st.composite

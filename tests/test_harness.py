@@ -249,6 +249,13 @@ class TestBenchSpec:
         assert spec.config_for("ga", 7) == SearchConfig(seed=7, npop=6)
         assert spec.config_for("rs", 7) == SearchConfig(seed=7)
 
+    @pytest.mark.parametrize("top", [["a.csv"], "a.csv"], ids=["list", "string"])
+    def test_from_json_needs_an_object(self, tmp_path, top):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(top), encoding="utf-8")
+        with pytest.raises(ValueError, match="^benchmark spec must be a JSON object$"):
+            BenchSpec.from_json(path)
+
 
 @pytest.fixture
 def two_csvs(tmp_path):

@@ -42,7 +42,6 @@ from gradmine.search import (
     _Recorder,
     _round_clamp,
     _rs,
-    _uniform_candidates,
     _wide_uniform,
 )
 
@@ -143,7 +142,7 @@ class TestWideSpaces:
         r = run_miner(algo, d, s, SearchConfig(max_iterations=30, seed=4))
         assert r.trajectory.evaluations > 0
         for st in r.trajectory.steps:
-            assert type(st.candidate) is int and s.contains(st.candidate)
+            assert type(st.candidate) is int and s.lower <= st.candidate <= s.upper
 
     @pytest.mark.parametrize("kind", list(SpaceKind))
     def test_moves_are_not_swallowed_by_float64(self, kind):
@@ -179,7 +178,7 @@ class TestWideSpaces:
         r = run_miner(algo, d, s, SearchConfig())
         assert r.trajectory.evaluations == (3 * 5 * 20 if algo == "pso" else 10 + 4 * 20)
         visited = {st.candidate for st in r.trajectory.steps}
-        assert all(s.contains(x) for x in visited) and len(visited) > 10
+        assert all(s.lower <= x <= s.upper for x in visited) and len(visited) > 10
 
     @given(
         st.floats(0.0, 1e6), st.floats(-10.0, 10.0), st.floats(0.0, 1.0), st.integers(-99, 99),
@@ -401,7 +400,7 @@ class TestRecorderValidity:
         rng = np.random.default_rng(m)
         states = rng.choice(4, size=(2000, m), p=[0.8, 0.09, 0.09, 0.02])
         built = [int("".join(format(v, "02b") for v in row), 2) for row in states]
-        return _uniform_candidates(rng, s, 2000) + [x for x in built if s.contains(x)]
+        return _draw(rng, s, 2000).tolist() + [x for x in built if s.lower <= x <= s.upper]
 
     def _per_call(self, s, xs):
         # A recorder that logged ``xs`` one record call at a time, as
@@ -470,7 +469,7 @@ class TestRecorderValidity:
 def _per_call_rs(rec, rng, s, c):
     """Reference rs loop that ``search._rs`` must match: one ``record``
     call per draw."""
-    for t, x in enumerate(_uniform_candidates(rng, s, c.max_iterations), start=1):
+    for t, x in enumerate(_draw(rng, s, c.max_iterations).tolist(), start=1):
         rec.record(t, x)
     return _last_best(rec)
 
@@ -569,7 +568,7 @@ def _heapq_ga(rec, rng, s, c):
     and the survivors by ``heapq.nsmallest(npop, ...)`` on (-pairs, x)."""
     best = _NO_BEST
     pop = []
-    for x in _uniform_candidates(rng, s, c.npop):
+    for x in _draw(rng, s, c.npop).tolist():
         pairs = rec.record(0, x)
         pop.append((-pairs, x))
         best = _keep_best(best, pairs, x)
@@ -606,7 +605,7 @@ class TestMutation:
     def test_matches_packbits(self, m, kind):
         s = build_space(m, kind)
         ours, ref = np.random.default_rng(m), np.random.default_rng(m)
-        starts = [s.lower, s.upper] + _uniform_candidates(np.random.default_rng(0), s, 6)
+        starts = [s.lower, s.upper] + _draw(np.random.default_rng(0), s, 6).tolist()
         # A scale of 1e-300 leaves the nudge rounding to nothing, so the
         # bitmap mutant of 0 is the mask itself; 1e308 overflows to a bound.
         for rate in (0.0, 0.1, 0.5, 1.0):
