@@ -116,13 +116,38 @@ class TestOracleAgreement:
             assert index.count(p) == course_dataset.index.count(p)
 
 
+#: ``fitness.INT_ROW_BYTES`` values that give every tier-1 table int rows
+#: (the real cutoff) or numpy rows (a cutoff below any row).
+ROW_FORMS = pytest.mark.parametrize(
+    "int_row_bytes", [gradmine.fitness.INT_ROW_BYTES, 0], ids=["int", "numpy"]
+)
+
+
+def row_bytes(n: int) -> int:
+    """Bytes of one index row of n objects: n lines of ceil(n / 8) bytes,
+    rounded up to whole 64-bit words."""
+    return 8 * -(-n * ((n + 7) // 8) // 8)
+
+
+def index_in_form(d: Dataset, int_row_bytes: int) -> ConcordanceIndex:
+    """``ConcordanceIndex(d)`` built with the cutoff ``int_row_bytes``,
+    checked to count on the row form that cutoff picks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gradmine.fitness, "INT_ROW_BYTES", int_row_bytes)
+        index = ConcordanceIndex(d)
+    form = int if row_bytes(d.n) <= int_row_bytes else np.ndarray
+    assert all(type(row) is form for row in index._row_list)
+    return index
+
+
 class TestPackedIndex:
+    @ROW_FORMS
     @settings(max_examples=60, deadline=None)
     @given(tied_tables())
     @example(Dataset(("a", "b"), np.array([[1.0, 4.0], [2.0, 3.0]])))
     @example(Dataset(("a", "b", "c"), np.zeros((9, 3))))
-    def test_count_matches_brute_and_complement(self, d):
-        index = ConcordanceIndex(d)
+    def test_count_matches_brute_and_complement(self, int_row_bytes, d):
+        index = index_in_form(d, int_row_bytes)
         space = build_space(d.m)
         for x in enumerate_valid(space):
             p = to_pattern(x, space)
@@ -131,13 +156,15 @@ class TestPackedIndex:
             assert pairs == index.count_candidate(x)
             assert pairs == index.count(complement(p))
 
+    @ROW_FORMS
     @pytest.mark.parametrize("m", [24, 40])
-    def test_count_candidate_at_benchmark_widths(self, m):
+    def test_count_candidate_at_benchmark_widths(self, m, int_row_bytes):
         # Bit p names row 2m - 1 - p; at m = 40 the candidates reach bit
         # 79, past a 64-bit word.  Half the candidates have 2 to 4 items,
         # so many counts are nonzero on 9 tied rows, and half 2 to m.
         rng = np.random.default_rng(m)
         d = random_dataset(rng, 9, m, ties=True)
+        index = index_in_form(d, int_row_bytes)
         space = build_space(m)
         nonzero, widths = 0, set()
         for i in range(300):
@@ -145,12 +172,28 @@ class TestPackedIndex:
             attrs = rng.choice(m, size=k, replace=False).tolist()
             downs = rng.integers(0, 2, size=k).tolist()
             x = sum(1 << (2 * m - 1 - 2 * a - down) for a, down in zip(attrs, downs))
-            pairs = d.index.count_candidate(x)
+            pairs = index.count_candidate(x)
             assert pairs == concordant_count_brute(to_pattern(x, space), d)
             nonzero += pairs > 0
             widths.add(x.bit_length())
         assert nonzero >= 100
         assert max(widths) == 2 * m and min(widths) < 2 * m - 20
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["int", "numpy"])
+    def test_count_candidate_beside_the_cutoff(self, side):
+        # The largest table whose rows are ints under the real cutoff, and
+        # the smallest whose rows are not; a sample of 2 to 6 items each.
+        n = max(n for n in range(1, 1000) if row_bytes(n) <= gradmine.fitness.INT_ROW_BYTES)
+        n += side
+        rng = np.random.default_rng(n)
+        d = random_dataset(rng, n, 6, ties=True)
+        index = index_in_form(d, gradmine.fitness.INT_ROW_BYTES)
+        assert (type(index._row_list[0]) is int) == (side == 0)
+        space = build_space(6)
+        valid = list(enumerate_valid(space))
+        for i in rng.choice(len(valid), size=12, replace=False).tolist():
+            x = valid[i]
+            assert index.count_candidate(x) == concordant_count_brute(to_pattern(x, space), d)
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_counts_walk_every_candidate_in_order(self, m, monkeypatch):
@@ -351,7 +394,15 @@ class TestErrors:
             ConcordanceIndex(course_dataset).count(p)
 
     def test_index_memory_limit(self, course_dataset, monkeypatch):
-        # 4 objects pack into 4 bytes per row, one 64-bit word; 6 rows.
+        # 4 objects pack into 4 bytes per row, one 64-bit word; 6 rows,
+        # and their int copy is counted as 48 bytes more.
+        monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 96)
+        assert ConcordanceIndex(course_dataset)._rows.nbytes == 48
+        monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 95)
+        with pytest.raises(DatasetError, match=r"n=4 .* m=3 .* 96-byte .* 95-byte"):
+            ConcordanceIndex(course_dataset)
+        # Without the int copy the rows alone are counted.
+        monkeypatch.setattr(gradmine.fitness, "INT_ROW_BYTES", 0)
         monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 48)
         assert ConcordanceIndex(course_dataset)._rows.nbytes == 48
         monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 47)

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gradmine.fitness
+import gradmine.search
 from conftest import COURSE_NAMES, COURSE_ROWS, brute_frequent, fitness_of
 from conftest import field_oracle, random_dataset, tied_tables
 from gradmine import (
@@ -32,13 +33,14 @@ from gradmine import (
 )
 from gradmine.fitness import ConcordanceIndex
 from gradmine.search import (
+    _BINARY_DIGITS,
     _MINERS,
     _NO_BEST,
     _clamp,
     _draw,
     _exact_velocity,
+    _ga_moves,
     _last_best,
-    _mutate,
     _Recorder,
     _round_clamp,
     _rs,
@@ -562,10 +564,42 @@ class TestLocalSearch:
         assert run_miner("ls", d, space, c).best_fitness == 0.25
 
 
+def _mutation_draws(rng, s, c):
+    """One mutant's draws, taken per call: the flip mask (the first flip
+    is the top bit) and the nudge, numpy's ``normal(0, scale)`` without
+    its ``0.0 +``."""
+    flips = (rng.random(2 * s.m) < c.mutation_rate).tobytes()
+    return int(flips.translate(_BINARY_DIGITS), 2), rng.standard_normal() * c.mutation_scale
+
+
+def _mutate(rng, candidate, s, c):
+    """The reference mutation: bit flips first, then the nudge; both
+    respect the interval by rounding and clamping."""
+    mask, nudge = _mutation_draws(rng, s, c)
+    return _round_clamp(candidate ^ mask, nudge, s)
+
+
+def _per_call_moves(rng, s, c):
+    """Reference for ``search._ga_moves``: each iteration's crossover
+    coin, cut point and two mutants' draws, one call at a time."""
+    nbits = 2 * s.m
+    for _ in range(c.max_iterations):
+        low = None
+        if float(rng.random()) < c.crossover_rate:
+            low = (1 << (nbits - int(rng.integers(1, nbits)))) - 1
+        yield (low, *_mutation_draws(rng, s, c), *_mutation_draws(rng, s, c))
+
+
+def _ga_block(m):
+    """Iterations per ``_ga_moves`` block: two mutants of 2m float64s each."""
+    return max(1, gradmine.search.GA_DRAW_BYTES // (2 * 2 * m * 8))
+
+
 def _heapq_ga(rec, rng, s, c):
     """Reference GA loop that ``search._ga`` must match step for step: an
     unsorted population, the parents taken by ``heapq.nsmallest(2, ...)``
-    and the survivors by ``heapq.nsmallest(npop, ...)`` on (-pairs, x)."""
+    and the survivors by ``heapq.nsmallest(npop, ...)`` on (-pairs, x),
+    and every draw taken when the loop reaches it."""
     best = _NO_BEST
     pop = []
     for x in _draw(rng, s, c.npop).tolist():
@@ -597,23 +631,48 @@ def _packbits_mutate(rng, candidate, s, c):
     return _round_clamp(candidate ^ mask, float(rng.normal(0.0, c.mutation_scale)), s)
 
 
+#: 2m not a multiple of 8 (3, 5, 13), masks past 64 bits (40) and past
+#: int's 4,300-digit string limit (2200).
+MUTATION_WIDTHS = [3, 5, 13, 24, 40, 2200]
+
+#: A scale of 1e-300 leaves the nudge rounding to nothing, so the bitmap
+#: mutant of 0 is the mask itself; 1e308 overflows to a bound.
+MUTATION_SCALES = (1e-300, 1.0, 5.0, 1e6, 1e308)
+
+
 class TestMutation:
-    # 2m not a multiple of 8 (3, 5, 13), masks past 64 bits (40) and
-    # past int's 4,300-digit string limit (2200).
-    @pytest.mark.parametrize("m", [3, 5, 13, 24, 40, 2200])
+    @pytest.mark.parametrize("m", MUTATION_WIDTHS)
     @pytest.mark.parametrize("kind", list(SpaceKind))
     def test_matches_packbits(self, m, kind):
         s = build_space(m, kind)
         ours, ref = np.random.default_rng(m), np.random.default_rng(m)
         starts = [s.lower, s.upper] + _draw(np.random.default_rng(0), s, 6).tolist()
-        # A scale of 1e-300 leaves the nudge rounding to nothing, so the
-        # bitmap mutant of 0 is the mask itself; 1e308 overflows to a bound.
         for rate in (0.0, 0.1, 0.5, 1.0):
-            for scale in (1e-300, 1.0, 5.0, 1e6, 1e308):
+            for scale in MUTATION_SCALES:
                 c = SearchConfig(mutation_rate=rate, mutation_scale=scale)
                 for x in starts:
                     assert _mutate(ours, x, s, c) == _packbits_mutate(ref, x, s, c)
                     assert ours.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("m", MUTATION_WIDTHS)
+    def test_block_draws_match_per_call_draws(self, m):
+        # Two blocks and one iteration more, so the last block is short.
+        # The nudges are compared as floats: 1e308 makes some infinite.
+        s = build_space(m)
+        iterations = 2 * _ga_block(m) + 1
+        for crossover in (0.0, 0.5, 1.0):
+            for rate in (0.0, 0.1, 0.5, 1.0):
+                for scale in MUTATION_SCALES:
+                    c = SearchConfig(
+                        max_iterations=iterations, crossover_rate=crossover,
+                        mutation_rate=rate, mutation_scale=scale,
+                    )
+                    ours, ref = np.random.default_rng(m), np.random.default_rng(m)
+                    assert list(_ga_moves(ours, s, c)) == list(_per_call_moves(ref, s, c))
+                    assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_block_sizes(self):
+        assert [_ga_block(m) for m in MUTATION_WIDTHS] == [682, 409, 157, 85, 51, 1]
 
 
 class TestGeneticAlgorithm:
@@ -647,6 +706,29 @@ class TestGeneticAlgorithm:
         assert r.best_fitness == (1.0 / pairs if pairs else math.inf)
         assert (None if r.best_pattern is None else encode(r.best_pattern, d.m)) == x
 
+    @pytest.mark.parametrize("m", [24, 40])
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    @pytest.mark.parametrize(
+        "blocks", [(1, -1), (1, 0), (1, 1), (2, 1)], ids=["B-1", "B", "B+1", "2B+1"]
+    )
+    def test_matches_heapq_across_draw_blocks(self, m, kind, blocks):
+        # T = B - 1, B, B + 1 and 2B + 1 iterations, B a draw block.
+        # Eight objects on one shared trend give the numeric space usable
+        # candidates at these widths; the bitmap space finds none.
+        rng = np.random.default_rng(m)
+        values = rng.normal(size=(8, 1)) + 0.3 * rng.normal(size=(8, m))
+        d = Dataset(tuple(f"col{i}" for i in range(m)), values)
+        s = build_space(m, kind)
+        whole, extra = blocks
+        c = SearchConfig(max_iterations=whole * _ga_block(m) + extra, seed=m, sigma=0.1)
+        r = run_miner("ga", d, s, c)
+        rec = _Recorder(d, s)
+        pairs, x = _heapq_ga(rec, np.random.default_rng(c.seed), s, c)
+        assert r.trajectory == Trajectory(rec.iterations, rec.candidates, rec.pairs)
+        assert r.best_fitness == (1.0 / pairs if pairs else math.inf)
+        assert (None if r.best_pattern is None else encode(r.best_pattern, d.m)) == x
+        assert any(rec.pairs) == (kind is SpaceKind.NUMERIC)
+
     def test_no_crossover_copies_parents(self, course_dataset, space):
         c = SearchConfig(max_iterations=10, seed=6, npop=6, crossover_rate=0.0)
         r = run_miner("ga", course_dataset, space, c)
@@ -670,7 +752,76 @@ class TestGeneticAlgorithm:
             assert sum(1 for st in r.trajectory.steps if st.iteration == t) == 4
 
 
+def _per_iteration_pso(rec, rng, s, c):
+    """Reference pso loop that ``search._pso`` must match step for step:
+    each iteration's r1/r2 drawn once its swarm sweep ends."""
+    positions = _draw(rng, s, c.nparticles).tolist()
+    velocities = [0.0] * c.nparticles
+    pbest = list(positions)
+    gbest = pbest[0]
+    for t in range(1, c.max_iterations + 1):
+        for i, x in enumerate(positions):
+            px, pp = rec.record(t, x), rec.record(t, pbest[i])
+            if px and px >= pp:
+                pbest[i] = x
+            pg = rec.record(t, gbest)
+            if px and px >= pg:
+                gbest, pg = x, px
+        r = rng.random(2 * c.nparticles).tolist()
+        for i in range(c.nparticles):
+            rp, rg, dp, dg = r[2 * i], r[2 * i + 1], pbest[i] - positions[i], gbest - positions[i]
+            try:
+                v = c.inertia * velocities[i] + c.coef_p * rp * dp + c.coef_g * rg * dg
+            except OverflowError:
+                v = math.nan
+            if v != v:
+                v = _exact_velocity(c, velocities[i], rp, dp, rg, dg)
+            velocities[i] = min(max(v, -c.max_velocity), c.max_velocity)
+            positions[i] = _round_clamp(positions[i], velocities[i], s)
+    return (pg, gbest) if pg else _NO_BEST
+
+
+def _assert_pso_matches_per_iteration_draws(d, s, c):
+    r = run_miner("pso", d, s, c)
+    rec = _Recorder(d, s)
+    pairs, x = _per_iteration_pso(rec, np.random.default_rng(c.seed), s, c)
+    assert r.trajectory == Trajectory(rec.iterations, rec.candidates, rec.pairs)
+    assert r.best_fitness == (1.0 / pairs if pairs else math.inf)
+    assert (None if r.best_pattern is None else encode(r.best_pattern, d.m)) == x
+    return rec
+
+
 class TestParticleSwarm:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tied_tables(max_m=6),
+        st.sampled_from(list(SpaceKind)),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 30),
+        st.integers(1, 6),
+        st.floats(0.0, 2.0),
+        st.floats(0.1, 10.0),
+    )
+    def test_matches_per_iteration_draws(self, d, kind, seed, iterations, nparticles, w, vmax):
+        c = SearchConfig(
+            max_iterations=iterations, seed=seed, sigma=0.1, nparticles=nparticles,
+            inertia=w, max_velocity=vmax,
+        )
+        _assert_pso_matches_per_iteration_draws(d, build_space(d.m, kind), c)
+
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    def test_matches_per_iteration_draws_at_width(self, kind):
+        # 200 iterations at m = 40, where the interval passes int64.  The
+        # pulls span up to 2^80, so a velocity clipped to a few units
+        # would not depend on r1/r2; unclipped, each one moves a particle.
+        m = 40
+        rng = np.random.default_rng(m)
+        values = rng.normal(size=(8, 1)) + 0.3 * rng.normal(size=(8, m))
+        d = Dataset(tuple(f"col{i}" for i in range(m)), values)
+        c = SearchConfig(max_iterations=200, seed=m, sigma=0.1, max_velocity=1e30)
+        rec = _assert_pso_matches_per_iteration_draws(d, build_space(m, kind), c)
+        assert len(rec.candidates) == 3 * c.nparticles * 200
+
     def test_zero_coefficients_freeze_particles(self, course_dataset, space):
         c = SearchConfig(
             max_iterations=6, seed=8, nparticles=3, coef_p=0.0, coef_g=0.0, inertia=0.0
