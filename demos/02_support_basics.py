@@ -7,6 +7,8 @@ all of its items at once, with strict inequalities.  This script works
 the arithmetic on a four-person table, small enough to check by hand.
 """
 
+import math
+
 import numpy as np
 
 from gradmine import (
@@ -59,9 +61,9 @@ print(f"support     : {pairs / object_pair_count(d):.4f}  (4/6)")
 
 # The search objective inverts the raw count, so better patterns score
 # lower and the minimum is the most supported pattern.  The exhaustive
-# miner's trajectory keeps the fitness of every valid candidate.
-result = run_miner("graank", d, space, SearchConfig(sigma=0.5))
-fitness = {step.candidate: step.fitness for step in result.trajectory.steps}
+# miner's trajectory keeps the pair count of every valid candidate.
+t = run_miner("graank", d, space, SearchConfig(sigma=0.5)).trajectory
+fitness = {x: 1.0 / p if p else math.inf for x, p in zip(t.candidates, t.pairs)}
 print(f"fitness     : {fitness[40]}  (1/4)")
 
 # Candidates that decode to nothing, or that no pair obeys, get an

@@ -60,4 +60,4 @@ print(
 
 # Same seed, same trajectory - bit for bit.
 again = run_miner("ga", d, space, config)
-print(f"ga rerun identical: {again.trajectory.steps == ga.trajectory.steps}")
+print(f"ga rerun identical: {again.trajectory == ga.trajectory}")

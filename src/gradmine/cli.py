@@ -210,8 +210,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if spec.save_trajectories:
         for cell in report.cells:
             tag = f"{cell.dataset}_{cell.algorithm}_{cell.space or 'full'}"
-            for rep, steps in enumerate(cell.trajectories or ()):  # None for an error cell
-                write_scatter_csv(scatter_dir / f"{tag}_rep{rep}.csv", steps)
+            for rep, trajectory in enumerate(cell.trajectories or ()):  # None for an error cell
+                write_scatter_csv(scatter_dir / f"{tag}_rep{rep}.csv", trajectory)
 
     for failure in report.failures:
         print(f"dataset failed: {failure.path}: {failure.error}", file=sys.stderr)

@@ -69,9 +69,10 @@ class ConcordanceIndex:
     :meth:`count_candidate` ANDs; that copy is counted as as many bytes
     again.  Above ``MAX_INDEX_BYTES`` the index raises ``DatasetError``
     before allocating.
-    An attribute of L distinct values costs ``2 * L * n`` small-integer
-    comparisons and a gather of its two rows, not ``2 * n * n`` float
-    comparisons.
+    An attribute of L distinct values costs one scatter of its n objects
+    into L + 1 packed lines, a running OR over them and two gathers into
+    its rows, with ``(L + 1) * ceil(n / 8)`` bytes held beside the rows,
+    not ``2 * n * n`` float comparisons.
     """
 
     def __init__(self, d: Dataset) -> None:
@@ -89,15 +90,26 @@ class ConcordanceIndex:
         packed = self._rows.view(np.uint8)
         # One attribute at a time, by the dense level r of each value: line
         # i of row 2a marks the objects above level r[i], of row 2a + 1
-        # those below, so each level's lines are packed once and gathered.
-        # Transient: L * (n + ceil(n / 8)) bytes, then L * ceil(n / 8)
-        # plus one row.
+        # those below.  Each object sets its bit (bit j of a line is bit
+        # 7 - j % 8 of byte j // 8, np.packbits' order) in line r + 1 of
+        # ``below``, whose running OR then makes line g the objects below
+        # level g and the last line all of them.  The rows are gathered by
+        # r straight into the index (mode="clip" keeps np.take from
+        # buffering a row), so an attribute holds L + 1 lines, freed
+        # before the next attribute's are made.
+        line = (d.n + 7) // 8
+        j = np.arange(d.n)
+        byte, bit = j >> 3, (128 >> (j & 7)).astype(np.uint8)
         for a, col in enumerate(np.ascontiguousarray(d.values.T)):
             levels, r = np.unique(col, return_inverse=True)
-            r = r.astype(np.min_scalar_type(len(levels)))
-            g = np.arange(len(levels), dtype=r.dtype)[:, None]
-            for b, holds in enumerate((np.greater, np.less)):
-                packed[2 * a + b, :row_bytes] = np.packbits(holds(r, g), axis=1)[r].ravel()
+            below = np.zeros((len(levels) + 1, line), dtype=np.uint8)
+            np.bitwise_or.at(below, (r + 1, byte), bit)
+            np.bitwise_or.accumulate(below, axis=0, out=below)
+            up, down = packed[2 * a : 2 * a + 2, :row_bytes].reshape(2, d.n, line)
+            np.take(below, r + 1, axis=0, out=up, mode="clip")
+            up ^= below[-1]  # all objects but those at or below r[i]
+            np.take(below, r, axis=0, out=down, mode="clip")
+            del below
         # The rows counted one candidate at a time, taken once: a list item
         # is cheaper to reach than a fresh view of the array per item.
         if self._int_rows:

@@ -17,7 +17,7 @@ import json
 import tracemalloc
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .encoding import GradualPattern, SpaceKind, build_space
 from .search import (
     ALGORITHMS,
     SearchConfig,
-    TrajectoryStep,
+    Trajectory,
     check_scalar_fields,
     run_miner,
 )
@@ -200,6 +200,9 @@ class BenchCell:
 
     ``error`` is set, and the numbers left at zero, when any run of the
     cell raised, e.g. enumeration beyond the attribute guard.
+
+    ``trajectories`` holds each run's :class:`Trajectory` when the spec
+    saves them; their list columns make such a cell unhashable.
     """
 
     dataset: str
@@ -213,7 +216,7 @@ class BenchCell:
     best_support: float = 0.0
     peak_memory_bytes: int | None = None
     error: str | None = None
-    trajectories: tuple[tuple[TrajectoryStep, ...], ...] | None = None
+    trajectories: tuple[Trajectory, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -244,7 +247,7 @@ def _run_cell(
     invalid: set[int] = set()
     best_support = 0.0
     peak = 0
-    trajectories: list[tuple[TrajectoryStep, ...]] = []
+    trajectories: list[Trajectory] = []
     # A caller's own tracemalloc session is left running (``start`` does
     # nothing then): only its peak is reset, and what it holds is not counted.
     outer = tracemalloc.is_tracing()
@@ -269,7 +272,7 @@ def _run_cell(
         invalid.update(x for x, pairs in zip(t.candidates, t.pairs) if not pairs)
         best_support = max(best_support, result.best_support)
         if spec.save_trajectories:
-            trajectories.append(result.trajectory.steps)
+            trajectories.append(t)
     return BenchCell(
         dataset=dataset,
         algorithm=algorithm,
@@ -392,12 +395,12 @@ def write_report_csv(path: str | Path, report: BenchReport) -> None:
                 )
 
 
-def write_scatter_csv(path: str | Path, steps: Iterable[TrajectoryStep]) -> None:
-    """One (iteration, position, fitness, valid) row per objective call;
-    an unusable step's infinite fitness is left empty."""
+def write_scatter_csv(path: str | Path, trajectory: Trajectory) -> None:
+    """One (iteration, position, fitness, valid) row per objective call,
+    read off the trajectory's columns: the fitness ``1/pairs`` as
+    ``%.10g``, left empty for an unusable call (zero pairs)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("iteration", "position", "fitness", "valid"))
-        for s in steps:
-            fitness = f"{s.fitness:.10g}" if s.valid else ""
-            writer.writerow((s.iteration, s.candidate, fitness, "true" if s.valid else "false"))
+        for t, x, p in zip(trajectory.iterations, trajectory.candidates, trajectory.pairs):
+            writer.writerow((t, x, f"{1.0 / p:.10g}", "true") if p else (t, x, "", "false"))

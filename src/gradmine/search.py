@@ -160,7 +160,8 @@ class Trajectory:
     @functools.cached_property
     def steps(self) -> tuple[TrajectoryStep, ...]:
         """The calls as steps, built on first read: fitness ``1/pairs``,
-        valid when there is a pair, infinite and not valid otherwise."""
+        valid when there is a pair, infinite and not valid otherwise.
+        A row view for readers outside the package, which reads the columns."""
         return tuple(
             TrajectoryStep(t, x, 1.0 / p if p else math.inf, p > 0)
             for t, x, p in zip(self.iterations, self.candidates, self.pairs)
@@ -455,9 +456,12 @@ def _pso(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConf
     pbest = list(positions)
     gbest = pbest[0]
     # Every iteration's r1/r2 in one draw: pso draws nothing else after
-    # the positions, so this is the stream of one draw per iteration.
-    draws = rng.random((c.max_iterations, 2 * c.nparticles)).tolist()
-    for t, r in enumerate(draws, start=1):
+    # the positions, so this is the stream of one draw per iteration.  It
+    # stays a float64 array (8 bytes a number, not a nested list's 32),
+    # and each iteration takes its row as floats.
+    draws = rng.random((c.max_iterations, 2 * c.nparticles))
+    for t, row in enumerate(draws, start=1):
+        r = row.tolist()
         for i, x in enumerate(positions):
             px, pp = rec.record(t, x), rec.record(t, pbest[i])
             if px and px >= pp:

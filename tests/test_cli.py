@@ -127,9 +127,12 @@ class TestMine:
 
     @pytest.mark.parametrize("out", ["text", "json"])
     @pytest.mark.parametrize("algo", ["graank", "ga"])
-    def test_mine_builds_no_trajectory_step(self, course_csv, capsys, monkeypatch, algo, out):
-        # The trajectory's steps are a view built on first read, and mine
-        # prints only the evaluation count.
+    def test_mine_builds_no_trajectory_step(
+        self, tmp_path, course_csv, capsys, monkeypatch, algo, out
+    ):
+        # The trajectory's steps are a view built on first read: mine
+        # prints only the evaluation count, and bench writes its scatter
+        # files from the trajectory's columns.
         built = []
         step = gradmine.search.TrajectoryStep
 
@@ -140,6 +143,11 @@ class TestMine:
         monkeypatch.setattr(gradmine.search, "TrajectoryStep", counting)
         assert main(["mine", "--data", str(course_csv), "--algo", algo, "--out", out]) == 0
         assert "evaluations" in capsys.readouterr().out
+        bench = ["bench", "--data", str(course_csv), "--algos", algo, "--reps", "2",
+                 "--save-trajectories", "--out-dir", str(tmp_path / "bench")]
+        assert main(bench) == 0
+        scatter = list((tmp_path / "bench" / "scatter").iterdir())
+        assert len(scatter) == (1 if algo == "graank" else 2)
         assert built == []
         d = gradmine.load_dataset(course_csv)
         r = gradmine.run_miner(algo, d, gradmine.build_space(3), SearchConfig())

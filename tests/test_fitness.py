@@ -290,13 +290,13 @@ class TestPackedIndex:
 
     @pytest.mark.parametrize("levels", [None, 24])
     def test_build_memory_grows_with_levels(self, levels):
-        # Per attribute of L levels the build holds the L x n comparison
-        # (L * n bytes) while it packs it into L lines of c = ceil(n / 8)
-        # bytes, then those lines while it gathers one row (n * c).  Beside
-        # them live the transposed table (8 * m * n) and the levels, the
-        # ranks and np.unique's int64 working arrays (under 64 * n).  All
-        # values distinct, L = n: one n x n comparison and one row, as the
-        # comparison build took.  24 levels: one row plus O(L * n).
+        # Per attribute of L levels the build holds L + 1 packed lines of
+        # c = ceil(n / 8) bytes and gathers its rows straight into the
+        # index.  Beside them live the transposed table (8 * m * n) and the
+        # levels, the ranks, the bit positions and np.unique's int64
+        # working arrays (under 96 * n).  No L x n comparison and no
+        # row-sized temporary is made: all values distinct, L = n, the
+        # build holds about n * c, not n * n.
         n, m = 2000, 3
         rng = np.random.default_rng(3)
         if levels is None:
@@ -315,7 +315,7 @@ class TestPackedIndex:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        bound = max(L * n + L * c, L * c + n * c) + 8 * m * n + 64 * n
+        bound = (L + 1) * c + 8 * m * n + 96 * n
         assert transient <= bound
         if levels is not None:
             assert bound < n * n / 4

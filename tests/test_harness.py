@@ -1,5 +1,6 @@
 """Benchmark grid, report files and the signed-rank test."""
 
+import csv
 import json
 import tracemalloc
 from dataclasses import fields
@@ -13,9 +14,11 @@ from scipy.stats import rankdata
 
 from conftest import COURSE_NAMES, COURSE_ROWS, write_csv
 from gradmine import (
+    ALGORITHMS,
     BenchCell,
     BenchReport,
     BenchSpec,
+    Dataset,
     SearchConfig,
     SpaceKind,
     run_benchmark,
@@ -463,11 +466,44 @@ class TestRunBenchmark:
         assert 0 < cell.peak_memory_bytes < 2**20
 
 
+def reference_scatter_csv(path, steps) -> None:
+    """The scatter writer as it read a trajectory's steps: the reference
+    the column writer is held to, byte for byte."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("iteration", "position", "fitness", "valid"))
+        for s in steps:
+            fitness = f"{s.fitness:.10g}" if s.valid else ""
+            writer.writerow((s.iteration, s.candidate, fitness, "true" if s.valid else "false"))
+
+
 class TestScatter:
+    @pytest.mark.parametrize("kind", list(SpaceKind))
+    @pytest.mark.parametrize(
+        "algo, m", [(a, m) for m in (3, 40) for a in ALGORITHMS if (a, m) != ("graank", 40)]
+    )
+    def test_columns_write_the_steps_bytes(self, tmp_path, course_dataset, algo, m, kind):
+        # At m = 3, on the course table, runs meet usable and unusable
+        # candidates; at m = 40 candidates pass int64.  The sweep runs at
+        # m = 3 only, where its iteration column is a range.
+        d = course_dataset
+        if m == 40:
+            rng = np.random.default_rng(m)
+            values = rng.normal(size=(12, 1)) + 0.5 * rng.normal(size=(12, m))
+            d = Dataset(tuple(f"col{i}" for i in range(m)), values)
+        c = SearchConfig(max_iterations=60, seed=m, sigma=0.1)
+        t = run_miner(algo, d, build_space(m, kind), c).trajectory
+        write_scatter_csv(tmp_path / "columns.csv", t)
+        reference_scatter_csv(tmp_path / "steps.csv", t.steps)
+        assert m == 40 or {s.valid for s in t.steps} == {True, False}
+        written = (tmp_path / "columns.csv").read_bytes()
+        assert written == (tmp_path / "steps.csv").read_bytes()
+        assert written.count(b"\n") == 1 + t.evaluations
+
     def test_rows_mirror_trajectory(self, tmp_path, course_dataset):
         r = run_miner("rs", course_dataset, build_space(3), SearchConfig(max_iterations=25, seed=2))
         out = tmp_path / "scatter.csv"
-        write_scatter_csv(out, r.trajectory.steps)
+        write_scatter_csv(out, r.trajectory)
         rows = out.read_text(encoding="utf-8").splitlines()[1:]
         assert len(rows) == 25
         assert {step.valid for step in r.trajectory.steps} == {True, False}
@@ -532,7 +568,7 @@ class TestWriters:
     def test_scatter_csv(self, tmp_path, course_dataset):
         r = run_miner("rs", course_dataset, build_space(3), SearchConfig(max_iterations=10, seed=4))
         out = tmp_path / "scatter.csv"
-        write_scatter_csv(out, r.trajectory.steps)
+        write_scatter_csv(out, r.trajectory)
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "iteration,position,fitness,valid"
         assert len(lines) == 11

@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -847,6 +848,26 @@ class TestParticleSwarm:
         c = SearchConfig(max_iterations=10, seed=8, nparticles=1)
         r = run_miner("pso", course_dataset, space, c)
         assert r.trajectory.evaluations == 30
+
+    def test_draw_is_held_as_an_array(self):
+        # The whole (T, 2P) draw stays one float64 array, 8 bytes a number,
+        # beside what the result holds.  As nested lists it took about 376
+        # bytes an iteration at P = 5, as much as the trajectory.
+        d = random_dataset(np.random.default_rng(5), 40, 6)
+        space = build_space(d.m)
+        run_miner("pso", d, space, SearchConfig(max_iterations=2))  # builds the index
+        c = SearchConfig(max_iterations=10_000, seed=1)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            r = run_miner("pso", d, space, c)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert r.trajectory.evaluations == 3 * c.nparticles * c.max_iterations
+        assert peak - held <= 8 * 2 * c.nparticles * c.max_iterations + 2**17
 
 
 class TestRunMiner:
