@@ -38,7 +38,6 @@ from .harness import (
     space_comparison,
     write_report_csv,
     write_report_json,
-    write_scatter_csv,
 )
 from .search import ALGORITHMS, SearchConfig, run_miner
 
@@ -203,15 +202,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # fails at once, not after the last cell.
     (scatter_dir if spec.save_trajectories else out_dir).mkdir(parents=True, exist_ok=True)
 
-    report = run_benchmark(spec)
+    # One argument when nothing is saved: wrappers of run_benchmark may take the spec alone.
+    report = run_benchmark(spec, scatter_dir) if spec.save_trajectories else run_benchmark(spec)
     write_report_json(out_dir / "report.json", report)
     write_report_csv(out_dir / "report.csv", report)
-
-    if spec.save_trajectories:
-        for cell in report.cells:
-            tag = f"{cell.dataset}_{cell.algorithm}_{cell.space or 'full'}"
-            for rep, trajectory in enumerate(cell.trajectories or ()):  # None for an error cell
-                write_scatter_csv(scatter_dir / f"{tag}_rep{rep}.csv", trajectory)
 
     for failure in report.failures:
         print(f"dataset failed: {failure.path}: {failure.error}", file=sys.stderr)

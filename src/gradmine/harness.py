@@ -186,7 +186,8 @@ class BenchSpec:
 
 @dataclass(frozen=True)
 class BenchCell:
-    """Aggregates for one (dataset, algorithm, space) grid point.
+    """Aggregates for one (dataset, algorithm, space) grid point; its runs'
+    trajectories go to :func:`run_benchmark`'s scatter files, not the cell.
 
     ``space`` is None for the exhaustive miner, which is space-blind and
     runs once.  Pattern and invalid-candidate counts are distinct-over-
@@ -200,9 +201,6 @@ class BenchCell:
 
     ``error`` is set, and the numbers left at zero, when any run of the
     cell raised, e.g. enumeration beyond the attribute guard.
-
-    ``trajectories`` holds each run's :class:`Trajectory` when the spec
-    saves them; their list columns make such a cell unhashable.
     """
 
     dataset: str
@@ -216,7 +214,6 @@ class BenchCell:
     best_support: float = 0.0
     peak_memory_bytes: int | None = None
     error: str | None = None
-    trajectories: tuple[Trajectory, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -237,7 +234,12 @@ class BenchReport:
 
 
 def _run_cell(
-    spec: BenchSpec, d: Dataset, dataset: str, algorithm: str, space_name: str | None
+    spec: BenchSpec,
+    d: Dataset,
+    dataset: str,
+    algorithm: str,
+    space_name: str | None,
+    scatter_dir: str | Path | None,
 ) -> BenchCell:
     reps = 1 if space_name is None else spec.repetitions
     seeds = tuple(spec.base_seed + rep for rep in range(reps))
@@ -271,8 +273,11 @@ def _run_cell(
         t = result.trajectory
         invalid.update(x for x, pairs in zip(t.candidates, t.pairs) if not pairs)
         best_support = max(best_support, result.best_support)
-        if spec.save_trajectories:
+        if scatter_dir is not None:
             trajectories.append(t)
+    tag = f"{dataset}_{algorithm}_{space_name or 'full'}"
+    for rep, t in enumerate(trajectories):
+        write_scatter_csv(Path(scatter_dir, f"{tag}_rep{rep}.csv"), t)
     return BenchCell(
         dataset=dataset,
         algorithm=algorithm,
@@ -284,15 +289,17 @@ def _run_cell(
         invalid_candidate_count=len(invalid),
         best_support=best_support,
         peak_memory_bytes=peak if spec.measure_memory else None,
-        trajectories=tuple(trajectories) if spec.save_trajectories else None,
     )
 
 
-def run_benchmark(spec: BenchSpec) -> BenchReport:
+def run_benchmark(spec: BenchSpec, scatter_dir: str | Path | None = None) -> BenchReport:
     """Run the whole grid.
 
     A dataset that fails to load is recorded as a failure entry and its
-    cells are skipped; the benchmark itself keeps going.
+    cells are skipped; the benchmark itself keeps going.  Given an existing
+    ``scatter_dir``, each cell that ends without error writes one scatter
+    CSV per run there as it ends, ``{dataset}_{algorithm}_{space or
+    'full'}_rep{k}.csv``, so the grid holds one cell's trajectories at most.
     """
     cells: list[BenchCell] = []
     failures: list[DatasetFailure] = []
@@ -307,7 +314,7 @@ def run_benchmark(spec: BenchSpec) -> BenchReport:
         for algorithm in spec.algorithms:
             # The exhaustive miner is space-blind: it gets one cell.
             for space_name in (None,) if algorithm == "graank" else spec.spaces:
-                cells.append(_run_cell(spec, d, name, algorithm, space_name))
+                cells.append(_run_cell(spec, d, name, algorithm, space_name, scatter_dir))
     return BenchReport(
         schema_version=SCHEMA_VERSION,
         sigma=spec.sigma,
@@ -337,12 +344,10 @@ def space_comparison(report: BenchReport, algorithm: str) -> WilcoxonOutcome:
 
 def _fields_dict(record: Any) -> dict[str, Any]:
     """The JSON object of a report, cell or dataset failure: its fields
-    in order, with ``failures`` named ``dataset_failures``.  Trajectories
-    go to scatter CSVs, not the JSON report."""
+    in order, with ``failures`` named ``dataset_failures``."""
     return {
         "dataset_failures" if f.name == "failures" else f.name: getattr(record, f.name)
         for f in fields(record)
-        if f.name != "trajectories"
     }
 
 

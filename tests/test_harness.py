@@ -541,13 +541,13 @@ class TestWriters:
         assert loaded["cells"][0]["wall_times"]
         assert b"\r" not in out.read_bytes()
 
-    def test_json_cells_are_the_cell_fields_but_trajectories(self, tmp_path):
+    def test_json_cells_are_the_cell_fields(self, tmp_path):
         report = _report_fixture(tmp_path)
         failed = BenchCell("wide", "graank", None, (0,), error="guard")
         report = BenchReport(1, 0.5, 0, 2, (*report.cells, failed), ())
         out = tmp_path / "report.json"
         write_report_json(out, report)
-        names = [f.name for f in fields(BenchCell) if f.name != "trajectories"]
+        names = [f.name for f in fields(BenchCell)]
         loaded = json.loads(out.read_text(encoding="utf-8"))["cells"]
         for cell, row in zip(report.cells, loaded):
             assert list(row) == names
