@@ -34,8 +34,8 @@ from typing import Sequence
 #: column is a range), about 48 bytes per candidate, so it grows about
 #: 3x per attribute.  Measured in-process at n=40 on a 2-vCPU x86-64
 #: host (time, RSS growth during the sweep): m=11 0.06 s, 9 MiB; m=12
-#: 0.2 s, 26 MiB; m=13 0.5-0.6 s, 75 MiB; m=14 1.5 s, 221 MiB
-#: (4,782,940 candidates).  m=16 would take about 14 s and 2 GiB, so
+#: 0.16 s, 25 MiB; m=13 0.47 s, 74 MiB; m=14 1.4-1.5 s, 221 MiB
+#: (4,782,940 candidates).  m=16 would take about 13 s and 2 GiB, so
 #: memory, not time, is what this guard bounds.
 MAX_ENUM_ATTRIBUTES = 14
 

@@ -13,7 +13,8 @@ per dataset as ``Dataset.index``): the searchers one candidate at a time
 (:meth:`ConcordanceIndex.count_candidate`, on Python-int copies of the
 rows when they are small and on the arrays otherwise), the exhaustive
 sweep one batch per prefix, ``(candidates, pairs)`` arrays from one AND
-and one popcount over a table of every suffix
+and one popcount over a table of every suffix state, the empty one
+first, whose all-ones row is never counted alone
 (:meth:`ConcordanceIndex.counts`).  A run logs the pair counts; fitness
 is derived from them only where it is read.
 :func:`concordant_count_brute`, a literal pair-by-pair scan, stays beside
@@ -47,9 +48,10 @@ MAX_INDEX_BYTES = 2 * 2**30
 INT_ROW_BYTES = 6 * 2**10
 
 #: Largest suffix table, in bytes, that :meth:`ConcordanceIndex.counts`
-#: builds (its AND buffer is as large again).  In-process on a 2-vCPU
-#: x86-64 host, tables of 256 KiB to 1 MiB swept fastest: at n=160, m=10
-#: the walk took 83-87 ms, against 177 ms at 64 KiB and 146 ms at 16 MiB.
+#: builds while one row fits (its AND buffer is as large again).
+#: In-process on a 2-vCPU x86-64 host, at n=160, m=10, the walk took
+#: 57-66 ms at 1 MiB or 256 KiB, against 123-126 ms at 64 KiB, 279 ms at
+#: 16 KiB and 50-75 ms at 4 or 16 MiB, whose memory bought no clear gain.
 SUFFIX_TABLE_BYTES = 2**20
 
 
@@ -150,71 +152,68 @@ class ConcordanceIndex:
         prefix, for every valid candidate over the index's ``m``
         attributes, in ascending order.
 
-        The last ``k`` attributes form a suffix table: the AND rows of
-        their ``3**k - 1`` non-empty states, ``k`` being the largest, and
-        at least 1, whose table fits ``SUFFIX_TABLE_BYTES``.  The first
-        ``m - k`` attributes are walked depth first, each taking the
-        states absent, down and up; in the integer layout of ``encoding``
-        that is ascending order.  The AND of the rows chosen so far is
-        shared by every prefix below it.  Each prefix is counted against
-        the whole table with one AND and one popcount, keeping the
-        suffixes that bring it to two items; a prefix of two or more
-        items leads its batch, counted on its own.
+        The last ``k`` attributes form a suffix table of the AND rows of
+        all their ``3**k`` states, the empty one first; ``k`` is the
+        largest, 0 allowed, whose table fits ``SUFFIX_TABLE_BYTES``.  The
+        first ``m - k`` attributes are walked depth first, each taking
+        the states absent, down and up; in the integer layout of
+        ``encoding`` that is ascending order.  The AND of the rows chosen
+        so far, starting from the empty state's row, is shared by every
+        prefix below it.  Each prefix is counted against the whole table
+        with one AND and one popcount, keeping the suffixes that bring it
+        to two items: after no prefix item those of two or more, after
+        one those of one or more, after two or more all of them.
         """
         rows, m = self._rows, self.m
-        k = 1
-        while k < m and (3 ** (k + 1) - 1) * rows[0].nbytes <= SUFFIX_TABLE_BYTES:
+        k = 0
+        while k < m and 3 ** (k + 1) * rows[0].nbytes <= SUFFIX_TABLE_BYTES:
             k += 1
         table, suffixes = self._suffix_table(k)
-        state = (table, suffixes, np.bitwise_count(suffixes) >= 2, np.empty_like(table))
-        return self._walk(0, m - k, 0, None, state)
+        sizes = np.bitwise_count(suffixes)
+        state = (table, suffixes, (sizes >= 2, sizes >= 1, slice(None)), np.empty_like(table))
+        return self._walk(0, m - k, 0, table[0], state)
+
+    def _items(self, a: int) -> tuple[tuple[int, np.ndarray], ...]:
+        # Attribute ``a``'s candidate bit and row, down then up.
+        down = 1 << (2 * (self.m - a) - 2)
+        return (down, self._rows[2 * a + 1]), (down << 1, self._rows[2 * a])
 
     def _walk(
-        self, a: int, stop: int, x: int, holds: np.ndarray | None, state: tuple
+        self, a: int, stop: int, x: int, holds: np.ndarray, state: tuple
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         # The batches of prefix ``x`` (its rows ANDed into ``holds``)
         # extended over attributes ``a..stop-1``.  A method, not a closure
         # over itself, so a finished walk frees its table without the
         # cyclic garbage collector.
         if a < stop:
-            up = 1 << (2 * (self.m - a) - 1)
             yield from self._walk(a + 1, stop, x, holds, state)
-            for bit, row in ((up >> 1, self._rows[2 * a + 1]), (up, self._rows[2 * a])):
+            for bit, row in self._items(a):
                 # The AND is passed, not named, so it dies with its branch.
-                yield from self._walk(
-                    a + 1, stop, x | bit, row if holds is None else holds & row, state
-                )
+                yield from self._walk(a + 1, stop, x | bit, holds & row, state)
             return
-        table, suffixes, two_items, buf = state
-        batch = table if holds is None else np.bitwise_and(table, holds, out=buf)
-        pairs = np.bitwise_count(batch).sum(axis=1, dtype=np.int64)
-        if not x:
-            yield suffixes[two_items], pairs[two_items]
-        elif x.bit_count() == 1:  # one item: every suffix completes it
-            yield x | suffixes, pairs
-        else:
-            alone = np.bitwise_count(holds).sum(dtype=np.int64)
-            yield np.r_[x, x | suffixes], np.r_[alone, pairs]
+        table, suffixes, kept, buf = state
+        pairs = np.bitwise_count(np.bitwise_and(table, holds, out=buf)).sum(axis=1, dtype=np.int64)
+        keep = kept[min(x.bit_count(), 2)]
+        yield x | suffixes[keep], pairs[keep]
 
     def _suffix_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The AND rows of every non-empty state of the last ``k``
-        attributes and the candidate bits of each (int64), ascending.
+        """The AND rows of every state of the last ``k`` attributes and
+        the candidate bits of each (int64), ascending.  The empty state
+        comes first; its row has every bit set, padding bits included,
+        and the walk never counts it alone.
 
         The table of attributes ``a..m-1`` is that of ``a+1..m-1``, then
-        ``a`` down alone and ANDed with each of its rows, then the same
-        for up; so it is filled in place from the last attribute back.
+        its rows ANDed with ``a`` down, then with ``a`` up; so it is
+        filled in place from the last attribute back.
         """
-        m = self.m
-        table = np.empty((3**k - 1, self._rows.shape[1]), dtype=np.uint64)
-        bits: list[int] = []
-        for a in range(m - 1, m - 1 - k, -1):
+        table = np.empty((3**k, self._rows.shape[1]), dtype=np.uint64)
+        table[0] = ~np.uint64(0)
+        bits = [0]
+        for a in range(self.m - 1, self.m - 1 - k, -1):
             inner = len(bits)
-            down = 1 << (2 * (m - a) - 2)
-            for bit, row in ((down, self._rows[2 * a + 1]), (down << 1, self._rows[2 * a])):
-                at = len(bits)
-                table[at] = row
-                np.bitwise_and(table[:inner], row, out=table[at + 1 : at + 1 + inner])
-                bits += [bit] + [bit | b for b in bits[:inner]]
+            for bit, row in self._items(a):
+                np.bitwise_and(table[:inner], row, out=table[len(bits) : len(bits) + inner])
+                bits += [bit | b for b in bits[:inner]]
         return table, np.array(bits, dtype=np.int64)
 
 

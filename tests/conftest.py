@@ -78,7 +78,7 @@ def random_dataset(rng: np.random.Generator, n: int, m: int, ties: bool = False)
 def suffix_budget(d: Dataset, k: int) -> int:
     """The ``fitness.SUFFIX_TABLE_BYTES`` at which ``d.index.counts()``
     builds its suffix table over the last ``k`` attributes."""
-    return (3**k - 1) * d.index._rows[0].nbytes
+    return 3**k * d.index._rows[0].nbytes
 
 
 def comparison_rows(d: Dataset) -> np.ndarray:

@@ -197,7 +197,7 @@ class TestPackedIndex:
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_counts_walk_every_candidate_in_order(self, m, monkeypatch):
-        # One budget per suffix table width k = 1 .. m, at row lengths on
+        # One budget per suffix table width k = 0 .. m, at row lengths on
         # both sides of a byte and of a 64-bit word: the walk must not
         # depend on where the attributes are split.
         widths = []
@@ -209,19 +209,20 @@ class TestPackedIndex:
         for n in (2, 7, 8, 9, 64, 65):
             d = random_dataset(np.random.default_rng(m), n, m, ties=True)
             expected = [(x, d.index.count(to_pattern(x, space))) for x in enumerate_valid(space)]
-            for k in range(1, m + 1):
+            for k in range(0, m + 1):
                 monkeypatch.setattr(gradmine.fitness, "SUFFIX_TABLE_BYTES", suffix_budget(d, k))
                 assert walked(d.index) == expected
-        assert widths == list(range(1, m + 1)) * 6
+        assert widths == list(range(0, m + 1)) * 6
 
     def test_counts_memory_stays_within_budget(self):
-        # Two rows already exceed the budget, so the suffix table holds one
-        # attribute.  The walk keeps that table, its AND buffer and one AND
-        # per prefix depth, whatever the number of candidates.
+        # Two rows already exceed the budget, so the suffix table holds no
+        # attribute, only the empty state's row.  The walk keeps that
+        # table, its AND buffer and one AND per prefix depth, whatever the
+        # number of candidates.
         m = 4
         d = random_dataset(np.random.default_rng(1), 2050, m)
         row = d.index._rows[0].nbytes
-        assert 2 * row > gradmine.fitness.SUFFIX_TABLE_BYTES
+        assert row <= gradmine.fitness.SUFFIX_TABLE_BYTES < 2 * row
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         tracemalloc.reset_peak()
@@ -234,6 +235,23 @@ class TestPackedIndex:
                 tracemalloc.stop()
         assert candidates == valid_candidate_count(m)
         assert peak <= gradmine.fitness.SUFFIX_TABLE_BYTES + (m + 1) * row
+
+    def test_suffix_table_keeps_its_budget(self, monkeypatch):
+        # The table never exceeds SUFFIX_TABLE_BYTES while one row fits,
+        # here on the 2050 x 4 table above, whose two rows would not.
+        d = random_dataset(np.random.default_rng(1), 2050, 4)
+        assert d.index._rows[0].nbytes <= gradmine.fitness.SUFFIX_TABLE_BYTES
+        sizes = []
+        build = ConcordanceIndex._suffix_table
+
+        def recorded(index, k):
+            table, suffixes = build(index, k)
+            sizes.append(table.nbytes)
+            return table, suffixes
+
+        monkeypatch.setattr(ConcordanceIndex, "_suffix_table", recorded)
+        assert sum(len(xs) for xs, _ in d.index.counts()) == valid_candidate_count(4)
+        assert len(sizes) == 1 and sizes[0] <= gradmine.fitness.SUFFIX_TABLE_BYTES
 
     def test_a_finished_sweep_leaves_no_cyclic_garbage(self):
         # Reference counting alone frees the suffix table, its AND buffer
