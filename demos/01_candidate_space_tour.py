@@ -47,7 +47,7 @@ for x in (0, 4, 15, 40):
     print(f"invalid_reason({x:2d}) = {invalid_reason(x, probe)}")
 
 # The valid candidates can be listed outright for small spaces.
-valid = enumerate_valid(space)
+valid = list(enumerate_valid(space))
 print(f"\nall {len(valid)} valid candidates for 3 attributes:")
 for x in valid:
     print(f"  {x:3d}  {x:06b}  {to_pattern(x, space).render(names)}")

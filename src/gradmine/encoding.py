@@ -26,17 +26,18 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 #: Largest attribute count for which exhaustive candidate enumeration is
 #: allowed.  The graank sweep keeps two trajectory lists (its iteration
-#: column is a range), about 48 bytes per candidate, so it grows about
-#: 3x per attribute.  Measured in-process at n=40 on a 2-vCPU x86-64
-#: host (time, RSS growth during the sweep): m=11 0.06 s, 9 MiB; m=12
-#: 0.16 s, 25 MiB; m=13 0.47 s, 74 MiB; m=14 1.4-1.5 s, 221 MiB
-#: (4,782,940 candidates).  m=16 would take about 13 s and 2 GiB, so
-#: memory, not time, is what this guard bounds.
+#: column is a range), about 48 bytes per candidate, 3x more per
+#: attribute.  Measured in-process at n=40 on a 2-vCPU x86-64 host (time,
+#: RSS growth): m=11 0.06 s, 9 MiB; m=12 0.16 s, 25 MiB; m=13 0.47 s,
+#: 74 MiB; m=14 1.4-1.5 s, 221 MiB (4,782,940 candidates); m=16 would
+#: take 2 GiB.  So the guard bounds the sweep's memory, and the streamed
+#: listing's length (m=15 would print 14,348,876 candidates).
 MAX_ENUM_ATTRIBUTES = 14
 
 
@@ -216,16 +217,13 @@ def encode(pattern: GradualPattern, m: int) -> int:
     return x
 
 
-def enumerate_valid(space: SearchSpace) -> list[int]:
-    """All in-bounds integers that decode to patterns, in ascending order."""
+def enumerate_valid(space: SearchSpace) -> Iterator[int]:
+    """All in-bounds integers that decode to patterns, in ascending order,
+    yielded one at a time; the attribute guard is checked at the call."""
     m = space.m
     if m > MAX_ENUM_ATTRIBUTES:
         raise EnumerationLimitError(m, MAX_ENUM_ATTRIBUTES)
-    # Attribute by attribute, most significant first, each prefix takes
-    # the states absent, down, up: ascending within the attribute's two
-    # bits, so the 3**m integers come out ascending without a sort.
-    xs = [0]
-    for i in range(m):
-        down = 1 << (2 * (m - i) - 2)
-        xs = [x | state for x in xs for state in (0, down, down << 1)]
-    return [x for x in xs if x.bit_count() >= 2]
+    # Attributes most significant first, each absent, down or up; product
+    # varies the last fastest, so the 3**m sums come out ascending.
+    states = [(0, 1 << k, 2 << k) for k in range(2 * m - 2, -1, -2)]
+    return (x for x in map(sum, itertools.product(*states)) if x.bit_count() >= 2)

@@ -71,7 +71,7 @@ def test_a01_three_attribute_candidate_table():
     started = time.perf_counter()
     space = build_space(3)
     assert (space.lower, space.upper) == (5, 42)
-    assert enumerate_valid(space) == [row[0] for row in THREE_ATTR_TABLE]
+    assert list(enumerate_valid(space)) == [row[0] for row in THREE_ATTR_TABLE]
     for x, bits, pattern in THREE_ATTR_TABLE:
         assert f"{x:06b}" == bits
         assert to_pattern(x, space) == pattern
@@ -99,8 +99,8 @@ def test_a02_bounds_and_count_law():
         assert (bitmap.lower, bitmap.upper) == (0, 4**m - 1)
         scanned = [x for x in range(4**m) if isinstance(field_oracle(x, m), GradualPattern)]
         assert len(scanned) == 3**m - 2 * m - 1
-        assert enumerate_valid(numeric) == scanned
-        assert enumerate_valid(bitmap) == scanned
+        assert list(enumerate_valid(numeric)) == scanned
+        assert list(enumerate_valid(bitmap)) == scanned
         assert all(numeric.lower <= x <= numeric.upper for x in scanned)
 
 

@@ -100,7 +100,7 @@ def test_evaluated_candidate_count(course_dataset):
     assert valid_candidate_count(course_dataset.m) == 20
     rng = np.random.default_rng(4)
     d4 = Dataset(tuple("abcd"), rng.random((4, 4)))
-    assert valid_candidate_count(d4.m) == len(enumerate_valid(build_space(4)))
+    assert valid_candidate_count(d4.m) == len(list(enumerate_valid(build_space(4))))
     sweep = run_miner("graank", d4, build_space(4), SearchConfig())
     assert sweep.trajectory.evaluations == valid_candidate_count(4)
 

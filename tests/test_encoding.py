@@ -1,6 +1,8 @@
 """Candidate encoding: spaces, integer <-> pattern, validity."""
 
+import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,22 @@ class TestGradualPattern:
         assert pat("0+", "1-").render(["age", "sessions", "marks"]) == "{age+, sessions-}"
 
 
+def traced_peak(fn):
+    """``fn()`` and the most bytes it held at once beyond what was held
+    before the call."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak
+
+
 class TestValidity:
     def test_examples(self):
         s = build_space(3)
@@ -204,7 +222,7 @@ class TestValidity:
 
     def test_enumerate_m3(self):
         s = build_space(3)
-        got = enumerate_valid(s)
+        got = list(enumerate_valid(s))
         assert len(got) == 20
         assert got == sorted(got)
         assert all(invalid_reason(x, s) is None for x in got)
@@ -215,20 +233,32 @@ class TestValidity:
         for m in (2, 3, 4, 5, 6):
             bitmap = build_space(m, SpaceKind.BITMAP)
             brute = [x for x in range(4**m) if invalid_reason(x, bitmap) is None]
-            assert enumerate_valid(bitmap) == brute
+            assert list(enumerate_valid(bitmap)) == brute
             # the numeric interval contains the same valid set
-            assert enumerate_valid(build_space(m)) == brute
+            assert list(enumerate_valid(build_space(m))) == brute
 
     def test_count_law(self):
         for m in (2, 3, 4, 5):
-            assert len(enumerate_valid(build_space(m))) == 3**m - 2 * m - 1
+            assert len(list(enumerate_valid(build_space(m)))) == 3**m - 2 * m - 1
 
     def test_valid_integers_stay_in_numeric_bounds(self):
         for m in (2, 3, 4):
             s = build_space(m)
-            xs = enumerate_valid(s)
+            xs = list(enumerate_valid(s))
             assert xs[0] == 5
             assert xs[-1] == s.upper  # the all-up vector
+
+    def test_enumeration_streams_from_the_first_candidate(self):
+        # The first candidates come out before the 3^12 states are built.
+        first, peak = traced_peak(lambda: list(itertools.islice(enumerate_valid(build_space(12)), 4)))
+        assert first == [5, 6, 9, 10]
+        assert peak < 64 * 1024
+
+    def test_enumeration_drains_at_flat_memory(self):
+        # Draining the stream holds one state at a time, not all 3^10.
+        count, peak = traced_peak(lambda: sum(1 for _ in enumerate_valid(build_space(10))))
+        assert count == 3**10 - 2 * 10 - 1 == 59_028
+        assert peak < 64 * 1024
 
     def test_enumeration_guard(self):
         with pytest.raises(EnumerationLimitError):
