@@ -26,18 +26,6 @@ from .encoding import (
     valid_candidate_count,
 )
 from .fitness import ConcordanceIndex, concordant_count_brute
-from .harness import (
-    BenchCell,
-    BenchReport,
-    BenchSpec,
-    WilcoxonOutcome,
-    run_benchmark,
-    space_comparison,
-    wilcoxon_signed_rank,
-    write_report_csv,
-    write_report_json,
-    write_scatter_csv,
-)
 from .search import (
     ALGORITHMS,
     SearchConfig,
@@ -49,6 +37,29 @@ from .search import (
 )
 
 __version__ = "0.1.0"
+
+#: The harness's names, imported on first use (PEP 562), so that ``mine``
+#: and ``space`` load neither the harness nor ``json`` and ``tracemalloc``.
+_HARNESS_NAMES = frozenset({
+    "BenchCell",
+    "BenchReport",
+    "BenchSpec",
+    "WilcoxonOutcome",
+    "run_benchmark",
+    "space_comparison",
+    "wilcoxon_signed_rank",
+    "write_report_csv",
+    "write_report_json",
+    "write_scatter_csv",
+})
+
+
+def __getattr__(name: str):
+    if name not in _HARNESS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import harness
+
+    return getattr(harness, name)
 
 __all__ = [
     "ALGORITHMS",

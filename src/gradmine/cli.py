@@ -8,21 +8,21 @@ report files.
 Exit codes: 0 success; 2 a usage error, before anything runs; 1 any
 runtime failure, with one ``error: ...`` line; 1, silently, when stdout
 closes early (``| head``).  Only :func:`main` turns an exception into 1.
-A flag takes its default from the SearchConfig or BenchSpec field it
-sets, and only ``--seed``/``--base-seed`` set the seed.  Mining output
-excludes wall-clock time, so its bytes depend on argv and files alone.
+Each flag's default equals the SearchConfig or BenchSpec field it sets.
+``bench``'s are not read off BenchSpec, so that ``mine`` and ``space``
+never import the harness; a test pins them to it instead.  Only
+``--seed``/``--base-seed`` set the seed.  Mining output excludes
+wall-clock time, so its bytes depend on argv and files alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .dataset import Dataset, load_dataset
 from .encoding import (
@@ -32,14 +32,10 @@ from .encoding import (
     to_pattern,
     valid_candidate_count,
 )
-from .harness import (
-    BenchSpec,
-    run_benchmark,
-    space_comparison,
-    write_report_csv,
-    write_report_json,
-)
 from .search import ALGORITHMS, SearchConfig, run_miner
+
+if TYPE_CHECKING:
+    from .harness import BenchReport, BenchSpec
 
 #: Without --algo: exhaustive mining up to this many attributes, "ga" beyond.
 #: The sweep grows about 3x per attribute; in-process, at n=160 and
@@ -106,6 +102,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
     names = d.attribute_names
     if args.out == "json":
+        import json  # here, so that text output does not load it
+
         best = None
         if result.best_pattern is not None:
             best = {
@@ -171,7 +169,29 @@ def cmd_space(args: argparse.Namespace) -> int:
     return 0
 
 
+# The harness loads only when ``bench`` runs.  These three stay names of
+# this module because the benchmark's tracer wraps them here.
+def run_benchmark(spec: BenchSpec, scatter_dir: Path | None = None) -> BenchReport:
+    from . import harness
+
+    return harness.run_benchmark(spec, scatter_dir)
+
+
+def write_report_json(path: Path, report: BenchReport) -> None:
+    from . import harness
+
+    harness.write_report_json(path, report)
+
+
+def write_report_csv(path: Path, report: BenchReport) -> None:
+    from . import harness
+
+    harness.write_report_csv(path, report)
+
+
 def _spec_from_args(args: argparse.Namespace) -> BenchSpec:
+    from .harness import BenchSpec
+
     if args.spec is not None:
         return BenchSpec.from_json(args.spec)
     return BenchSpec(
@@ -190,6 +210,8 @@ def _spec_from_args(args: argparse.Namespace) -> BenchSpec:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .harness import space_comparison
+
     try:
         spec = _spec_from_args(args)
     except (ValueError, TypeError, OSError) as exc:
@@ -294,17 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--algos", nargs="+", choices=ALGORITHMS, default=["rs", "ls", "ga", "pso"],
         help="miners to run",
     )
-    spec = {f.name: f.default for f in fields(BenchSpec)}
     bench.add_argument(
-        "--spaces", nargs="+", choices=_SPACES, default=list(spec["spaces"]),
+        "--spaces", nargs="+", choices=_SPACES, default=["numeric"],
         help="candidate spaces of the searchers",
     )
-    bench.add_argument("--reps", type=int, default=spec["repetitions"], help="repetitions per cell")
-    bench.add_argument("--min-sup", type=float, default=spec["sigma"], help="support threshold")
+    bench.add_argument("--reps", type=int, default=3, help="repetitions per cell")
+    bench.add_argument("--min-sup", type=float, default=_DEFAULTS.sigma, help="support threshold")
     bench.add_argument(
-        "--iters", type=int, default=spec["max_iterations"], help="searcher iterations"
+        "--iters", type=int, default=_DEFAULTS.max_iterations, help="searcher iterations"
     )
-    bench.add_argument("--base-seed", type=int, default=spec["base_seed"], help="seed for rep 0")
+    bench.add_argument("--base-seed", type=int, default=_DEFAULTS.seed, help="seed for rep 0")
     bench.add_argument(
         "--save-trajectories", action="store_true", help="write one scatter CSV per run"
     )

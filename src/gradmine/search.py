@@ -354,7 +354,8 @@ _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 #: Bytes of uniforms that :func:`_ga_moves` draws into one buffer, so its
 #: memory does not grow with the iterations or m: 768 bytes an iteration
 #: at m = 24 make 85 iterations a block, and one iteration at m = 2200
-#: (70,400 bytes) is a block on its own.  In-process on a 2-vCPU x86-64
+#: (70,400 bytes) is a block on its own.  A run shorter than a block
+#: sizes the buffer to its own iterations.  In-process on a 2-vCPU x86-64
 #: host, two 3,000-iteration runs at n = 150, m = 24 (fastest of nine,
 #: CPU time) took 98 ms at 1 KiB, one iteration a block, and 80-84 ms
 #: from 4 KiB to 256 KiB.
@@ -378,7 +379,7 @@ def _ga_moves(
     ``0.0 +``.
     """
     nbits = 2 * s.m
-    per_block = max(1, GA_DRAW_BYTES // (2 * nbits * 8))
+    per_block = max(1, min(c.max_iterations, GA_DRAW_BYTES // (2 * nbits * 8)))
     buf = np.empty((2 * per_block, nbits))
     rows = list(buf)
     for start in range(0, c.max_iterations, per_block):

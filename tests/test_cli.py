@@ -689,3 +689,43 @@ def test_exhaustive_mine_loads_no_generator(course_csv):
         f"assert main(['mine', '--data', {str(course_csv)!r}]) == 0; "
         "assert 'numpy.random' not in sys.modules"
     )
+
+
+#: Modules that only ``bench`` uses (and ``mine --out json``, for json).
+BENCH_ONLY = ("gradmine.harness", "json", "tracemalloc")
+
+
+def _run_lean(code: str) -> None:
+    """Run ``code`` fresh, then check that it loaded none of BENCH_ONLY."""
+    _run_fresh(f"{code}; loaded = [m for m in {BENCH_ONLY!r} if m in sys.modules]; "
+               "assert not loaded, loaded")
+
+
+def test_package_import_loads_no_harness():
+    # A name outside the harness's is looked up without importing it.
+    _run_lean("import sys, gradmine; assert not hasattr(gradmine, 'other')")
+
+
+@pytest.mark.parametrize("command", ["mine", "space"])
+def test_mine_and_space_load_no_harness(command, course_csv):
+    argv = ["mine", "--data", str(course_csv)] if command == "mine" else ["space", "--attrs", "3"]
+    _run_lean(f"import sys; from gradmine.cli import main; assert main({argv!r}) == 0")
+
+
+def test_bench_loads_the_harness(course_csv, tmp_path):
+    argv = ["bench", "--data", str(course_csv), "--algos", "rs", "--reps", "1", "--iters", "5",
+            "--out-dir", str(tmp_path / "out")]
+    _run_fresh(
+        f"import sys; from gradmine.cli import main; assert main({argv!r}) == 0; "
+        "assert 'gradmine.harness' in sys.modules"
+    )
+
+
+def test_harness_names_load_on_first_use():
+    import gradmine.harness
+
+    assert gradmine.BenchSpec is gradmine.harness.BenchSpec
+    for name in gradmine.__all__:
+        getattr(gradmine, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gradmine.no_such_name

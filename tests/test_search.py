@@ -675,6 +675,32 @@ class TestMutation:
     def test_block_sizes(self):
         assert [_ga_block(m) for m in MUTATION_WIDTHS] == [682, 409, 157, 85, 51, 1]
 
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_short_runs_draw_a_long_runs_first_moves(self, m):
+        # A run shorter than a block draws a smaller buffer, from the same stream.
+        s = build_space(m)
+        block = _ga_block(m)
+        long_config = SearchConfig(max_iterations=2 * block + 1)
+        long_run = list(_ga_moves(np.random.default_rng(m), s, long_config))
+        for iterations in (1, 20, block, block + 1):
+            c = SearchConfig(max_iterations=iterations)
+            assert list(_ga_moves(np.random.default_rng(m), s, c)) == long_run[:iterations]
+
+    def test_short_run_holds_a_short_block(self):
+        # A full block at m = 6 is 682 iterations of 2 x 12 float64s, about 131 KiB.
+        s, c = build_space(6), SearchConfig(max_iterations=20)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            next(_ga_moves(np.random.default_rng(0), s, c))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 32 * 1024
+
 
 class TestGeneticAlgorithm:
     @settings(max_examples=150, deadline=None)
