@@ -38,29 +38,6 @@ from .search import (
 
 __version__ = "0.1.0"
 
-#: The harness's names, imported on first use (PEP 562), so that ``mine``
-#: and ``space`` load neither the harness nor ``json`` and ``tracemalloc``.
-_HARNESS_NAMES = frozenset({
-    "BenchCell",
-    "BenchReport",
-    "BenchSpec",
-    "WilcoxonOutcome",
-    "run_benchmark",
-    "space_comparison",
-    "wilcoxon_signed_rank",
-    "write_report_csv",
-    "write_report_json",
-    "write_scatter_csv",
-})
-
-
-def __getattr__(name: str):
-    if name not in _HARNESS_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import harness
-
-    return getattr(harness, name)
-
 __all__ = [
     "ALGORITHMS",
     "BenchCell",
@@ -100,3 +77,16 @@ __all__ = [
     "write_scatter_csv",
     "__version__",
 ]
+
+#: The names of ``__all__`` not bound above: the harness's, imported on
+#: first use (PEP 562), so that ``mine`` and ``space`` load neither the
+#: harness nor ``json`` and ``tracemalloc``.
+_HARNESS_NAMES = frozenset(__all__).difference(globals())
+
+
+def __getattr__(name: str):
+    if name not in _HARNESS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import harness
+
+    return getattr(harness, name)

@@ -155,14 +155,12 @@ class ConcordanceIndex:
         The last ``k`` attributes form a suffix table of the AND rows of
         all their ``3**k`` states, the empty one first; ``k`` is the
         largest, 0 allowed, whose table fits ``SUFFIX_TABLE_BYTES``.  The
-        first ``m - k`` attributes are walked depth first, each taking
-        the states absent, down and up; in the integer layout of
-        ``encoding`` that is ascending order.  The AND of the rows chosen
-        so far, starting from the empty state's row, is shared by every
-        prefix below it.  Each prefix is counted against the whole table
-        with one AND and one popcount, keeping the suffixes that bring it
-        to two items: after no prefix item those of two or more, after
-        one those of one or more, after two or more all of them.
+        prefixes are the states of the first ``m - k`` attributes, walked
+        by :meth:`_states` from the empty state's row, and so come in
+        ascending order.  Each is counted against the whole table with
+        one AND and one popcount, keeping the suffixes that bring it to
+        two items: after no prefix item those of two or more, after one
+        those of one or more, after two or more all of them.
         """
         rows, m = self._rows, self.m
         k = 0
@@ -170,51 +168,45 @@ class ConcordanceIndex:
             k += 1
         table, suffixes = self._suffix_table(k)
         sizes = np.bitwise_count(suffixes)
-        state = (table, suffixes, (sizes >= 2, sizes >= 1, slice(None)), np.empty_like(table))
-        return self._walk(0, m - k, 0, table[0], state)
+        kept = sizes >= 2, sizes >= 1, slice(None)
+        buf = np.empty_like(table)
+        for x, holds in self._states(0, m - k, 0, table[0]):
+            np.bitwise_and(table, holds, out=buf)
+            del holds  # freed before the walk makes the next prefix's AND
+            keep = kept[min(x.bit_count(), 2)]
+            yield x | suffixes[keep], np.bitwise_count(buf).sum(axis=1, dtype=np.int64)[keep]
 
-    def _items(self, a: int) -> tuple[tuple[int, np.ndarray], ...]:
-        # Attribute ``a``'s candidate bit and row, down then up.
-        down = 1 << (2 * (self.m - a) - 2)
-        return (down, self._rows[2 * a + 1]), (down << 1, self._rows[2 * a])
-
-    def _walk(
-        self, a: int, stop: int, x: int, holds: np.ndarray, state: tuple
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        # The batches of prefix ``x`` (its rows ANDed into ``holds``)
-        # extended over attributes ``a..stop-1``.  A method, not a closure
-        # over itself, so a finished walk frees its table without the
-        # cyclic garbage collector.
-        if a < stop:
-            yield from self._walk(a + 1, stop, x, holds, state)
-            for bit, row in self._items(a):
-                # The AND is passed, not named, so it dies with its branch.
-                yield from self._walk(a + 1, stop, x | bit, holds & row, state)
+    def _states(
+        self, a: int, stop: int, x: int, holds: np.ndarray
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        # ``(x | bits, holds & rows)`` for every state of attributes
+        # ``a..stop-1``, depth first, each absent, then down, then up: in
+        # the integer layout of ``encoding`` that is ascending order, and
+        # a state's AND is shared by every state that extends it.  A
+        # method, not a closure over itself, so a finished walk frees its
+        # arrays without the cyclic garbage collector.
+        if a == stop:
+            yield x, holds
             return
-        table, suffixes, kept, buf = state
-        pairs = np.bitwise_count(np.bitwise_and(table, holds, out=buf)).sum(axis=1, dtype=np.int64)
-        keep = kept[min(x.bit_count(), 2)]
-        yield x | suffixes[keep], pairs[keep]
+        down = 1 << (2 * (self.m - a) - 2)
+        yield from self._states(a + 1, stop, x, holds)
+        # Each AND is passed, not named, so it dies with its branch.
+        yield from self._states(a + 1, stop, x | down, holds & self._rows[2 * a + 1])
+        yield from self._states(a + 1, stop, x | down << 1, holds & self._rows[2 * a])
 
     def _suffix_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The AND rows of every state of the last ``k`` attributes and
-        the candidate bits of each (int64), ascending.  The empty state
-        comes first; its row has every bit set, padding bits included,
-        and the walk never counts it alone.
-
-        The table of attributes ``a..m-1`` is that of ``a+1..m-1``, then
-        its rows ANDed with ``a`` down, then with ``a`` up; so it is
-        filled in place from the last attribute back.
+        the candidate bits of each (int64), ascending, as
+        :meth:`_states` walks them from a row of every bit set, padding
+        bits included.  The empty state comes first, with that row; the
+        prefix walk never counts it alone.
         """
-        table = np.empty((3**k, self._rows.shape[1]), dtype=np.uint64)
-        table[0] = ~np.uint64(0)
-        bits = [0]
-        for a in range(self.m - 1, self.m - 1 - k, -1):
-            inner = len(bits)
-            for bit, row in self._items(a):
-                np.bitwise_and(table[:inner], row, out=table[len(bits) : len(bits) + inner])
-                bits += [bit | b for b in bits[:inner]]
-        return table, np.array(bits, dtype=np.int64)
+        ones = np.full(self._rows.shape[1], ~np.uint64(0))
+        table = np.empty((3**k, len(ones)), dtype=np.uint64)
+        bits = np.empty(3**k, dtype=np.int64)
+        for i, (x, row) in enumerate(self._states(self.m - k, self.m, 0, ones)):
+            table[i], bits[i] = row, x
+        return table, bits
 
 
 def concordant_count_brute(pattern: GradualPattern, d: Dataset) -> int:

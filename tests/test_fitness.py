@@ -195,6 +195,40 @@ class TestPackedIndex:
             x = valid[i]
             assert index.count_candidate(x) == concordant_count_brute(to_pattern(x, space), d)
 
+    @settings(max_examples=30, deadline=None)
+    @given(tied_tables(max_m=5))
+    @example(Dataset(("a", "b", "c", "d", "e"), np.zeros((9, 5))))
+    def test_states_walk_every_state_of_a_run_in_order(self, d):
+        # Every state of attributes a..stop-1 once, ascending, with the AND
+        # of its items' rows from the comparison build; and the suffix
+        # table is that walk over the last k attributes, stacked.
+        index, m = d.index, d.m
+        rows = comparison_rows(d)
+        ones = np.full(rows.shape[1], ~np.uint64(0))
+        for a in range(m + 1):
+            assert [(x, h is ones) for x, h in index._states(a, a, 5, ones)] == [(5, True)]
+            for stop in range(a, m + 1):
+                states = list(index._states(a, stop, 0, ones))
+                bits = [x for x, _ in states]
+                assert len(states) == 3 ** (stop - a)
+                assert bits == sorted(set(bits))
+                for x, row in states:
+                    fields = [x >> 2 * (m - 1 - b) & 3 for b in range(m)]
+                    assert all(f == 0 for b, f in enumerate(fields) if not a <= b < stop)
+                    expected = ones.copy()
+                    for b, f in enumerate(fields):
+                        assert f != 3
+                        if f:
+                            expected &= rows[2 * b + (f == 1)]
+                    assert row.tobytes() == expected.tobytes()
+        for k in range(m + 1):
+            table, suffixes = index._suffix_table(k)
+            states = list(index._states(m - k, m, 0, ones))
+            assert table.tobytes() == np.stack([row for _, row in states]).tobytes()
+            assert suffixes.dtype == np.int64
+            assert suffixes.tolist() == [x for x, _ in states]
+            assert suffixes[0] == 0 and (table[0] == ~np.uint64(0)).all()
+
     @pytest.mark.parametrize("m", range(2, 8))
     def test_counts_walk_every_candidate_in_order(self, m, monkeypatch):
         # One budget per suffix table width k = 0 .. m, at row lengths on
