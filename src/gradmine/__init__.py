@@ -12,7 +12,6 @@ across candidate spaces with an exact signed-rank test.
 from .dataset import Dataset, DatasetError, load_dataset, object_pair_count
 from .encoding import (
     Direction,
-    EnumerationLimitError,
     GradualItem,
     GradualPattern,
     InvalidReason,
@@ -28,6 +27,7 @@ from .encoding import (
 from .fitness import ConcordanceIndex, concordant_count_brute
 from .search import (
     ALGORITHMS,
+    EnumerationLimitError,
     SearchConfig,
     SearchResult,
     Trajectory,

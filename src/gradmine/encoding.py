@@ -30,16 +30,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-#: Largest attribute count for which exhaustive candidate enumeration is
-#: allowed.  The graank sweep keeps two trajectory lists (its iteration
-#: column is a range), about 48 bytes per candidate, 3x more per
-#: attribute.  Measured in-process at n=40 on a 2-vCPU x86-64 host (time,
-#: RSS growth): m=11 0.06 s, 9 MiB; m=12 0.16 s, 25 MiB; m=13 0.47 s,
-#: 74 MiB; m=14 1.4-1.5 s, 221 MiB (4,782,940 candidates); m=16 would
-#: take 2 GiB.  So the guard bounds the sweep's memory, and the streamed
-#: listing's length (m=15 would print 14,348,876 candidates).
-MAX_ENUM_ATTRIBUTES = 14
-
 
 class Direction(enum.Enum):
     """Direction of variation of a gradual item."""
@@ -58,17 +48,6 @@ class InvalidReason(enum.Enum):
 
     CONFLICT = "conflict"
     TOO_FEW_ITEMS = "too_few_items"
-
-
-class EnumerationLimitError(RuntimeError):
-    """Raised when exhaustive enumeration would exceed the attribute guard."""
-
-    def __init__(self, m: int, limit: int) -> None:
-        super().__init__(
-            f"cannot enumerate candidates for {m} attributes (guard: {limit})"
-        )
-        self.m = m
-        self.limit = limit
 
 
 @dataclass(frozen=True)
@@ -219,10 +198,8 @@ def encode(pattern: GradualPattern, m: int) -> int:
 
 def enumerate_valid(space: SearchSpace) -> Iterator[int]:
     """All in-bounds integers that decode to patterns, in ascending order,
-    yielded one at a time; the attribute guard is checked at the call."""
+    yielded one at a time at any width: 3^m - 2m - 1 of them."""
     m = space.m
-    if m > MAX_ENUM_ATTRIBUTES:
-        raise EnumerationLimitError(m, MAX_ENUM_ATTRIBUTES)
     # Attributes most significant first, each absent, down or up; product
     # varies the last fastest, so the 3**m sums come out ascending.
     states = [(0, 1 << k, 2 << k) for k in range(2 * m - 2, -1, -2)]

@@ -154,7 +154,9 @@ class ConcordanceIndex:
 
         The last ``k`` attributes form a suffix table of the AND rows of
         all their ``3**k`` states, the empty one first; ``k`` is the
-        largest, 0 allowed, whose table fits ``SUFFIX_TABLE_BYTES``.  The
+        largest, 0 allowed, up to ``ceil(m / 2)``, whose table fits
+        ``SUFFIX_TABLE_BYTES``: it is filled one walk step a state, so a
+        table wider than its prefix costs more steps than it saves.  The
         prefixes are the states of the first ``m - k`` attributes, walked
         by :meth:`_states` from the empty state's row, and so come in
         ascending order.  Each is counted against the whole table with
@@ -164,7 +166,7 @@ class ConcordanceIndex:
         """
         rows, m = self._rows, self.m
         k = 0
-        while k < m and 3 ** (k + 1) * rows[0].nbytes <= SUFFIX_TABLE_BYTES:
+        while k < m - k and 3 ** (k + 1) * rows[0].nbytes <= SUFFIX_TABLE_BYTES:
             k += 1
         table, suffixes = self._suffix_table(k)
         sizes = np.bitwise_count(suffixes)

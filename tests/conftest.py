@@ -77,7 +77,8 @@ def random_dataset(rng: np.random.Generator, n: int, m: int, ties: bool = False)
 
 def suffix_budget(d: Dataset, k: int) -> int:
     """The ``fitness.SUFFIX_TABLE_BYTES`` at which ``d.index.counts()``
-    builds its suffix table over the last ``k`` attributes."""
+    builds its suffix table over the last ``min(k, ceil(m / 2))``
+    attributes."""
     return 3**k * d.index._rows[0].nbytes
 
 
@@ -92,6 +93,52 @@ def comparison_rows(d: Dataset) -> np.ndarray:
         packed[2 * a, :row_bytes] = np.packbits(col[:, None] < col, axis=1).ravel()
         packed[2 * a + 1, :row_bytes] = np.packbits(col[:, None] > col, axis=1).ravel()
     return rows
+
+
+def _tied_pairs(*keys: np.ndarray) -> int:
+    """Object pairs equal on every one of ``keys``."""
+    _, sizes = np.unique(np.stack(keys), axis=1, return_counts=True)
+    return int((sizes * (sizes - 1) // 2).sum())
+
+
+def _inversions(v: np.ndarray) -> int:
+    """Pairs i < j with v[i] > v[j], by a bottom-up merge sort: at each
+    level one ``np.searchsorted`` counts, for each element of a block's
+    right half, the elements of its left half that are larger.  Keys are
+    offset by block, so every level's left halves search as one array."""
+    v = v.astype(np.int64)
+    n, span = len(v), int(v.max()) + 1
+    position = np.arange(n)
+    inversions, width = 0, 1
+    while width < n:
+        block = position // (2 * width)
+        right = position // width % 2 == 1
+        keys = block * span + v
+        left = keys[~right]  # each left half sorted, the halves in block order
+        at_most = np.searchsorted(left, keys[right], side="right")
+        block_end = np.searchsorted(left, (block[right] + 1) * span, side="left")
+        inversions += int((block_end - at_most).sum())
+        v = np.sort(keys) - block * span  # merge: each block sorted
+        width *= 2
+    return inversions
+
+
+def knight_pairs(d: Dataset, a: int, b: int) -> tuple[int, int]:
+    """Second oracle for 2-item counts, Knight's O(n log n) Kendall
+    count with ties excluded: ``(C, D)``, the pairs strictly concordant
+    on attributes ``a < b`` ({a+, b+} and {a-, b-}) and strictly
+    discordant ({a+, b-} and {a-, b+}).
+
+    Sorted by the dense ranks of (a, b), D is the number of inversions
+    of b's ranks: a pair tied on a is in b order, so it inverts nothing.
+    Then C = n(n-1)/2 - T_a - T_b + T_ab - D, with T the pairs tied on
+    a, on b and on both.
+    """
+    ra = np.unique(d.values[:, a], return_inverse=True)[1].ravel()
+    rb = np.unique(d.values[:, b], return_inverse=True)[1].ravel()
+    discordant = _inversions(rb[np.lexsort((rb, ra))])
+    ties = _tied_pairs(ra) + _tied_pairs(rb) - _tied_pairs(ra, rb)
+    return object_pair_count(d) - ties - discordant, discordant
 
 
 @st.composite

@@ -106,8 +106,8 @@ def test_evaluated_candidate_count(course_dataset):
 
 
 def assert_sweep_matches(d, sigma, k):
-    """The sweep with a suffix table of ``k`` attributes against
-    ``reference_sweep``."""
+    """The sweep with a suffix table of ``min(k, ceil(m / 2))``
+    attributes against ``reference_sweep``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gradmine.fitness, "SUFFIX_TABLE_BYTES", suffix_budget(d, k))
         r = run_miner("graank", d, build_space(d.m), SearchConfig(sigma=sigma))

@@ -17,7 +17,7 @@ import pytest
 
 import gradmine
 from conftest import write_csv
-from gradmine import BenchSpec, SearchConfig
+from gradmine import BenchSpec, SearchConfig, build_space, to_pattern
 from gradmine.cli import _TUNING, _config_from_args, _spec_from_args, build_parser, main
 
 
@@ -266,10 +266,27 @@ class TestSpace:
         assert lines[-1] == "42\t101010\t{col0+, col1+, col2+}"
 
     def test_list_valid_beyond_the_enumeration_guard(self, capsys):
-        assert main(["space", "--attrs", "15", "--list-valid"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "bounds: [5, 715827882], valid: 14348876\n"
-        assert captured.err == "error: cannot enumerate candidates for 15 attributes (guard: 14)\n"
+        # The guard bounds only the sweep: the listing streams at any
+        # width.  A reader that closes after 50 lines ends it as
+        # `| head -n 50` would, so the 14,348,876 lines are never made.
+        class Closes(io.StringIO):
+            def write(self, text):
+                if self.getvalue().count("\n") == 50:
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        out = Closes()
+        with contextlib.redirect_stdout(out):
+            assert main(["space", "--attrs", "15", "--list-valid"]) == 1
+        assert capsys.readouterr().err == ""
+        first, *rows = out.getvalue().splitlines()
+        assert first == "bounds: [5, 715827882], valid: 14348876"
+        assert len(rows) == 49
+        space, names = build_space(15), [f"col{i}" for i in range(15)]
+        xs = [int(row.split("\t")[0]) for row in rows]
+        assert xs[:4] == [5, 6, 9, 10] and xs == sorted(set(xs))
+        for x, row in zip(xs, rows):
+            assert row == f"{x}\t{x:030b}\t{to_pattern(x, space).render(names)}"
 
     def test_bounds_beyond_the_int_to_str_limit(self, capsys):
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

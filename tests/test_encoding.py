@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import complement, field_oracle, pat
 from gradmine import (
     Direction,
-    EnumerationLimitError,
     GradualItem,
     GradualPattern,
     InvalidReason,
@@ -260,9 +259,13 @@ class TestValidity:
         assert count == 3**10 - 2 * 10 - 1 == 59_028
         assert peak < 64 * 1024
 
-    def test_enumeration_guard(self):
-        with pytest.raises(EnumerationLimitError):
-            enumerate_valid(build_space(17))
+    @pytest.mark.parametrize("m", [15, 40])
+    def test_enumeration_streams_beyond_the_sweep_guard(self, m):
+        # Only the sweep has a width guard; the listing starts at once.
+        s = build_space(m)
+        xs = list(itertools.islice(enumerate_valid(s), 50))
+        assert len(xs) == 50 and xs == sorted(set(xs))
+        assert all(s.lower <= x <= s.upper and invalid_reason(x, s) is None for x in xs)
 
     def test_complement_symmetry(self):
         s = build_space(3)

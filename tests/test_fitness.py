@@ -2,6 +2,7 @@
 pair-scan oracle and the decode-first ``fitness_of``."""
 
 import gc
+import itertools
 import math
 import tracemalloc
 
@@ -15,6 +16,7 @@ from conftest import (
     comparison_rows,
     complement,
     fitness_of,
+    knight_pairs,
     pat,
     random_dataset,
     suffix_budget,
@@ -233,7 +235,8 @@ class TestPackedIndex:
     def test_counts_walk_every_candidate_in_order(self, m, monkeypatch):
         # One budget per suffix table width k = 0 .. m, at row lengths on
         # both sides of a byte and of a 64-bit word: the walk must not
-        # depend on where the attributes are split.
+        # depend on where the attributes are split.  The table stops at
+        # ceil(m / 2) attributes whatever the budget.
         widths = []
         build = ConcordanceIndex._suffix_table
         monkeypatch.setattr(
@@ -246,7 +249,21 @@ class TestPackedIndex:
             for k in range(0, m + 1):
                 monkeypatch.setattr(gradmine.fitness, "SUFFIX_TABLE_BYTES", suffix_budget(d, k))
                 assert walked(d.index) == expected
-        assert widths == list(range(0, m + 1)) * 6
+        assert widths == [min(k, math.ceil(m / 2)) for k in range(0, m + 1)] * 6
+
+    @pytest.mark.parametrize("m", range(8, 13))
+    def test_tiny_rows_split_the_attributes_in_half(self, m, monkeypatch):
+        # At n = 8 a row is one word, so the budget alone would admit a
+        # table of 8 to 10 attributes, one walk step per state; the table
+        # stops at ceil(m / 2) instead.
+        widths = []
+        build = ConcordanceIndex._suffix_table
+        monkeypatch.setattr(
+            ConcordanceIndex, "_suffix_table", lambda index, k: widths.append(k) or build(index, k)
+        )
+        d = random_dataset(np.random.default_rng(m), 8, m)
+        assert sum(len(xs) for xs, _ in d.index.counts()) == valid_candidate_count(m)
+        assert widths == [math.ceil(m / 2)]
 
     def test_counts_memory_stays_within_budget(self):
         # Two rows already exceed the budget, so the suffix table holds no
@@ -290,7 +307,7 @@ class TestPackedIndex:
     def test_a_finished_sweep_leaves_no_cyclic_garbage(self):
         # Reference counting alone frees the suffix table, its AND buffer
         # and the walk's arrays once the walk ends.  At n = 160, m = 8 the
-        # table holds five attributes, so the walk recurses over three.
+        # table holds four attributes, so the walk recurses over four.
         d = random_dataset(np.random.default_rng(2), 160, 8)
         s = build_space(d.m)
         run_miner("graank", d, s, SearchConfig())  # warm every lazy cache
@@ -404,9 +421,9 @@ class TestProperties:
     def test_anti_monotonicity(self, d, k):
         # A pattern never has more concordant pairs than any pattern with
         # one item fewer.  Every count comes from one walk of the sweep,
-        # its suffix table forced to the last k attributes.  Without a
-        # conflict each set bit of a candidate is one item, so clearing a
-        # bit drops that item.
+        # its suffix table forced to the last min(k, ceil(m / 2))
+        # attributes.  Without a conflict each set bit of a candidate is
+        # one item, so clearing a bit drops that item.
         k = min(k, d.m)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gradmine.fitness, "SUFFIX_TABLE_BYTES", suffix_budget(d, k))
@@ -432,6 +449,38 @@ class TestProperties:
             e = fitness_of(x, space, course_dataset)
             if e.concordant_pairs:
                 assert e.fitness == pytest.approx(1.0 / (e.support * 6))
+
+
+class TestKnightOracle:
+    """Knight's sort-and-merge count of 2-item candidates, a second oracle
+    for the index that reaches n in the thousands, where the pair scan
+    cannot."""
+
+    @staticmethod
+    def assert_two_item_counts(d, count):
+        for a, b in itertools.combinations(range(d.m), 2):
+            concordant, discordant = knight_pairs(d, a, b)
+            for items, pairs in [
+                ((f"{a}+", f"{b}+"), concordant), ((f"{a}-", f"{b}-"), concordant),
+                ((f"{a}+", f"{b}-"), discordant), ((f"{a}-", f"{b}+"), discordant),
+            ]:
+                assert count(pat(*items)) == pairs, (a, b, items)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_tables())
+    @example(Dataset(("a", "b"), np.array([[3.0, 1.0], [3.0, 2.0], [3.0, 0.0]])))
+    def test_matches_the_pair_scan(self, d):
+        self.assert_two_item_counts(d, lambda p: concordant_count_brute(p, d))
+
+    # n at residues 63, 0, 1, 55 and 40 mod 64, the last without ties.
+    @pytest.mark.parametrize(
+        "n, levels", [(1087, 3), (2048, 2), (2113, 12), (2999, 40), (1000, None)]
+    )
+    def test_matches_the_index_at_thousands_of_objects(self, n, levels):
+        rng = np.random.default_rng(n)
+        values = rng.random((n, 4)) if levels is None else rng.integers(0, levels, (n, 4)) * 1.0
+        d = Dataset(tuple("abcd"), values)
+        self.assert_two_item_counts(d, lambda p: d.index.count_candidate(encode(p, d.m)))
 
 
 class TestErrors:
