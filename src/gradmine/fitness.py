@@ -9,22 +9,19 @@ Candidates that decode to no pattern, or to a pattern with zero concordant
 pairs, count 0: searchers compare against them but never keep them.
 
 The miners count through :class:`ConcordanceIndex` (bit-packed, built once
-per dataset as ``Dataset.index``): the searchers one candidate at a time
-(:meth:`ConcordanceIndex.count_candidate`, on Python-int copies of the
-rows when they are small and on the arrays otherwise), the exhaustive
-sweep one batch per prefix, ``(candidates, pairs)`` arrays from one AND
-and one popcount over a table of every suffix state, the empty one
-first, whose all-ones row is never counted alone
-(:meth:`ConcordanceIndex.counts`).  A run logs the pair counts; fitness
-is derived from them only where it is read.
+per dataset as ``Dataset.index``) on Python-int copies of the rows when
+they are small and on the arrays otherwise: the searchers one candidate
+at a time (:meth:`ConcordanceIndex.count_candidate`), the exhaustive
+sweep by one ascending walk that carries each candidate's AND down to
+the candidates that extend it (:meth:`ConcordanceIndex.count_all`).  A
+run logs the pair counts; fitness is derived from them only where it is
+read.
 :func:`concordant_count_brute`, a literal pair-by-pair scan, stays beside
 it as the reference the index is tested against and the benchmark's
 support spot check.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
@@ -37,7 +34,8 @@ from .encoding import Direction, GradualPattern, encode
 MAX_INDEX_BYTES = 2 * 2**30
 
 #: Largest row, in bytes, that :class:`ConcordanceIndex` also keeps as a
-#: Python int for :meth:`~ConcordanceIndex.count_candidate` (n <= 219).
+#: Python int for :meth:`~ConcordanceIndex.count_candidate` and
+#: :meth:`~ConcordanceIndex.count_all` (n <= 219).
 #: Below it one int AND per item and ``int.bit_count`` beat a numpy call
 #: per item; above it the AND itself dominates, and numpy's is faster.
 #: In-process on a 2-vCPU x86-64 host, m = 24, 2 to 5 items (fastest of
@@ -46,13 +44,6 @@ MAX_INDEX_BYTES = 2 * 2**30
 #: 4.4-5.8 us against 4.1-5.8 us, n = 300 (11,400) in 7.1-9.4 us against
 #: 4.9-7.3 us and n = 560 (39,200) in 22-54 us against 9-22 us.
 INT_ROW_BYTES = 6 * 2**10
-
-#: Largest suffix table, in bytes, that :meth:`ConcordanceIndex.counts`
-#: builds while one row fits (its AND buffer is as large again).
-#: In-process on a 2-vCPU x86-64 host, at n=160, m=10, the walk took
-#: 57-66 ms at 1 MiB or 256 KiB, against 123-126 ms at 64 KiB, 279 ms at
-#: 16 KiB and 50-75 ms at 4 or 16 MiB, whose memory bought no clear gain.
-SUFFIX_TABLE_BYTES = 2**20
 
 
 class ConcordanceIndex:
@@ -68,9 +59,9 @@ class ConcordanceIndex:
     every row and never count.  Rows are stored as 64-bit words, so the
     index takes ``2 * m * n * ceil(n / 8)`` bytes plus at most 7 per row.
     Rows of at most ``INT_ROW_BYTES`` are also kept as Python ints, which
-    :meth:`count_candidate` ANDs; that copy is counted as as many bytes
-    again.  Above ``MAX_INDEX_BYTES`` the index raises ``DatasetError``
-    before allocating.
+    :meth:`count_candidate` and :meth:`count_all` AND; that copy is
+    counted as as many bytes again.  Above ``MAX_INDEX_BYTES`` the index
+    raises ``DatasetError`` before allocating.
     An attribute of L distinct values costs one scatter of its n objects
     into L + 1 packed lines, a running OR over them and two gathers into
     its rows, with ``(L + 1) * ceil(n / 8)`` bytes held beside the rows,
@@ -81,8 +72,8 @@ class ConcordanceIndex:
         self.m = d.m
         row_bytes = d.n * ((d.n + 7) // 8)
         row_words = (row_bytes + 7) // 8
-        self._int_rows = row_words * 8 <= INT_ROW_BYTES
-        needed = 2 * d.m * row_words * 8 * (1 + self._int_rows)
+        int_rows = row_words * 8 <= INT_ROW_BYTES
+        needed = 2 * d.m * row_words * 8 * (1 + int_rows)
         if needed > MAX_INDEX_BYTES:
             raise DatasetError(
                 f"a table of n={d.n} objects and m={d.m} attributes needs a "
@@ -112,12 +103,14 @@ class ConcordanceIndex:
             up ^= below[-1]  # all objects but those at or below r[i]
             np.take(below, r, axis=0, out=down, mode="clip")
             del below
-        # The rows counted one candidate at a time, taken once: a list item
-        # is cheaper to reach than a fresh view of the array per item.
-        if self._int_rows:
+        # The rows as counted, taken once: a list item is cheaper to reach
+        # than a fresh view of the array per item.
+        if int_rows:
             self._row_list = [int.from_bytes(row, "little") for row in packed]
+            self._popcount = int.bit_count
         else:
             self._row_list = list(self._rows)
+            self._popcount = _array_bit_count
 
     def count(self, pattern: GradualPattern) -> int:
         """Concordant pairs of a pattern; ``encode`` rejects attributes
@@ -143,72 +136,50 @@ class ConcordanceIndex:
         holds = rows[0] & rows[1]
         for row in rows[2:]:
             holds &= row
-        if self._int_rows:
-            return holds.bit_count()
-        return int(np.bitwise_count(holds).sum())
+        return self._popcount(holds)
 
-    def counts(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """``(candidates, concordant pairs)`` int64 arrays, one pair per
-        prefix, for every valid candidate over the index's ``m``
-        attributes, in ascending order.
+    def count_all(self) -> tuple[list[int], list[int]]:
+        """Every valid candidate over the index's ``m`` attributes, in
+        ascending order, and its concordant pairs.
 
-        The last ``k`` attributes form a suffix table of the AND rows of
-        all their ``3**k`` states, the empty one first; ``k`` is the
-        largest, 0 allowed, up to ``ceil(m / 2)``, whose table fits
-        ``SUFFIX_TABLE_BYTES``: it is filled one walk step a state, so a
-        table wider than its prefix costs more steps than it saves.  The
-        prefixes are the states of the first ``m - k`` attributes, walked
-        by :meth:`_states` from the empty state's row, and so come in
-        ascending order.  Each is counted against the whole table with
-        one AND and one popcount, keeping the suffixes that bring it to
-        two items: after no prefix item those of two or more, after one
-        those of one or more, after two or more all of them.
+        The 2m items are walked least significant first, with tail lists
+        as in Eclat: a node ``x`` extends by each item below its lowest
+        one, in ascending order, logs ``x | item`` with one AND and one
+        popcount, and descends into it.  Below an up item its own
+        attribute's down item, the item just before it, is left out, so
+        no conflict is made.  One-item nodes are not logged.  The walk
+        holds one row per depth, at most ``m``.
         """
-        rows, m = self._rows, self.m
-        k = 0
-        while k < m - k and 3 ** (k + 1) * rows[0].nbytes <= SUFFIX_TABLE_BYTES:
-            k += 1
-        table, suffixes = self._suffix_table(k)
-        sizes = np.bitwise_count(suffixes)
-        kept = sizes >= 2, sizes >= 1, slice(None)
-        buf = np.empty_like(table)
-        for x, holds in self._states(0, m - k, 0, table[0]):
-            np.bitwise_and(table, holds, out=buf)
-            del holds  # freed before the walk makes the next prefix's AND
-            keep = kept[min(x.bit_count(), 2)]
-            yield x | suffixes[keep], np.bitwise_count(buf).sum(axis=1, dtype=np.int64)[keep]
+        candidates: list[int] = []
+        pairs: list[int] = []
+        rows = self._row_list[::-1]  # bit p names row 2m - 1 - p
+        for p, row in enumerate(rows):
+            self._extend(1 << p, row, p & ~1, rows, candidates, pairs)
+        return candidates, pairs
 
-    def _states(
-        self, a: int, stop: int, x: int, holds: np.ndarray
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        # ``(x | bits, holds & rows)`` for every state of attributes
-        # ``a..stop-1``, depth first, each absent, then down, then up: in
-        # the integer layout of ``encoding`` that is ascending order, and
-        # a state's AND is shared by every state that extends it.  A
-        # method, not a closure over itself, so a finished walk frees its
-        # arrays without the cyclic garbage collector.
-        if a == stop:
-            yield x, holds
-            return
-        down = 1 << (2 * (self.m - a) - 2)
-        yield from self._states(a + 1, stop, x, holds)
-        # Each AND is passed, not named, so it dies with its branch.
-        yield from self._states(a + 1, stop, x | down, holds & self._rows[2 * a + 1])
-        yield from self._states(a + 1, stop, x | down << 1, holds & self._rows[2 * a])
+    def _extend(
+        self,
+        x: int,
+        holds: int | np.ndarray,
+        stop: int,
+        rows: list,
+        candidates: list[int],
+        pairs: list[int],
+    ) -> None:
+        # Logs x | 1 << p for every item p < stop and walks on below it.
+        # A method, not a closure over itself, so a finished walk frees
+        # its rows without the cyclic garbage collector.
+        popcount = self._popcount
+        for p in range(stop):
+            y, h = x | 1 << p, holds & rows[p]
+            candidates.append(y)
+            pairs.append(popcount(h))
+            if p > 1:  # an up item p is odd: p & ~1 drops its down item
+                self._extend(y, h, p & ~1, rows, candidates, pairs)
 
-    def _suffix_table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The AND rows of every state of the last ``k`` attributes and
-        the candidate bits of each (int64), ascending, as
-        :meth:`_states` walks them from a row of every bit set, padding
-        bits included.  The empty state comes first, with that row; the
-        prefix walk never counts it alone.
-        """
-        ones = np.full(self._rows.shape[1], ~np.uint64(0))
-        table = np.empty((3**k, len(ones)), dtype=np.uint64)
-        bits = np.empty(3**k, dtype=np.int64)
-        for i, (x, row) in enumerate(self._states(self.m - k, self.m, 0, ones)):
-            table[i], bits[i] = row, x
-        return table, bits
+
+def _array_bit_count(holds: np.ndarray) -> int:
+    return int(np.bitwise_count(holds).sum())
 
 
 def concordant_count_brute(pattern: GradualPattern, d: Dataset) -> int:

@@ -483,11 +483,11 @@ def _pso(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConf
 
 #: Largest attribute count the exhaustive sweep accepts.  The sweep keeps
 #: two trajectory lists (its iteration column is a range), about 48 bytes
-#: per candidate, 3x more per attribute.  Measured in-process at n=40 on
-#: a 2-vCPU x86-64 host (time, RSS growth): m=11 0.06 s, 9 MiB; m=12
-#: 0.16 s, 25 MiB; m=13 0.47 s, 74 MiB; m=14 1.4-1.5 s, 221 MiB
-#: (4,782,940 candidates); m=16 would take 2 GiB.  So the guard bounds
-#: the sweep's memory.
+#: per candidate, 3x more per attribute.  Measured in-process at n=40,
+#: sigma=0.5, on a 2-vCPU x86-64 host (time, RSS growth): m=11 0.06 s,
+#: 10 MiB; m=12 0.17-0.23 s, 32 MiB; m=13 0.53-0.79 s, 90 MiB; m=14
+#: 1.5-1.9 s, 220 MiB (4,782,940 candidates); m=16 would take 2 GiB.
+#: So the guard bounds the sweep's memory.
 MAX_ENUM_ATTRIBUTES = 14
 
 
@@ -497,7 +497,7 @@ class EnumerationLimitError(RuntimeError):
 
 def _graank(rec: _Recorder, rng: None, s: SearchSpace, c: SearchConfig) -> _Best:
     """The exhaustive sweep: every valid candidate once, in ascending
-    order, a batch at a time from :meth:`ConcordanceIndex.counts`.  It
+    order, with its pairs, from :meth:`ConcordanceIndex.count_all`.  It
     gets no generator, and the space kind and iteration budget play no
     part; beyond ``MAX_ENUM_ATTRIBUTES`` it refuses before the index is
     built."""
@@ -505,9 +505,7 @@ def _graank(rec: _Recorder, rng: None, s: SearchSpace, c: SearchConfig) -> _Best
         raise EnumerationLimitError(
             f"cannot enumerate candidates for {rec.d.m} attributes (guard: {MAX_ENUM_ATTRIBUTES})"
         )
-    for xs, pairs in rec.d.index.counts():
-        rec.candidates += xs.tolist()
-        rec.pairs += pairs.tolist()
+    rec.candidates, rec.pairs = rec.d.index.count_all()
     rec.iterations = range(1, len(rec.candidates) + 1)
     return _last_best(rec)
 

@@ -75,13 +75,6 @@ def random_dataset(rng: np.random.Generator, n: int, m: int, ties: bool = False)
     return Dataset(tuple(f"col{i}" for i in range(m)), values)
 
 
-def suffix_budget(d: Dataset, k: int) -> int:
-    """The ``fitness.SUFFIX_TABLE_BYTES`` at which ``d.index.counts()``
-    builds its suffix table over the last ``min(k, ceil(m / 2))``
-    attributes."""
-    return 3**k * d.index._rows[0].nbytes
-
-
 def comparison_rows(d: Dataset) -> np.ndarray:
     """Reference for ``ConcordanceIndex(d)._rows``: each attribute's two
     rows packed straight from its n x n strict comparisons, "increases
@@ -95,7 +88,7 @@ def comparison_rows(d: Dataset) -> np.ndarray:
     return rows
 
 
-def _tied_pairs(*keys: np.ndarray) -> int:
+def tied_pairs(*keys: np.ndarray) -> int:
     """Object pairs equal on every one of ``keys``."""
     _, sizes = np.unique(np.stack(keys), axis=1, return_counts=True)
     return int((sizes * (sizes - 1) // 2).sum())
@@ -137,7 +130,7 @@ def knight_pairs(d: Dataset, a: int, b: int) -> tuple[int, int]:
     ra = np.unique(d.values[:, a], return_inverse=True)[1].ravel()
     rb = np.unique(d.values[:, b], return_inverse=True)[1].ravel()
     discordant = _inversions(rb[np.lexsort((rb, ra))])
-    ties = _tied_pairs(ra) + _tied_pairs(rb) - _tied_pairs(ra, rb)
+    ties = tied_pairs(ra) + tied_pairs(rb) - tied_pairs(ra, rb)
     return object_pair_count(d) - ties - discordant, discordant
 
 

@@ -6,10 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gradmine.encoding
-import gradmine.fitness
 import gradmine.search
 from conftest import COURSE_NAMES, COURSE_ROWS, brute_frequent, complement, fitness_of
-from conftest import random_dataset, suffix_budget, tied_tables
+from conftest import random_dataset, tied_tables
 from gradmine import (
     Dataset,
     EnumerationLimitError,
@@ -105,12 +104,9 @@ def test_evaluated_candidate_count(course_dataset):
     assert sweep.trajectory.evaluations == valid_candidate_count(4)
 
 
-def assert_sweep_matches(d, sigma, k):
-    """The sweep with a suffix table of ``min(k, ceil(m / 2))``
-    attributes against ``reference_sweep``."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gradmine.fitness, "SUFFIX_TABLE_BYTES", suffix_budget(d, k))
-        r = run_miner("graank", d, build_space(d.m), SearchConfig(sigma=sigma))
+def assert_sweep_matches(d, sigma):
+    """The sweep against ``reference_sweep``."""
+    r = run_miner("graank", d, build_space(d.m), SearchConfig(sigma=sigma))
     steps, best, frequent = reference_sweep(d, sigma)
     assert r.trajectory.steps == steps
     assert r.frequent_patterns == frequent
@@ -125,19 +121,19 @@ def assert_sweep_matches(d, sigma, k):
 
 
 @settings(max_examples=60, deadline=None)
-@given(tied_tables(max_m=6), st.floats(0.0, 1.0), st.integers(1, 6))
-@example(Dataset(COURSE_NAMES, np.array(COURSE_ROWS)), 0.5, 1)
-@example(Dataset(COURSE_NAMES, np.array(COURSE_ROWS)), 1.0, 3)  # best below sigma
-@example(Dataset(("a", "b", "c"), np.zeros((5, 3))), 0.0, 2)
-def test_sweep_matches_one_candidate_at_a_time(d, sigma, k):
-    assert_sweep_matches(d, sigma, min(k, d.m))
+@given(tied_tables(max_m=6), st.floats(0.0, 1.0))
+@example(Dataset(COURSE_NAMES, np.array(COURSE_ROWS)), 0.5)
+@example(Dataset(COURSE_NAMES, np.array(COURSE_ROWS)), 1.0)  # best below sigma
+@example(Dataset(("a", "b", "c"), np.zeros((5, 3))), 0.0)
+def test_sweep_matches_one_candidate_at_a_time(d, sigma):
+    assert_sweep_matches(d, sigma)
 
 
+# Row lengths on both sides of a byte and of a 64-bit word.
 @pytest.mark.parametrize("n", [2, 7, 8, 9, 64, 65])
-def test_sweep_matches_at_every_split(n):
+def test_sweep_matches_at_row_lengths(n):
     d = random_dataset(np.random.default_rng(n), n, 5, ties=True)
-    for k in range(1, 6):
-        assert_sweep_matches(d, 0.1, k)
+    assert_sweep_matches(d, 0.1)
 
 
 def test_sweep_decodes_only_what_it_returns(monkeypatch):

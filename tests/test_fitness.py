@@ -4,12 +4,14 @@ pair-scan oracle and the decode-first ``fitness_of``."""
 import gc
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import kendalltau
 
 import gradmine.fitness
 from conftest import (
@@ -19,7 +21,7 @@ from conftest import (
     knight_pairs,
     pat,
     random_dataset,
-    suffix_budget,
+    tied_pairs,
     tied_tables,
 )
 from gradmine import (
@@ -36,12 +38,6 @@ from gradmine import (
     to_pattern,
     valid_candidate_count,
 )
-
-
-def walked(index: ConcordanceIndex) -> list[tuple[int, int]]:
-    """Every ``(candidate, pairs)`` of ``index.counts()``, its batches
-    flattened in order."""
-    return [(x, p) for xs, ps in index.counts() for x, p in zip(xs.tolist(), ps.tolist())]
 
 
 class TestWorkedExample:
@@ -197,125 +193,72 @@ class TestPackedIndex:
             x = valid[i]
             assert index.count_candidate(x) == concordant_count_brute(to_pattern(x, space), d)
 
-    @settings(max_examples=30, deadline=None)
-    @given(tied_tables(max_m=5))
-    @example(Dataset(("a", "b", "c", "d", "e"), np.zeros((9, 5))))
-    def test_states_walk_every_state_of_a_run_in_order(self, d):
-        # Every state of attributes a..stop-1 once, ascending, with the AND
-        # of its items' rows from the comparison build; and the suffix
-        # table is that walk over the last k attributes, stacked.
-        index, m = d.index, d.m
-        rows = comparison_rows(d)
-        ones = np.full(rows.shape[1], ~np.uint64(0))
-        for a in range(m + 1):
-            assert [(x, h is ones) for x, h in index._states(a, a, 5, ones)] == [(5, True)]
-            for stop in range(a, m + 1):
-                states = list(index._states(a, stop, 0, ones))
-                bits = [x for x, _ in states]
-                assert len(states) == 3 ** (stop - a)
-                assert bits == sorted(set(bits))
-                for x, row in states:
-                    fields = [x >> 2 * (m - 1 - b) & 3 for b in range(m)]
-                    assert all(f == 0 for b, f in enumerate(fields) if not a <= b < stop)
-                    expected = ones.copy()
-                    for b, f in enumerate(fields):
-                        assert f != 3
-                        if f:
-                            expected &= rows[2 * b + (f == 1)]
-                    assert row.tobytes() == expected.tobytes()
-        for k in range(m + 1):
-            table, suffixes = index._suffix_table(k)
-            states = list(index._states(m - k, m, 0, ones))
-            assert table.tobytes() == np.stack([row for _, row in states]).tobytes()
-            assert suffixes.dtype == np.int64
-            assert suffixes.tolist() == [x for x, _ in states]
-            assert suffixes[0] == 0 and (table[0] == ~np.uint64(0)).all()
+    @pytest.mark.parametrize(
+        "n_range, form", [((2, 219), int), ((220, 230), np.ndarray)], ids=["int", "numpy"]
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_count_all_walks_every_candidate_in_order(self, n_range, form, data):
+        # Both row forms under the real cutoff: each valid candidate once,
+        # ascending, with count_candidate's count.
+        n = data.draw(st.integers(*n_range), label="n")
+        m = data.draw(st.integers(2, 5), label="m")
+        levels = data.draw(st.sampled_from((0, 1, 3, 1000)), label="levels")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        values = np.random.default_rng(seed).integers(0, levels + 1, (n, m)).astype(float)
+        d = Dataset(tuple(f"col{i}" for i in range(m)), values)
+        index = d.index
+        assert all(type(row) is form for row in index._row_list)
+        candidates, pairs = index.count_all()
+        assert candidates == list(enumerate_valid(build_space(m)))
+        assert pairs == [index.count_candidate(x) for x in candidates]
 
-    @pytest.mark.parametrize("m", range(2, 8))
-    def test_counts_walk_every_candidate_in_order(self, m, monkeypatch):
-        # One budget per suffix table width k = 0 .. m, at row lengths on
-        # both sides of a byte and of a 64-bit word: the walk must not
-        # depend on where the attributes are split.  The table stops at
-        # ceil(m / 2) attributes whatever the budget.
-        widths = []
-        build = ConcordanceIndex._suffix_table
-        monkeypatch.setattr(
-            ConcordanceIndex, "_suffix_table", lambda index, k: widths.append(k) or build(index, k)
-        )
-        space = build_space(m)
-        for n in (2, 7, 8, 9, 64, 65):
-            d = random_dataset(np.random.default_rng(m), n, m, ties=True)
-            expected = [(x, d.index.count(to_pattern(x, space))) for x in enumerate_valid(space)]
-            for k in range(0, m + 1):
-                monkeypatch.setattr(gradmine.fitness, "SUFFIX_TABLE_BYTES", suffix_budget(d, k))
-                assert walked(d.index) == expected
-        assert widths == [min(k, math.ceil(m / 2)) for k in range(0, m + 1)] * 6
+    @ROW_FORMS
+    @pytest.mark.parametrize("m", [6, 8, 10])
+    def test_count_all_at_walk_depths_beyond_the_property_test(self, m, int_row_bytes):
+        # The walk recurses up to m deep; past the property test's m = 5 it
+        # must still list every valid candidate once, ascending, with
+        # count_candidate's count, and find concordant pairs at depth 3+.
+        d = random_dataset(np.random.default_rng(m), 9, m, ties=True)
+        index = index_in_form(d, int_row_bytes)
+        candidates, pairs = index.count_all()
+        assert len(candidates) == valid_candidate_count(m)
+        assert candidates == list(enumerate_valid(build_space(m)))
+        assert pairs == [index.count_candidate(x) for x in candidates]
+        assert any(p and x.bit_count() >= 3 for x, p in zip(candidates, pairs))
 
-    @pytest.mark.parametrize("m", range(8, 13))
-    def test_tiny_rows_split_the_attributes_in_half(self, m, monkeypatch):
-        # At n = 8 a row is one word, so the budget alone would admit a
-        # table of 8 to 10 attributes, one walk step per state; the table
-        # stops at ceil(m / 2) instead.
-        widths = []
-        build = ConcordanceIndex._suffix_table
-        monkeypatch.setattr(
-            ConcordanceIndex, "_suffix_table", lambda index, k: widths.append(k) or build(index, k)
-        )
-        d = random_dataset(np.random.default_rng(m), 8, m)
-        assert sum(len(xs) for xs, _ in d.index.counts()) == valid_candidate_count(m)
-        assert widths == [math.ceil(m / 2)]
-
-    def test_counts_memory_stays_within_budget(self):
-        # Two rows already exceed the budget, so the suffix table holds no
-        # attribute, only the empty state's row.  The walk keeps that
-        # table, its AND buffer and one AND per prefix depth, whatever the
-        # number of candidates.
+    def test_count_all_memory_stays_within_m_plus_one_rows(self):
+        # Beyond its two output lists, the walk holds one AND per depth
+        # and a popcount's scratch, whatever the number of candidates.
         m = 4
         d = random_dataset(np.random.default_rng(1), 2050, m)
         row = d.index._rows[0].nbytes
-        assert row <= gradmine.fitness.SUFFIX_TABLE_BYTES < 2 * row
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            candidates = sum(len(xs) for xs, _ in d.index.counts())
+            candidates, pairs = d.index.count_all()
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert candidates == valid_candidate_count(m)
-        assert peak <= gradmine.fitness.SUFFIX_TABLE_BYTES + (m + 1) * row
+        assert len(candidates) == valid_candidate_count(m)
+        lists = sum(sys.getsizeof(col) + sum(map(sys.getsizeof, col)) for col in (candidates, pairs))
+        assert peak <= lists + (m + 1) * row
 
-    def test_suffix_table_keeps_its_budget(self, monkeypatch):
-        # The table never exceeds SUFFIX_TABLE_BYTES while one row fits,
-        # here on the 2050 x 4 table above, whose two rows would not.
-        d = random_dataset(np.random.default_rng(1), 2050, 4)
-        assert d.index._rows[0].nbytes <= gradmine.fitness.SUFFIX_TABLE_BYTES
-        sizes = []
-        build = ConcordanceIndex._suffix_table
-
-        def recorded(index, k):
-            table, suffixes = build(index, k)
-            sizes.append(table.nbytes)
-            return table, suffixes
-
-        monkeypatch.setattr(ConcordanceIndex, "_suffix_table", recorded)
-        assert sum(len(xs) for xs, _ in d.index.counts()) == valid_candidate_count(4)
-        assert len(sizes) == 1 and sizes[0] <= gradmine.fitness.SUFFIX_TABLE_BYTES
-
-    def test_a_finished_sweep_leaves_no_cyclic_garbage(self):
-        # Reference counting alone frees the suffix table, its AND buffer
-        # and the walk's arrays once the walk ends.  At n = 160, m = 8 the
-        # table holds four attributes, so the walk recurses over four.
-        d = random_dataset(np.random.default_rng(2), 160, 8)
+    @pytest.mark.parametrize("n", [160, 230])
+    def test_a_finished_sweep_leaves_no_cyclic_garbage(self, n):
+        # Reference counting alone frees the walk's rows once it ends, on
+        # int rows (n = 160) and on arrays (n = 230).
+        d = random_dataset(np.random.default_rng(2), n, 8)
         s = build_space(d.m)
         run_miner("graank", d, s, SearchConfig())  # warm every lazy cache
         enabled = gc.isenabled()
         gc.disable()
         try:
             gc.collect()
-            assert sum(len(xs) for xs, _ in d.index.counts()) == valid_candidate_count(d.m)
+            assert len(d.index.count_all()[0]) == valid_candidate_count(d.m)
             assert gc.collect() == 0
             run_miner("graank", d, s, SearchConfig())
             assert gc.collect() == 0
@@ -411,23 +354,20 @@ _SEEDED_TABLES = [random_dataset(_SEEDED, 8, 5, ties=True) for _ in range(5)]
 
 
 class TestProperties:
+    @ROW_FORMS
     @settings(max_examples=80, deadline=None)
-    @given(tied_tables(max_m=6), st.integers(1, 6))
-    @example(_SEEDED_TABLES[0], 2)
-    @example(_SEEDED_TABLES[1], 3)
-    @example(_SEEDED_TABLES[2], 1)
-    @example(_SEEDED_TABLES[3], 4)
-    @example(_SEEDED_TABLES[4], 5)
-    def test_anti_monotonicity(self, d, k):
+    @given(tied_tables(max_m=6))
+    @example(_SEEDED_TABLES[0])
+    @example(_SEEDED_TABLES[1])
+    @example(_SEEDED_TABLES[2])
+    @example(_SEEDED_TABLES[3])
+    @example(_SEEDED_TABLES[4])
+    def test_anti_monotonicity(self, int_row_bytes, d):
         # A pattern never has more concordant pairs than any pattern with
         # one item fewer.  Every count comes from one walk of the sweep,
-        # its suffix table forced to the last min(k, ceil(m / 2))
-        # attributes.  Without a conflict each set bit of a candidate is
-        # one item, so clearing a bit drops that item.
-        k = min(k, d.m)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gradmine.fitness, "SUFFIX_TABLE_BYTES", suffix_budget(d, k))
-            counts = dict(walked(d.index))
+        # on either row form.  Without a conflict each set bit of a
+        # candidate is one item, so clearing a bit drops that item.
+        counts = dict(zip(*index_in_form(d, int_row_bytes).count_all()))
         assert len(counts) == valid_candidate_count(d.m)
         for x, pairs in counts.items():
             if x.bit_count() >= 3:
@@ -451,6 +391,19 @@ class TestProperties:
                 assert e.fitness == pytest.approx(1.0 / (e.support * 6))
 
 
+# n at residues 63, 0, 1, 55 and 40 mod 64, the last without ties.
+THOUSANDS = pytest.mark.parametrize(
+    "n, levels", [(1087, 3), (2048, 2), (2113, 12), (2999, 40), (1000, None)]
+)
+
+
+def thousands_table(n: int, levels: int | None) -> Dataset:
+    """A seeded n x 4 table of ``levels`` integer levels, or continuous."""
+    rng = np.random.default_rng(n)
+    values = rng.random((n, 4)) if levels is None else rng.integers(0, levels, (n, 4)) * 1.0
+    return Dataset(tuple("abcd"), values)
+
+
 class TestKnightOracle:
     """Knight's sort-and-merge count of 2-item candidates, a second oracle
     for the index that reaches n in the thousands, where the pair scan
@@ -466,21 +419,43 @@ class TestKnightOracle:
             ]:
                 assert count(pat(*items)) == pairs, (a, b, items)
 
+    @staticmethod
+    def assert_scipy_tau_b_agrees(d):
+        # tau_b = (C - D) / sqrt((P - T_a)(P - T_b)), P the object pairs
+        # and T those tied on one attribute.  scipy derives it from exact
+        # counts in a few float64 steps, each within 2**-53 relative, and
+        # |C - D| <= P < 2**23 here: 1e-12 * P is thousands of ulps wide,
+        # yet far below the 0.5 that would let C - D be off by one.
+        total = d.n * (d.n - 1) // 2
+        for a, b in itertools.combinations(range(d.m), 2):
+            concordant, discordant = knight_pairs(d, a, b)
+            tau_b = kendalltau(d.values[:, a], d.values[:, b], variant="b").statistic
+            untied = (total - tied_pairs(d.values[:, a])) * (total - tied_pairs(d.values[:, b]))
+            if untied == 0:  # a constant attribute: tau_b is undefined
+                assert math.isnan(tau_b) and concordant == discordant == 0
+            else:
+                assert abs(tau_b * math.sqrt(untied) - (concordant - discordant)) <= 1e-12 * total
+
     @settings(max_examples=60, deadline=None)
     @given(tied_tables())
     @example(Dataset(("a", "b"), np.array([[3.0, 1.0], [3.0, 2.0], [3.0, 0.0]])))
     def test_matches_the_pair_scan(self, d):
         self.assert_two_item_counts(d, lambda p: concordant_count_brute(p, d))
 
-    # n at residues 63, 0, 1, 55 and 40 mod 64, the last without ties.
-    @pytest.mark.parametrize(
-        "n, levels", [(1087, 3), (2048, 2), (2113, 12), (2999, 40), (1000, None)]
-    )
+    @settings(max_examples=60, deadline=None)
+    @given(tied_tables())
+    @example(Dataset(("a", "b"), np.array([[3.0, 1.0], [3.0, 2.0], [3.0, 0.0]])))
+    def test_matches_scipy_tau_b(self, d):
+        self.assert_scipy_tau_b_agrees(d)
+
+    @THOUSANDS
     def test_matches_the_index_at_thousands_of_objects(self, n, levels):
-        rng = np.random.default_rng(n)
-        values = rng.random((n, 4)) if levels is None else rng.integers(0, levels, (n, 4)) * 1.0
-        d = Dataset(tuple("abcd"), values)
+        d = thousands_table(n, levels)
         self.assert_two_item_counts(d, lambda p: d.index.count_candidate(encode(p, d.m)))
+
+    @THOUSANDS
+    def test_matches_scipy_tau_b_at_thousands_of_objects(self, n, levels):
+        self.assert_scipy_tau_b_agrees(thousands_table(n, levels))
 
 
 class TestErrors:

@@ -280,7 +280,7 @@ class TestRecorderOracle:
 @pytest.mark.parametrize("sigma", (0.0, 1.0))
 def test_counts_each_candidate_once(course_dataset, monkeypatch, algo, sigma):
     # Searchers count each distinct decodable candidate on its first
-    # visit, the sweep counts through ``counts()``; nothing is counted
+    # visit, the sweep counts through ``count_all()``; nothing is counted
     # again, not even a best below sigma, whose support comes from the
     # count the miner kept.
     counted = []

@@ -11,9 +11,9 @@ output, with the CSV path replaced by ``{data}``.  ``bench`` holds
 SHA-256 digests of what one ``gradmine bench`` run writes, with timing
 and memory figures left out and the run's directory replaced by
 ``{tmp}``.  ``graank`` holds SHA-256 digests of the exhaustive sweep's
-trajectory, frequent set and best on two tied tables wide enough in n
-that ``ConcordanceIndex.counts`` splits its attributes into a walked
-prefix and a batched suffix table.
+trajectory, frequent set and best on two tied tables, one on each row
+form that ``ConcordanceIndex.count_all`` walks: Python ints at n = 160
+and arrays at n = 600.
 """
 
 import contextlib
@@ -121,9 +121,8 @@ def test_bench_artefacts(tmp_path):
     assert bench_digests(tmp_path) == PINNED["bench"]
 
 
-# (seed, n, m) of the tied tables; at the default table budget the sweep
-# walks 4 prefix attributes over a 5-attribute suffix table on the first
-# and 5 over a 2-attribute one on the second.
+# (seed, n, m) of the tied tables; the sweep walks int rows on the first
+# and arrays on the second.
 GRAANK_TABLES = {"tied160x9": (9, 160, 9), "tied600x7": (7, 600, 7)}
 
 
