@@ -1,16 +1,17 @@
 """Loading and cleaning of delimited numeric data files.
 
-Two cleaning rules: a column is dropped when it has a text cell (a present
-cell that does not parse as a finite dot-decimal number, so dates and
-times count as text) or no present cell at all, and then a row is dropped
-when one of its surviving cells is missing.  Survivor order is preserved
-in both axes.
+A file is read in one pass, each row parsed as it is read.  Two cleaning
+rules: a column is dropped when it has a text cell (a present cell that
+does not parse as a finite dot-decimal number, so dates and times count as
+text) or no present cell at all, and then a row is dropped when one of its
+surviving cells is missing.  Survivor order is preserved in both axes.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -104,50 +105,49 @@ def _parse_number(cell: str) -> float | None:
 def load_dataset(path, delimiter: str = ",", has_header: bool = True) -> Dataset:
     """Read a delimited text file and clean it into a :class:`Dataset`.
 
-    Each cell is parsed once; a leading byte-order mark is skipped.
+    One pass: each row is parsed as it is read and each cell once, so the
+    file's text is never held whole; a leading byte-order mark is skipped.
     Raises :class:`DatasetError` if the file cannot be read or decoded as
     UTF-8 CSV, or if fewer than two columns / two rows survive cleaning.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DatasetError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DatasetError(f"{path}: no data rows")
-
-    if has_header:
-        names = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-    else:
-        names = [f"col{i}" for i in range(len(rows[0]))]
-    if not rows:
-        raise DatasetError(f"{path}: header only, no data rows")
-
     # Missing and text cells, and the cells a short row lacks, stay NaN;
     # a text cell also marks its column.
-    width = len(names)
+    names: list[str] | None = None
     text_columns: set[int] = set()
-    matrix = []
-    for row in rows:
-        cells = [math.nan] * width
-        for j, cell in enumerate(row[:width]):
-            cell = cell.strip()
-            if cell not in MISSING_TOKENS:
-                value = _parse_number(cell)
-                if value is None:
-                    text_columns.add(j)
-                else:
-                    cells[j] = value
-        matrix.append(cells)
-    values = np.array(matrix, dtype=float)
+    cells = array("d")  # the data rows' floats, one row after another
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            for row in filter(None, csv.reader(fh, delimiter=delimiter)):
+                if names is None and has_header:
+                    names = [cell.strip() for cell in row]
+                    continue
+                if names is None:
+                    names = [f"col{i}" for i in range(len(row))]
+                parsed = [math.nan] * len(names)
+                for j, cell in enumerate(row[: len(names)]):
+                    cell = cell.strip()
+                    if cell not in MISSING_TOKENS:
+                        value = _parse_number(cell)
+                        if value is None:
+                            text_columns.add(j)
+                        else:
+                            parsed[j] = value
+                cells.extend(parsed)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DatasetError(f"cannot read {path}: {exc}") from exc
+    if names is None:
+        raise DatasetError(f"{path}: no data rows")
+    if not cells:
+        raise DatasetError(f"{path}: header only, no data rows")
 
+    width = len(names)
+    values = np.frombuffer(cells).reshape(-1, width)
     present = ~np.isnan(values)
     kept = [j for j in range(width) if j not in text_columns and present[:, j].any()]
     if len(kept) < 2:
         raise DatasetError(f"{path}: fewer than 2 numeric columns survive cleaning ({len(kept)})")
 
-    values = values[present[:, kept].all(axis=1)][:, kept]
+    values = values[np.ix_(present[:, kept].all(axis=1), kept)]
     if len(values) < 2:
         raise DatasetError(f"{path}: fewer than 2 rows survive cleaning ({len(values)})")
 

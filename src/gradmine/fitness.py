@@ -9,8 +9,8 @@ Candidates that decode to no pattern, or to a pattern with zero concordant
 pairs, count 0: searchers compare against them but never keep them.
 
 The miners count through :class:`ConcordanceIndex` (bit-packed, built once
-per dataset as ``Dataset.index``) on Python-int copies of the rows when
-they are small and on the arrays otherwise: the searchers one candidate
+per dataset as ``Dataset.index``), whose rows are Python ints when they
+are small and arrays otherwise: the searchers one candidate
 at a time (:meth:`ConcordanceIndex.count_candidate`), the exhaustive
 sweep by one ascending walk that carries each candidate's AND down to
 the candidates that extend it (:meth:`ConcordanceIndex.count_all`).  A
@@ -29,12 +29,12 @@ from .dataset import Dataset, DatasetError
 from .encoding import Direction, GradualPattern, encode
 
 #: Largest concordance index, in bytes, that :class:`ConcordanceIndex`
-#: allocates, its int copy included; a larger table is refused with a
+#: holds, in either row form; a larger table is refused with a
 #: ``DatasetError``.
 MAX_INDEX_BYTES = 2 * 2**30
 
-#: Largest row, in bytes, that :class:`ConcordanceIndex` also keeps as a
-#: Python int for :meth:`~ConcordanceIndex.count_candidate` and
+#: Largest row, in bytes, that :class:`ConcordanceIndex` keeps as a Python
+#: int, not an array, for :meth:`~ConcordanceIndex.count_candidate` and
 #: :meth:`~ConcordanceIndex.count_all` (n <= 219).
 #: Below it one int AND per item and ``int.bit_count`` beat a numpy call
 #: per item; above it the AND itself dominates, and numpy's is faster.
@@ -56,12 +56,12 @@ class ConcordanceIndex:
     of its items' rows.  Each unordered concordant pair is set in exactly
     one orientation, so the set bits count unordered pairs directly.
     Padding bits, at the end of each line and of each row, are zero in
-    every row and never count.  Rows are stored as 64-bit words, so the
+    every row and never count.  Rows are built as 64-bit words, so the
     index takes ``2 * m * n * ceil(n / 8)`` bytes plus at most 7 per row.
-    Rows of at most ``INT_ROW_BYTES`` are also kept as Python ints, which
-    :meth:`count_candidate` and :meth:`count_all` AND; that copy is
-    counted as as many bytes again.  Above ``MAX_INDEX_BYTES`` the index
-    raises ``DatasetError`` before allocating.
+    Each row is held in one form, the one :meth:`count_candidate` and
+    :meth:`count_all` AND: a Python int when it is at most
+    ``INT_ROW_BYTES``, an array otherwise.  Above ``MAX_INDEX_BYTES`` the
+    index raises ``DatasetError`` before allocating.
     An attribute of L distinct values costs one scatter of its n objects
     into L + 1 packed lines, a running OR over them and two gathers into
     its rows, with ``(L + 1) * ceil(n / 8)`` bytes held beside the rows,
@@ -72,24 +72,28 @@ class ConcordanceIndex:
         self.m = d.m
         row_bytes = d.n * ((d.n + 7) // 8)
         row_words = (row_bytes + 7) // 8
-        int_rows = row_words * 8 <= INT_ROW_BYTES
-        needed = 2 * d.m * row_words * 8 * (1 + int_rows)
+        needed = 2 * d.m * row_words * 8
         if needed > MAX_INDEX_BYTES:
             raise DatasetError(
                 f"a table of n={d.n} objects and m={d.m} attributes needs a "
                 f"{needed}-byte concordance index, over the {MAX_INDEX_BYTES}-byte limit"
             )
-        self._rows = np.zeros((2 * d.m, row_words), dtype=np.uint64)
-        packed = self._rows.view(np.uint8)
+        int_rows = row_words * 8 <= INT_ROW_BYTES
         # One attribute at a time, by the dense level r of each value: line
         # i of row 2a marks the objects above level r[i], of row 2a + 1
         # those below.  Each object sets its bit (bit j of a line is bit
         # 7 - j % 8 of byte j // 8, np.packbits' order) in line r + 1 of
         # ``below``, whose running OR then makes line g the objects below
         # level g and the last line all of them.  The rows are gathered by
-        # r straight into the index (mode="clip" keeps np.take from
+        # r straight into their words (mode="clip" keeps np.take from
         # buffering a row), so an attribute holds L + 1 lines, freed
-        # before the next attribute's are made.
+        # before the next attribute's are made.  Int rows go through one
+        # reused pair of words, read out as ints; array rows into their own
+        # words, listed once as views (cheaper to reach than a fresh view).
+        rows = np.zeros((2 if int_rows else 2 * d.m, row_words), dtype=np.uint64)
+        packed = rows.view(np.uint8)
+        self._row_list = [] if int_rows else list(rows)
+        self._popcount = int.bit_count if int_rows else _array_bit_count
         line = (d.n + 7) // 8
         j = np.arange(d.n)
         byte, bit = j >> 3, (128 >> (j & 7)).astype(np.uint8)
@@ -98,19 +102,14 @@ class ConcordanceIndex:
             below = np.zeros((len(levels) + 1, line), dtype=np.uint8)
             np.bitwise_or.at(below, (r + 1, byte), bit)
             np.bitwise_or.accumulate(below, axis=0, out=below)
-            up, down = packed[2 * a : 2 * a + 2, :row_bytes].reshape(2, d.n, line)
+            at = 0 if int_rows else 2 * a
+            up, down = packed[at : at + 2, :row_bytes].reshape(2, d.n, line)
             np.take(below, r + 1, axis=0, out=up, mode="clip")
             up ^= below[-1]  # all objects but those at or below r[i]
             np.take(below, r, axis=0, out=down, mode="clip")
             del below
-        # The rows as counted, taken once: a list item is cheaper to reach
-        # than a fresh view of the array per item.
-        if int_rows:
-            self._row_list = [int.from_bytes(row, "little") for row in packed]
-            self._popcount = int.bit_count
-        else:
-            self._row_list = list(self._rows)
-            self._popcount = _array_bit_count
+            if int_rows:
+                self._row_list += [int.from_bytes(row, "little") for row in packed]
 
     def count(self, pattern: GradualPattern) -> int:
         """Concordant pairs of a pattern; ``encode`` rejects attributes

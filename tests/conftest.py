@@ -11,6 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from gradmine import (
+    ConcordanceIndex,
     Dataset,
     Direction,
     GradualItem,
@@ -75,10 +76,32 @@ def random_dataset(rng: np.random.Generator, n: int, m: int, ties: bool = False)
     return Dataset(tuple(f"col{i}" for i in range(m)), values)
 
 
+def row_bytes(n: int) -> int:
+    """Bytes of one index row of n objects: n lines of ceil(n / 8) bytes,
+    rounded up to whole 64-bit words."""
+    return 8 * -(-n * ((n + 7) // 8) // 8)
+
+
+def packed_rows(index: ConcordanceIndex, n: int) -> np.ndarray:
+    """An index's rows over n objects as 2m x row_words 64-bit words,
+    padding included, read from either row form: a Python int is
+    written out little-endian (and must fit its row), an array row is
+    taken as it is."""
+    return np.stack(
+        [
+            np.frombuffer(row.to_bytes(row_bytes(n), "little"), np.uint64)
+            if type(row) is int
+            else row
+            for row in index._row_list
+        ]
+    )
+
+
 def comparison_rows(d: Dataset) -> np.ndarray:
-    """Reference for ``ConcordanceIndex(d)._rows``: each attribute's two
-    rows packed straight from its n x n strict comparisons, "increases
-    from i to j" then "decreases", in zeroed 64-bit words."""
+    """Reference for ``packed_rows(ConcordanceIndex(d), d.n)``: each
+    attribute's two rows packed straight from its n x n strict
+    comparisons, "increases from i to j" then "decreases", in zeroed
+    64-bit words."""
     row_bytes = d.n * ((d.n + 7) // 8)
     rows = np.zeros((2 * d.m, (row_bytes + 7) // 8), dtype=np.uint64)
     packed = rows.view(np.uint8)

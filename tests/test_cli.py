@@ -98,13 +98,12 @@ class TestMine:
         assert captured.out == ""
 
     def test_index_over_memory_limit_is_runtime_error(self, course_csv, capsys, monkeypatch):
-        # The course table's index takes 96 bytes: 6 rows of one word and
-        # their int copy.
-        monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 95)
+        # The course table's index takes 48 bytes: 6 rows of one word.
+        monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 47)
         assert main(["mine", "--data", str(course_csv)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
-        assert "n=4" in captured.err and "m=3" in captured.err and "96-byte" in captured.err
+        assert "n=4" in captured.err and "m=3" in captured.err and "48-byte" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("algo", ["rs", "ls", "ga", "pso"])
@@ -615,7 +614,7 @@ class TestBench:
         assert failure["dataset"] == "dup" and "duplicate attribute name 'a'" in failure["error"]
 
     def test_index_over_memory_limit_fails_the_dataset(self, tmp_path, course_csv, capsys, monkeypatch):
-        monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 95)
+        monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 47)
         out_dir = tmp_path / "out"
         argv = ["bench", "--algos", "rs", "--reps", "1", "--iters", "5"]
         assert main([*argv, "--data", str(course_csv), "--out-dir", str(out_dir)]) == 1
@@ -623,7 +622,7 @@ class TestBench:
         report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
         assert report["cells"] == []
         [failure] = report["dataset_failures"]
-        assert failure["dataset"] == "course" and "96-byte" in failure["error"]
+        assert failure["dataset"] == "course" and "48-byte" in failure["error"]
 
 
 def test_flag_defaults_are_the_types_defaults():

@@ -19,8 +19,10 @@ from conftest import (
     complement,
     fitness_of,
     knight_pairs,
+    packed_rows,
     pat,
     random_dataset,
+    row_bytes,
     tied_pairs,
     tied_tables,
 )
@@ -119,12 +121,6 @@ class TestOracleAgreement:
 ROW_FORMS = pytest.mark.parametrize(
     "int_row_bytes", [gradmine.fitness.INT_ROW_BYTES, 0], ids=["int", "numpy"]
 )
-
-
-def row_bytes(n: int) -> int:
-    """Bytes of one index row of n objects: n lines of ceil(n / 8) bytes,
-    rounded up to whole 64-bit words."""
-    return 8 * -(-n * ((n + 7) // 8) // 8)
 
 
 def index_in_form(d: Dataset, int_row_bytes: int) -> ConcordanceIndex:
@@ -232,7 +228,7 @@ class TestPackedIndex:
         # and a popcount's scratch, whatever the number of candidates.
         m = 4
         d = random_dataset(np.random.default_rng(1), 2050, m)
-        row = d.index._rows[0].nbytes
+        row = packed_rows(d.index, d.n)[0].nbytes
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         tracemalloc.reset_peak()
@@ -266,12 +262,41 @@ class TestPackedIndex:
             if enabled:
                 gc.enable()
 
+    @pytest.mark.parametrize(
+        "n, m, form", [(150, 24, int), (300, 4, np.ndarray)], ids=["int", "numpy"]
+    )
+    def test_index_holds_one_row_form(self, n, m, form):
+        # Each row is held once, as an int or as a view of the index's
+        # words, so the built index holds its 2m rows and little more
+        # (an int copy beside the words would double that).
+        d = random_dataset(np.random.default_rng(n), n, m)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            index = ConcordanceIndex(d)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert set(vars(index)) == {"m", "_row_list", "_popcount"}
+        assert all(type(row) is form for row in index._row_list)
+        assert 2 * m * row_bytes(n) <= held <= 1.2 * 2 * m * row_bytes(n)
+
+    @pytest.mark.parametrize("n", [9, 65, 230])
+    def test_rows_match_in_array_form(self, n):
+        # The array rows are views of the index's own words, padding
+        # included, as the int rows are written out.
+        d = random_dataset(np.random.default_rng(n), n, 3, ties=True)
+        index = index_in_form(d, 0)
+        assert packed_rows(index, n).tobytes() == comparison_rows(d).tobytes()
+
     @pytest.mark.parametrize("n", [2, 7, 8, 9, 64, 65])
     def test_footprint_is_packed(self, n):
         # 2m rows of n lines of ceil(n/8) bytes, each row rounded up to
         # whole 64-bit words.
         d = random_dataset(np.random.default_rng(n), n, 3)
-        rows = ConcordanceIndex(d)._rows
+        rows = packed_rows(ConcordanceIndex(d), n)
         assert 2 * 3 * n * ((n + 7) // 8) <= rows.nbytes
         assert rows.nbytes < 2 * 3 * (n * ((n + 7) // 8) + 8)
 
@@ -282,13 +307,13 @@ class TestPackedIndex:
     def test_rows_match_the_comparison_build(self, d):
         # Byte for byte, padding included.  A constant column is one
         # level, and so are -0.0 and 0.0, which compare equal.
-        assert ConcordanceIndex(d)._rows.tobytes() == comparison_rows(d).tobytes()
+        assert packed_rows(ConcordanceIndex(d), d.n).tobytes() == comparison_rows(d).tobytes()
 
     @pytest.mark.parametrize("ties", [False, True])
     @pytest.mark.parametrize("n", [2, 7, 8, 9, 64, 65])
     def test_rows_match_at_line_and_word_padding(self, n, ties):
         d = random_dataset(np.random.default_rng(n), n, 3, ties=ties)
-        assert ConcordanceIndex(d)._rows.tobytes() == comparison_rows(d).tobytes()
+        assert packed_rows(ConcordanceIndex(d), d.n).tobytes() == comparison_rows(d).tobytes()
 
     @pytest.mark.parametrize("levels", [255, 256, 257])
     def test_rows_match_where_the_rank_dtype_changes(self, levels):
@@ -298,7 +323,7 @@ class TestPackedIndex:
         col = rng.permutation(np.arange(levels + 5) % levels).astype(float)
         d = Dataset(("a", "b"), np.column_stack([col, rng.random(levels + 5)]))
         assert len(np.unique(col)) == levels
-        assert ConcordanceIndex(d)._rows.tobytes() == comparison_rows(d).tobytes()
+        assert packed_rows(ConcordanceIndex(d), d.n).tobytes() == comparison_rows(d).tobytes()
 
     @pytest.mark.parametrize("levels", [None, 24])
     def test_build_memory_grows_with_levels(self, levels):
@@ -323,10 +348,11 @@ class TestPackedIndex:
         try:
             base = tracemalloc.get_traced_memory()[0]
             index = ConcordanceIndex(d)
-            transient = tracemalloc.get_traced_memory()[1] - base - index._rows.nbytes
+            peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
                 tracemalloc.stop()
+        transient = peak - packed_rows(index, n).nbytes
         bound = (L + 1) * c + 8 * m * n + 96 * n
         assert transient <= bound
         if levels is not None:
@@ -471,16 +497,16 @@ class TestErrors:
 
     def test_index_memory_limit(self, course_dataset, monkeypatch):
         # 4 objects pack into 4 bytes per row, one 64-bit word; 6 rows,
-        # and their int copy is counted as 48 bytes more.
-        monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 96)
-        assert ConcordanceIndex(course_dataset)._rows.nbytes == 48
-        monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 95)
-        with pytest.raises(DatasetError, match=r"n=4 .* m=3 .* 96-byte .* 95-byte"):
+        # held as ints and counted once.
+        monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 48)
+        assert packed_rows(ConcordanceIndex(course_dataset), 4).nbytes == 48
+        monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 47)
+        with pytest.raises(DatasetError, match=r"n=4 .* m=3 .* 48-byte .* 47-byte"):
             ConcordanceIndex(course_dataset)
-        # Without the int copy the rows alone are counted.
+        # Held as arrays, the same rows count the same bytes.
         monkeypatch.setattr(gradmine.fitness, "INT_ROW_BYTES", 0)
         monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 48)
-        assert ConcordanceIndex(course_dataset)._rows.nbytes == 48
+        assert packed_rows(ConcordanceIndex(course_dataset), 4).nbytes == 48
         monkeypatch.setattr(gradmine.fitness, "MAX_INDEX_BYTES", 47)
         with pytest.raises(DatasetError, match=r"n=4 .* m=3 .* 48-byte .* 47-byte"):
             ConcordanceIndex(course_dataset)
