@@ -23,10 +23,13 @@ support spot check.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .dataset import Dataset, DatasetError
 from .encoding import Direction, GradualPattern, encode
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Largest concordance index, in bytes, that :class:`ConcordanceIndex`
 #: holds, in either row form; a larger table is refused with a
@@ -62,10 +65,13 @@ class ConcordanceIndex:
     :meth:`count_all` AND: a Python int when it is at most
     ``INT_ROW_BYTES``, an array otherwise.  Above ``MAX_INDEX_BYTES`` the
     index raises ``DatasetError`` before allocating.
-    An attribute of L distinct values costs one scatter of its n objects
-    into L + 1 packed lines, a running OR over them and two gathers into
-    its rows, with ``(L + 1) * ceil(n / 8)`` bytes held beside the rows,
-    not ``2 * n * n`` float comparisons.
+    The rows are built one attribute's column at a time, from its L
+    distinct values: int rows in plain Python, by two walks over the
+    objects sorted by value, so a table of them never loads numpy; array
+    rows by numpy, one scatter of the n objects into L + 1 packed lines,
+    a running OR over them and two gathers into the rows.  Either build
+    holds about ``2 * (L + 1) * ceil(n / 8)`` bytes beside the rows, not
+    ``2 * n * n`` float comparisons.
     """
 
     def __init__(self, d: Dataset) -> None:
@@ -78,38 +84,10 @@ class ConcordanceIndex:
                 f"a table of n={d.n} objects and m={d.m} attributes needs a "
                 f"{needed}-byte concordance index, over the {MAX_INDEX_BYTES}-byte limit"
             )
-        int_rows = row_words * 8 <= INT_ROW_BYTES
-        # One attribute at a time, by the dense level r of each value: line
-        # i of row 2a marks the objects above level r[i], of row 2a + 1
-        # those below.  Each object sets its bit (bit j of a line is bit
-        # 7 - j % 8 of byte j // 8, np.packbits' order) in line r + 1 of
-        # ``below``, whose running OR then makes line g the objects below
-        # level g and the last line all of them.  The rows are gathered by
-        # r straight into their words (mode="clip" keeps np.take from
-        # buffering a row), so an attribute holds L + 1 lines, freed
-        # before the next attribute's are made.  Int rows go through one
-        # reused pair of words, read out as ints; array rows into their own
-        # words, listed once as views (cheaper to reach than a fresh view).
-        rows = np.zeros((2 if int_rows else 2 * d.m, row_words), dtype=np.uint64)
-        packed = rows.view(np.uint8)
-        self._row_list = [] if int_rows else list(rows)
-        self._popcount = int.bit_count if int_rows else _array_bit_count
-        line = (d.n + 7) // 8
-        j = np.arange(d.n)
-        byte, bit = j >> 3, (128 >> (j & 7)).astype(np.uint8)
-        for a, col in enumerate(np.ascontiguousarray(d.values.T)):
-            levels, r = np.unique(col, return_inverse=True)
-            below = np.zeros((len(levels) + 1, line), dtype=np.uint8)
-            np.bitwise_or.at(below, (r + 1, byte), bit)
-            np.bitwise_or.accumulate(below, axis=0, out=below)
-            at = 0 if int_rows else 2 * a
-            up, down = packed[at : at + 2, :row_bytes].reshape(2, d.n, line)
-            np.take(below, r + 1, axis=0, out=up, mode="clip")
-            up ^= below[-1]  # all objects but those at or below r[i]
-            np.take(below, r, axis=0, out=down, mode="clip")
-            del below
-            if int_rows:
-                self._row_list += [int.from_bytes(row, "little") for row in packed]
+        if row_words * 8 <= INT_ROW_BYTES:
+            self._row_list, self._popcount = _int_rows(d), int.bit_count
+        else:
+            self._row_list, self._popcount = _array_rows(d, row_words)
 
     def count(self, pattern: GradualPattern) -> int:
         """Concordant pairs of a pattern; ``encode`` rejects attributes
@@ -177,8 +155,62 @@ class ConcordanceIndex:
                 self._extend(y, h, p & ~1, rows, candidates, pairs)
 
 
-def _array_bit_count(holds: np.ndarray) -> int:
-    return int(np.bitwise_count(holds).sum())
+def _int_rows(d: Dataset) -> list[int]:
+    # Without numpy, one attribute at a time.  A walk down the objects
+    # sorted by value gathers in ``acc`` those it has passed, as a packed
+    # line read as a little-endian int (bit j of a line is bit 7 - j % 8
+    # of byte j // 8, np.packbits' order).  Taken as each level starts,
+    # ``acc`` is that level's "above" line, and each object takes its
+    # level's line; a walk up makes the "below" lines the same way.  A row
+    # is its objects' lines joined in object order, read as an int.
+    line = (d.n + 7) // 8
+    bits = [1 << (8 * (j >> 3) + 7 - (j & 7)) for j in range(d.n)]
+    rows = []
+    for a in range(d.m):
+        col = d.column(a).tolist()
+        order = sorted(range(d.n), key=col.__getitem__)
+        for walk in (reversed(order), order):
+            lines = [b""] * d.n
+            acc, level, passed = 0, None, b""
+            for j in walk:
+                if col[j] != level:
+                    level, passed = col[j], acc.to_bytes(line, "little")
+                lines[j] = passed
+                acc |= bits[j]
+            rows.append(int.from_bytes(b"".join(lines), "little"))
+    return rows
+
+
+def _array_rows(d: Dataset, row_words: int) -> tuple[list[np.ndarray], Callable]:
+    # One attribute's column at a time, by the dense level r of each
+    # value: line i of row 2a marks the objects above level r[i], of row
+    # 2a + 1 those below.  Each object sets its bit (np.packbits' order)
+    # in line r + 1 of ``below``, whose running OR then makes line g the
+    # objects below level g and the last line all of them.  The rows are
+    # gathered by r straight into the index's words (mode="clip" keeps
+    # np.take from buffering a row), so an attribute holds L + 1 lines,
+    # freed before the next attribute's are made.  The rows are listed
+    # once as views (cheaper to reach than a fresh view), with the
+    # popcount that ANDs of them take.
+    import numpy as np
+
+    line = (d.n + 7) // 8
+    rows = np.zeros((2 * d.m, row_words), dtype=np.uint64)
+    packed = rows.view(np.uint8)
+    j = np.arange(d.n)
+    byte, bit = j >> 3, (128 >> (j & 7)).astype(np.uint8)
+    for a in range(d.m):
+        levels, r = np.unique(np.frombuffer(d.column(a)), return_inverse=True)
+        below = np.zeros((len(levels) + 1, line), dtype=np.uint8)
+        np.bitwise_or.at(below, (r + 1, byte), bit)
+        np.bitwise_or.accumulate(below, axis=0, out=below)
+        up, down = packed[2 * a : 2 * a + 2, : d.n * line].reshape(2, d.n, line)
+        np.take(below, r + 1, axis=0, out=up, mode="clip")
+        up ^= below[-1]  # all objects but those at or below r[i]
+        np.take(below, r, axis=0, out=down, mode="clip")
+        del below
+    bit_count = np.bitwise_count
+    return list(rows), lambda holds: int(bit_count(holds).sum())
 
 
 def concordant_count_brute(pattern: GradualPattern, d: Dataset) -> int:

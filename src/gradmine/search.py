@@ -44,9 +44,7 @@ import numbers
 import operator
 import time
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 
 from .dataset import Dataset, object_pair_count
 from .encoding import (
@@ -57,6 +55,9 @@ from .encoding import (
     invalid_reason,
     to_pattern,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 #: By the type of a field's default: the values it takes, and their name.
@@ -230,6 +231,8 @@ class _Recorder:
         """Log the in-space draw ``a`` (int64, or object past int64) as
         calls 1..len(a) of a fresh recorder: one array pass checks every
         draw, and the usable ones are counted in draw order."""
+        import numpy as np
+
         usable = ((a & (a >> 1) & self._down) == 0) & ((a & (a - 1)) != 0)
         self.iterations = range(1, len(a) + 1)
         self.candidates = xs = a.tolist()
@@ -313,6 +316,8 @@ def _draw(rng: np.random.Generator, s: SearchSpace, count: int) -> np.ndarray:
     # One sized draw yields the same stream as ``count`` scalar draws.
     # Wide draws stay Python ints: an array of them made by np.asarray
     # would be uint64, or float64 past it, which loses bits.
+    import numpy as np
+
     if s.upper < _INT64_HIGH:
         return rng.integers(s.lower, s.upper + 1, size=count)
     return np.array(_wide_uniform(rng, s, count), dtype=object)
@@ -376,6 +381,8 @@ def _ga_moves(
     digit limit).  The nudge is numpy's ``normal(0, scale)`` without its
     ``0.0 +``.
     """
+    import numpy as np
+
     nbits = 2 * s.m
     per_block = max(1, min(c.max_iterations, GA_DRAW_BYTES // (2 * nbits * 8)))
     buf = np.empty((2 * per_block, nbits))
@@ -553,10 +560,16 @@ def run_miner(algorithm: str, d: Dataset, s: SearchSpace, c: SearchConfig) -> Se
         raise ValueError(f"a space over {s.m} attributes cannot search a table of {d.m}")
     t0 = time.perf_counter()
     rec = _Recorder(d, s)
-    # The sweep draws nothing, and a process's first generator imports
-    # numpy.random: 12-19 ms of each exhaustive ``gradmine mine`` on a
-    # 2-vCPU x86-64 host.
-    rng = None if miner is _graank else np.random.default_rng(c.seed)
+    # The sweep draws nothing, so it gets no generator, and a sweep of
+    # int rows (n <= 219) never imports numpy: the import took 67 ms of a
+    # 151 ms exhaustive ``gradmine mine`` on a 160 x 8 table (2-vCPU
+    # x86-64 host).
+    if miner is _graank:
+        rng = None
+    else:
+        import numpy as np
+
+        rng = np.random.default_rng(c.seed)
     pairs, x = miner(rec, rng, s, c)
     all_pairs = object_pair_count(d)
     frequent = {y: p for y, p in zip(rec.candidates, rec.pairs) if p and p / all_pairs >= c.sigma}

@@ -697,14 +697,47 @@ def test_cli_import_loads_no_scipy():
     _run_fresh("import gradmine.cli, sys; assert 'scipy' not in sys.modules")
 
 
-def test_exhaustive_mine_loads_no_generator(course_csv):
-    # The sweep draws nothing, and importing numpy.random takes 12-19 ms
-    # on a 2-vCPU x86-64 host.
-    _run_fresh(
-        "import sys; from gradmine.cli import main; "
-        f"assert main(['mine', '--data', {str(course_csv)!r}]) == 0; "
-        "assert 'numpy.random' not in sys.modules"
-    )
+def _loads_numpy(code: str) -> bool:
+    """Run ``code`` in a new interpreter; whether numpy was loaded."""
+    probe = f"{code}\nimport sys; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=_fresh_env(), check=True, timeout=60,
+        capture_output=True, text=True,
+    ).stdout
+    return out.splitlines()[-1] == "True"
+
+
+def _main(*argv: str) -> str:
+    return f"from gradmine.cli import main; assert main({list(argv)!r}) == 0"
+
+
+#: Start-up cases: numpy is loaded only to draw (ga) or for array rows
+#: (n >= 220), not to import, load or sweep a table of int rows.
+_NUMPY_CASES = {
+    "import gradmine": (lambda table: "import gradmine", False),
+    "import gradmine.cli": (lambda table: "import gradmine.cli", False),
+    "load_dataset": (lambda table: f"import gradmine; gradmine.load_dataset({table!r})", False),
+    "space --data": (lambda table: _main("space", "--data", table), False),
+    "mine": (lambda table: _main("mine", "--data", table), False),
+    "mine n=219": (lambda table: _main("mine", "--data", table), False),
+    "mine --algo ga": (lambda table: _main("mine", "--data", table, "--algo", "ga"), True),
+    "mine n=220": (lambda table: _main("mine", "--data", table), True),
+}
+
+
+@pytest.mark.parametrize("case", _NUMPY_CASES)
+def test_numpy_loads_only_to_draw_or_for_array_rows(case, course_csv, tmp_path):
+    # Importing numpy takes 67 ms of a 151 ms exhaustive ``gradmine mine``
+    # on a 2-vCPU x86-64 host.  The seeded tables are on either side of
+    # the int-row cutoff; each is swept, its three attributes auto-picking
+    # graank.
+    make_code, loads = _NUMPY_CASES[case]
+    table = course_csv
+    if case.startswith("mine n="):
+        n = int(case.removeprefix("mine n="))
+        table = tmp_path / f"seeded{n}.csv"
+        write_csv(table, ("a", "b", "c"), np.random.default_rng(n).normal(size=(n, 3)).tolist())
+    assert _loads_numpy(make_code(str(table))) is loads
 
 
 #: Modules that only ``bench`` uses (and ``mine --out json``, for json).

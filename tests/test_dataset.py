@@ -2,6 +2,7 @@
 
 import csv
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -287,6 +288,29 @@ class TestDatasetType:
         source[0, 0] = 9.0  # caller's array stays writable and detached
         assert d.values[0, 0] == 1.0
 
+    def test_values_are_read_only_float64_however_made(self, course_csv):
+        loaded = load_dataset(course_csv)
+        built = Dataset(COURSE_NAMES, np.array(COURSE_ROWS))  # ints, cast
+        fortran = Dataset(COURSE_NAMES, np.asfortranarray(COURSE_ROWS, dtype=float))
+        for d in (loaded, built, fortran):
+            assert d.values.dtype == np.float64 and d.values.shape == (4, 3)
+            assert not d.values.flags.writeable
+            with pytest.raises(ValueError):
+                d.values[0, 0] = 9.0
+            assert d.values.tolist() == [list(map(float, row)) for row in COURSE_ROWS]
+            assert [d.column(a).tolist() for a in range(3)] == d.values.T.tolist()
+        assert loaded == built == fortran
+
+    def test_not_hashable_and_not_assignable(self, course_csv):
+        for d in (load_dataset(course_csv), Dataset(COURSE_NAMES, np.array(COURSE_ROWS))):
+            with pytest.raises(TypeError):
+                hash(d)
+            for name in ("attribute_names", "values", "n", "m", "index", "other"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(d, name, None)
+            with pytest.raises(FrozenInstanceError):
+                del d.n
+            assert d.n == 4 and d.m == 3
 
     def test_equal_by_names_and_values(self):
         values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]])

@@ -134,6 +134,30 @@ def index_in_form(d: Dataset, int_row_bytes: int) -> ConcordanceIndex:
     return index
 
 
+#: Ns at the build's edges: line and word padding (mod 8 and 64) and both
+#: sides of the int-row cutoff (n = 219).
+_EDGE_NS = (2, 7, 8, 9, 63, 64, 65, 127, 128, 129, 191, 192, 193, 219, 220, 230)
+
+
+@st.composite
+def edge_tables(draw):
+    """Tables of 2 to 230 objects whose columns are each one of: -0.0,
+    0.0 and a few other levels; one value; all values distinct; a few
+    levels."""
+    n = draw(st.sampled_from(_EDGE_NS) | st.integers(2, 230), label="n")
+    one_kind = st.sampled_from(("zeros", "equal", "distinct", "tied"))
+    kinds = draw(st.lists(one_kind, min_size=2, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    columns = {
+        "zeros": lambda: rng.choice([-0.0, 0.0, 1.5, -2.0], size=n),
+        "equal": lambda: np.full(n, 3.5),
+        "distinct": lambda: rng.permutation(n) / 7.0 - 1.0,
+        "tied": lambda: rng.integers(0, 5, size=n).astype(float),
+    }
+    values = np.column_stack([columns[kind]() for kind in kinds])
+    return Dataset(tuple(f"col{i}" for i in range(len(kinds))), values)
+
+
 class TestPackedIndex:
     @ROW_FORMS
     @settings(max_examples=60, deadline=None)
@@ -329,7 +353,7 @@ class TestPackedIndex:
     def test_build_memory_grows_with_levels(self, levels):
         # Per attribute of L levels the build holds L + 1 packed lines of
         # c = ceil(n / 8) bytes and gathers its rows straight into the
-        # index.  Beside them live the transposed table (8 * m * n) and the
+        # index.  Beside them live one column's copy (8 * n) and the
         # levels, the ranks, the bit positions and np.unique's int64
         # working arrays (under 96 * n).  No L x n comparison and no
         # row-sized temporary is made: all values distinct, L = n, the
@@ -353,10 +377,42 @@ class TestPackedIndex:
             if not tracing:
                 tracemalloc.stop()
         transient = peak - packed_rows(index, n).nbytes
-        bound = (L + 1) * c + 8 * m * n + 96 * n
+        bound = (L + 1) * c + 8 * n + 96 * n
         assert transient <= bound
         if levels is not None:
             assert bound < n * n / 4
+
+    @pytest.mark.parametrize("n, m", [(150, 2000), (230, 600)], ids=["int", "numpy"])
+    def test_build_holds_no_copy_of_the_table(self, n, m):
+        # Each build reads one attribute's column at a time, so its traced
+        # peak stays within 0.5 MB of what the index holds: 12.3 MB at
+        # 150 x 2000, 8.2 MB at 230 x 600.  A transposed copy of the whole
+        # table (2.4 and 1.1 MB) would be held for the length of the build.
+        rng = np.random.default_rng(m)
+        values = rng.normal(size=(n, 1)) + rng.normal(size=(n, m))
+        d = Dataset(tuple(f"c{i}" for i in range(m)), values)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            index = ConcordanceIndex(d)
+            held, peak = (mem - base for mem in tracemalloc.get_traced_memory())
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert held >= packed_rows(index, n).nbytes
+        assert peak - held <= 500_000
+
+    @pytest.mark.parametrize("form", [int, np.ndarray], ids=["int", "numpy"])
+    @settings(max_examples=40, deadline=None)
+    @given(d=edge_tables())
+    def test_rows_match_on_edge_tables(self, form, d):
+        # Both builds, on either side of the real cutoff (n = 219), byte
+        # for byte: -0.0 and 0.0 in one level, all-equal and all-distinct
+        # columns, and line and word padding of every width.
+        index = index_in_form(d, row_bytes(d.n) if form is int else 0)
+        assert packed_rows(index, d.n).tobytes() == comparison_rows(d).tobytes()
 
     def test_dataset_builds_its_index_once(self, course_dataset, monkeypatch):
         builds = []
