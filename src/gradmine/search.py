@@ -3,12 +3,12 @@
 Four seeded searchers walk an integer-encoded candidate space: random
 search ("rs"), stochastic hill climbing ("ls"), a small genetic algorithm
 ("ga") and particle swarm optimization ("pso"); "graank" sweeps every
-valid candidate once.  Each miner is a bare loop ``(rec, rng, s, c) ->
-(pairs, candidate)`` over a recorder and a generator that
-:func:`run_miner` builds; :func:`run_miner` also times the run and turns
-the recorder and the best into a :class:`SearchResult`, deriving the
-support and the fitness (``1/pairs``) of the best there, once.  The
-searchers
+valid candidate once.  Each searcher is a bare loop ``(rec, rng, s, c)``
+over a recorder and a generator that :func:`run_miner` builds; the sweep
+is a branch of :func:`run_miner`, with neither.  :func:`run_miner` also
+times the run and turns the columns and the best into a
+:class:`SearchResult`, deriving the support and the fitness
+(``1/pairs``) of the best there, once.  The searchers
 
 * compare concordant-pair counts: more pairs is lower fitness, so a
   candidate with at least as many pairs as the incumbent replaces it;
@@ -18,11 +18,11 @@ searchers
 * never let an unusable candidate (zero pairs) become the incumbent
   best, a personal best or the global best.
 
-One best rule holds for rs, ls, ga and the sweep: the best is the last
-call with the most pairs, never a zero-pair one, read off the
-trajectory's columns once the loop ends.  pso's best is its final global
-best, whose pair count never falls; it can differ from the columns'
-last maximum when a personal-best re-check ties it.
+One best rule holds for rs, ls, ga and the sweep, which return nothing:
+the best is the last call with the most pairs, never a zero-pair one,
+read off the trajectory's columns once the loop ends.  pso alone returns
+its final global best, whose pair count never falls; it can differ from
+the columns' last maximum when a personal-best re-check ties it.
 
 The sweep fills the same columns a batch at a time, and so does rs,
 which draws every candidate before it counts any.  :func:`run_miner`
@@ -200,8 +200,7 @@ class _Recorder:
     and one outside the space raises its ``ValueError`` unlogged.
     :meth:`record_draw` logs rs's whole draw at once and memoizes its
     usable draws alone, since rs asks nothing again.  The dataset's
-    index, built on first use, is reached only to count, so a miner can
-    refuse a run before it exists.
+    index, built on first use, is reached only to count.
     """
 
     def __init__(self, d: Dataset, space: SearchSpace) -> None:
@@ -253,14 +252,14 @@ _Best = tuple[int, int | None]
 _NO_BEST: _Best = (0, None)
 
 
-def _last_best(rec: _Recorder) -> _Best:
+def _last_best(candidates: Sequence[int], pairs: Sequence[int]) -> _Best:
     # The last candidate with the most pairs, or _NO_BEST when no call
     # had a pair.  reversed() walks the column without the copy a [::-1]
     # makes (36 MiB of an m = 14 sweep).
-    top = max(rec.pairs, default=0)
+    top = max(pairs, default=0)
     if top == 0:
         return _NO_BEST
-    return top, rec.candidates[len(rec.pairs) - 1 - operator.indexOf(reversed(rec.pairs), top)]
+    return top, candidates[len(pairs) - 1 - operator.indexOf(reversed(pairs), top)]
 
 
 def _clamp(x: int, s: SearchSpace) -> int:
@@ -323,14 +322,13 @@ def _draw(rng: np.random.Generator, s: SearchSpace, count: int) -> np.ndarray:
     return np.array(_wide_uniform(rng, s, count), dtype=object)
 
 
-def _rs(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best:
+def _rs(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> None:
     """Uniform probing: one independent draw per iteration, all drawn
     first and logged as one batch."""
     rec.record_draw(_draw(rng, s, c.max_iterations))
-    return _last_best(rec)
 
 
-def _ls(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best:
+def _ls(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> None:
     """Stochastic hill climbing with a bounded random step.
 
     A proposal is adopted when it has at least as many pairs as the
@@ -348,7 +346,6 @@ def _ls(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfi
         pairs = rec.record(t, proposal)
         if pairs >= current:
             x, current = proposal, pairs
-    return _last_best(rec)
 
 
 #: Maps the bytes of a bool array to the digits "0" and "1".
@@ -404,7 +401,7 @@ def _ga_moves(
             yield low, int(digits[at:mid], 2), u1, int(digits[mid : mid + nbits], 2), u2
 
 
-def _ga(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best:
+def _ga(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> None:
     """Small elitist genetic algorithm over the bit representation.
 
     The population is a list of (-pairs, candidate) members kept
@@ -435,7 +432,6 @@ def _ga(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfi
             pop.append((-rec.record(t, x), x))
         pop.sort()
         del pop[c.npop :]
-    return _last_best(rec)
 
 
 def _exact_velocity(c: SearchConfig, v0: float, rp: float, dp: int, rg: float, dg: int) -> float:
@@ -446,16 +442,17 @@ def _exact_velocity(c: SearchConfig, v0: float, rp: float, dp: int, rg: float, d
     return float(min(max(v, -c.max_velocity), c.max_velocity))
 
 
-def _pso(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best:
+def _pso(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfig) -> _Best | None:
     """Particle swarm over the integer interval.
 
     Per particle and iteration there are exactly three objective calls:
     the position, the personal best and the global best, in that order.
     Personal and global bests only move to usable positions with at
     least as many pairs as the incumbent, so the global best's pairs
-    never fall and the final global best is the run's best.  After the
-    swarm sweep every particle moves with a velocity clipped to
-    ``max_velocity`` and a position rounded and clamped to the interval.
+    never fall and the final global best, which it returns (None when no
+    call was usable), is the run's best.  After the swarm sweep every
+    particle moves with a velocity clipped to ``max_velocity`` and a
+    position rounded and clamped to the interval.
     """
     positions = _draw(rng, s, c.nparticles).tolist()
     velocities = [0.0] * c.nparticles
@@ -485,36 +482,21 @@ def _pso(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConf
                 v = _exact_velocity(c, velocities[i], rp, dp, rg, dg)
             velocities[i] = min(max(v, -c.max_velocity), c.max_velocity)
             positions[i] = _round_clamp(positions[i], velocities[i], s)
-    return (pg, gbest) if pg else _NO_BEST
+    return (pg, gbest) if pg else None
 
 
 #: Largest attribute count the exhaustive sweep accepts.  The sweep keeps
 #: two trajectory lists (its iteration column is a range), about 48 bytes
 #: per candidate, 3x more per attribute.  Measured in-process at n=40,
-#: sigma=0.5, on a 2-vCPU x86-64 host (time, RSS growth): m=11 0.06 s,
-#: 10 MiB; m=12 0.17-0.23 s, 32 MiB; m=13 0.53-0.79 s, 90 MiB; m=14
-#: 1.5-1.9 s, 220 MiB (4,782,940 candidates); m=16 would take 2 GiB.
+#: sigma=0.5, on a 2-vCPU x86-64 host (time, RSS growth): m=11 0.08-0.14
+#: s, 9 MiB; m=12 0.22-0.23 s, 25 MiB; m=13 0.67-1.05 s, 74 MiB; m=14
+#: 1.9-2.2 s, 220 MiB (4,782,940 candidates); m=16 would take 2 GiB.
 #: So the guard bounds the sweep's memory.
 MAX_ENUM_ATTRIBUTES = 14
 
 
 class EnumerationLimitError(RuntimeError):
     """Raised when the exhaustive sweep would exceed the attribute guard."""
-
-
-def _graank(rec: _Recorder, rng: None, s: SearchSpace, c: SearchConfig) -> _Best:
-    """The exhaustive sweep: every valid candidate once, in ascending
-    order, with its pairs, from :meth:`ConcordanceIndex.count_all`.  It
-    gets no generator, and the space kind and iteration budget play no
-    part; beyond ``MAX_ENUM_ATTRIBUTES`` it refuses before the index is
-    built."""
-    if rec.d.m > MAX_ENUM_ATTRIBUTES:
-        raise EnumerationLimitError(
-            f"cannot enumerate candidates for {rec.d.m} attributes (guard: {MAX_ENUM_ATTRIBUTES})"
-        )
-    rec.candidates, rec.pairs = rec.d.index.count_all()
-    rec.iterations = range(1, len(rec.candidates) + 1)
-    return _last_best(rec)
 
 
 def graank_mine(d: Dataset, sigma: float) -> tuple[tuple[GradualPattern, float], ...]:
@@ -532,52 +514,54 @@ def graank_mine(d: Dataset, sigma: float) -> tuple[tuple[GradualPattern, float],
     return run_miner("graank", d, build_space(d.m), SearchConfig(sigma=sigma)).frequent_patterns
 
 
-#: Each miner is a loop ``(rec, rng, s, c) -> (pairs, candidate)``.
-_MINERS: dict[str, Callable[..., _Best]] = {
-    "rs": _rs, "ls": _ls, "ga": _ga, "pso": _pso, "graank": _graank
-}
+#: Each searcher is a loop ``(rec, rng, s, c)``; only pso returns its best.
+_SEARCHERS: dict[str, Callable[..., _Best | None]] = {"rs": _rs, "ls": _ls, "ga": _ga, "pso": _pso}
 
 #: Names accepted by :func:`run_miner` (and the CLI's --algo flag).
-ALGORITHMS = tuple(_MINERS)
+ALGORITHMS = (*_SEARCHERS, "graank")
 
 
 def run_miner(algorithm: str, d: Dataset, s: SearchSpace, c: SearchConfig) -> SearchResult:
     """Run one miner by name and time it.
 
-    The miner gets a fresh recorder and, unless it is the sweep, a
-    generator seeded with ``c.seed``; the result decodes its best and
-    frequent candidates in ``s``, which must span the dataset's
-    attributes.  "graank" ignores the space kind and the iteration
-    budget: it sweeps every valid candidate of the dataset once.
+    A searcher gets a fresh recorder and a generator seeded with
+    ``c.seed``.  "graank" gets neither and ignores the space kind and the
+    iteration budget: it counts every valid candidate once, in ascending
+    order, refusing more than ``MAX_ENUM_ATTRIBUTES`` attributes before
+    the index is built.  The best is pso's own, else the columns' last
+    maximum; it and the frequent candidates are decoded in ``s``, which
+    must span the dataset's attributes.
     """
-    try:
-        miner = _MINERS[algorithm]
-    except KeyError:
+    if algorithm not in ALGORITHMS:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; expected one of: {', '.join(ALGORITHMS)}"
-        ) from None
+        )
     if s.m != d.m:
         raise ValueError(f"a space over {s.m} attributes cannot search a table of {d.m}")
     t0 = time.perf_counter()
-    rec = _Recorder(d, s)
-    # The sweep draws nothing, so it gets no generator, and a sweep of
-    # int rows (n <= 219) never imports numpy: the import took 67 ms of a
-    # 151 ms exhaustive ``gradmine mine`` on a 160 x 8 table (2-vCPU
-    # x86-64 host).
-    if miner is _graank:
-        rng = None
+    if algorithm == "graank":
+        if d.m > MAX_ENUM_ATTRIBUTES:
+            raise EnumerationLimitError(
+                f"cannot enumerate candidates for {d.m} attributes (guard: {MAX_ENUM_ATTRIBUTES})"
+            )
+        # A sweep of int rows (n <= 219) never imports numpy, 67 ms of a
+        # 151 ms ``gradmine mine`` of a 160 x 8 table (2-vCPU x86-64 host).
+        candidates, pairs = d.index.count_all()
+        iterations, best = range(1, len(candidates) + 1), None
     else:
         import numpy as np
 
-        rng = np.random.default_rng(c.seed)
-    pairs, x = miner(rec, rng, s, c)
+        rec = _Recorder(d, s)
+        best = _SEARCHERS[algorithm](rec, np.random.default_rng(c.seed), s, c)
+        iterations, candidates, pairs = rec.iterations, rec.candidates, rec.pairs
+    top, x = best or _last_best(candidates, pairs)
     all_pairs = object_pair_count(d)
-    frequent = {y: p for y, p in zip(rec.candidates, rec.pairs) if p and p / all_pairs >= c.sigma}
+    frequent = {y: p for y, p in zip(candidates, pairs) if p and p / all_pairs >= c.sigma}
     order = sorted(frequent, key=lambda y: (-frequent[y], y))
     patterns = tuple((to_pattern(y, s), frequent[y] / all_pairs) for y in order)
     pattern = None if x is None else to_pattern(x, s)
-    fitness = 1.0 / pairs if pairs else math.inf
-    trajectory = Trajectory(rec.iterations, rec.candidates, rec.pairs)
+    fitness = 1.0 / top if top else math.inf
+    trajectory = Trajectory(iterations, candidates, pairs)
     return SearchResult(
-        pattern, pairs / all_pairs, fitness, patterns, trajectory, time.perf_counter() - t0
+        pattern, top / all_pairs, fitness, patterns, trajectory, time.perf_counter() - t0
     )

@@ -663,14 +663,23 @@ def _run_fresh(code: str) -> None:
     )
 
 
+def _buffered_env() -> dict[str, str]:
+    """:func:`_fresh_env` with stdout block-buffered, as a console
+    script's is when PYTHONUNBUFFERED is unset."""
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 class TestClosedStdout:
-    def test_reader_that_stops_early(self):
+    @staticmethod
+    def _read_one_line(*launch: str) -> None:
         # As in `gradmine space --attrs 10 --list-valid | head -n 1`: the
-        # listing is 59,028 lines, far more than a pipe buffers.
+        # listing is 59,028 lines, far more than a pipe buffers, so the
+        # child's stdout is a real descriptor when the reader closes it.
         argv = ["space", "--attrs", "10", "--list-valid"]
-        code = "import sys; from gradmine.cli import main; sys.exit(main())"
         proc = subprocess.Popen(
-            [sys.executable, "-c", code, *argv], env=_fresh_env(),
+            [sys.executable, *launch, *argv], env=_buffered_env(),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
         first = proc.stdout.readline()
@@ -679,6 +688,30 @@ class TestClosedStdout:
         assert first == b"bounds: [5, 699050], valid: 59028\n"
         assert proc.returncode == 1
         assert err == b""  # no traceback, no "Exception ignored" at exit
+
+    def test_reader_that_stops_early(self):
+        self._read_one_line("-c", "import sys; from gradmine.cli import main; sys.exit(main())")
+
+    def test_module_script_reader_that_stops_early(self):
+        # `python -m gradmine.cli` runs the module's own `__main__` exit.
+        self._read_one_line("-m", "gradmine.cli")
+
+    def test_reader_gone_before_the_first_write(self):
+        # The whole output fits stdout's buffer, so main's own flush is
+        # the first write to meet the closed pipe.  The bytes it leaves
+        # in the buffer would fail again at the interpreter's exit flush
+        # ("Exception ignored", exit 120) had main not pointed the
+        # descriptor at devnull.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gradmine.cli", "space", "--attrs", "3", "--list-valid"],
+                env=_buffered_env(), stdout=write, stderr=subprocess.PIPE, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
     def test_stream_without_a_descriptor(self, monkeypatch, capsys):
         # perfbench and pytest hand main a StringIO-like stdout.

@@ -35,8 +35,8 @@ from gradmine import (
 from gradmine.fitness import ConcordanceIndex
 from gradmine.search import (
     _BINARY_DIGITS,
-    _MINERS,
     _NO_BEST,
+    _SEARCHERS,
     _clamp,
     _draw,
     _exact_velocity,
@@ -317,10 +317,11 @@ def _pso_global_bests(trajectory, nparticles):
 
 
 class TestBestRule:
-    """rs, ls, ga and the sweep read their best off the trajectory's
-    columns, and pso returns its final global best.  Each must be the
-    best that folding ``_keep_best`` keeps: over every call, and for pso
-    over each iteration's global best."""
+    """run_miner reads the best of rs, ls, ga and the sweep off the
+    trajectory's columns, and pso returns its final global best.  Each
+    must be the best that folding ``_keep_best`` keeps: over every call,
+    and for pso over each iteration's global best.  rs, ls and ga return
+    None; pso returns that fold, or None when no call is usable."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -362,8 +363,9 @@ class TestBestRule:
         assert (None if r.best_pattern is None else encode(r.best_pattern, d.m)) == x
         if x is None:
             assert r.best_support == 0.0
-        rng = None if algo == "graank" else np.random.default_rng(seed)
-        assert _MINERS[algo](_Recorder(d, s), rng, s, c) == folded
+        if algo != "graank":
+            returned = _SEARCHERS[algo](_Recorder(d, s), np.random.default_rng(seed), s, c)
+            assert returned == (folded if algo == "pso" and x is not None else None)
 
 
 def _oracle_reason(x, m):
@@ -474,12 +476,11 @@ def _per_call_rs(rec, rng, s, c):
     call per draw."""
     for t, x in enumerate(_draw(rng, s, c.max_iterations).tolist(), start=1):
         rec.record(t, x)
-    return _last_best(rec)
 
 
 def _assert_rs_matches_per_call(d, s, c):
     r = run_miner("rs", d, s, c)
-    with mock.patch.dict(_MINERS, rs=_per_call_rs):
+    with mock.patch.dict(_SEARCHERS, rs=_per_call_rs):
         ref = run_miner("rs", d, s, c)
     t, u = r.trajectory, ref.trajectory
     assert list(t.iterations) == u.iterations == list(range(1, c.max_iterations + 1))
@@ -900,9 +901,10 @@ class TestRunMiner:
     def test_dispatch_matches_direct_call(self, course_dataset, space):
         c = SearchConfig(max_iterations=12, seed=5)
         rec = _Recorder(course_dataset, space)
-        pairs, x = _rs(rec, np.random.default_rng(c.seed), space, c)
+        assert _rs(rec, np.random.default_rng(c.seed), space, c) is None
         r = run_miner("rs", course_dataset, space, c)
         assert r.trajectory == Trajectory(rec.iterations, rec.candidates, rec.pairs)
+        pairs, x = _last_best(rec.candidates, rec.pairs)
         assert encode(r.best_pattern, 3) == x
         all_pairs = object_pair_count(course_dataset)
         assert (r.best_support, r.best_fitness) == (pairs / all_pairs, 1.0 / pairs)
@@ -947,6 +949,18 @@ class TestRunMiner:
             )
             assert a.frequent_patterns == b.frequent_patterns
             assert a.trajectory == b.trajectory
+
+    def test_graank_builds_no_recorder_and_no_generator(self, course_dataset, space, monkeypatch):
+        # The sweep makes no objective call to memoize or check, and
+        # draws nothing.
+        def refuse(*args):
+            raise AssertionError("the sweep built a recorder or a generator")
+
+        monkeypatch.setattr(gradmine.search, "_Recorder", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        r = run_miner("graank", course_dataset, space, SearchConfig())
+        assert list(r.trajectory.iterations) == list(range(1, 21))
+        assert r.best_pattern is not None
 
     def test_graank_guard_refuses_before_the_index(self, monkeypatch):
         # Fifteen columns are over the enumeration guard; the index would
