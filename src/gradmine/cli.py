@@ -39,8 +39,8 @@ if TYPE_CHECKING:
 
 #: Without --algo: exhaustive mining up to this many attributes, "ga" beyond.
 #: The sweep grows about 3x per attribute; in-process, at n=160 and
-#: sigma=0.5 on a 2-vCPU x86-64 host, it took 0.012-0.014 s at m=8,
-#: 0.037-0.041 s at m=9, 0.11-0.16 s at m=10 and 0.33-0.46 s at m=11.
+#: sigma=0.5 on a 2-vCPU x86-64 host, it took 0.009-0.016 s at m=8,
+#: 0.031-0.046 s at m=9, 0.11-0.12 s at m=10 and 0.22-0.23 s at m=11.
 AUTO_ALGO_MAX_ATTRS = 8
 
 _DELIMITERS = {"comma": ",", "semicolon": ";", "tab": "\t"}

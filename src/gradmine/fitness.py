@@ -13,7 +13,9 @@ per dataset as ``Dataset.index``), whose rows are Python ints when they
 are small and arrays otherwise: the searchers one candidate
 at a time (:meth:`ConcordanceIndex.count_candidate`), the exhaustive
 sweep by one ascending walk that carries each candidate's AND down to
-the candidates that extend it (:meth:`ConcordanceIndex.count_all`).  A
+the candidates that extend it and mirrors half of them by complement
+(:meth:`ConcordanceIndex.count_all`), on int rows while its ANDs are
+small enough (:func:`sweep_index`).  A
 run logs the pair counts; fitness is derived from them only where it is
 read.
 :func:`concordant_count_brute`, a literal pair-by-pair scan, stays beside
@@ -23,10 +25,12 @@ support spot check.
 
 from __future__ import annotations
 
+from array import array
+from itertools import islice
 from typing import TYPE_CHECKING, Callable
 
 from .dataset import Dataset, DatasetError
-from .encoding import Direction, GradualPattern, encode
+from .encoding import Direction, GradualPattern, encode, valid_candidate_count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,6 +52,18 @@ MAX_INDEX_BYTES = 2 * 2**30
 #: 4.9-7.3 us and n = 560 (39,200) in 22-54 us against 9-22 us.
 INT_ROW_BYTES = 6 * 2**10
 
+#: Largest sweep, in bytes ANDed (``valid_candidate_count(m)`` times one
+#: row's bytes), that :func:`sweep_index` counts on Python ints where the
+#: index's rows are arrays (n >= 220): below it the ints' slower ANDs
+#: cost less than numpy's import.  On a 2-vCPU x86-64 host a cold
+#: ``import numpy`` pinned to one vCPU took 56-80 ms, and a whole
+#: :meth:`~ConcordanceIndex.count_all` (fastest of five) cost more on
+#: ints than on arrays by 21 ms at 400 x 8 (125 MiB), 24 ms at 1200 x 6
+#: (123 MiB) and 41 ms at 560 x 8 (245 MiB), with 1-6 ms more to build
+#: the int rows: break-even lies near 300 MiB, and 128 MiB leaves room for
+#: a slower host.  perfbench's ``sweep_b`` (560 x 6) sweeps 27 MiB.
+SWEEP_INT_BYTES = 128 * 2**20
+
 
 class ConcordanceIndex:
     """Bit-packed strict-order rows, one pair per attribute.
@@ -63,7 +79,8 @@ class ConcordanceIndex:
     index takes ``2 * m * n * ceil(n / 8)`` bytes plus at most 7 per row.
     Each row is held in one form, the one :meth:`count_candidate` and
     :meth:`count_all` AND: a Python int when it is at most
-    ``INT_ROW_BYTES``, an array otherwise.  Above ``MAX_INDEX_BYTES`` the
+    ``INT_ROW_BYTES`` or when ``ints`` is set (as :func:`sweep_index`
+    does), an array otherwise.  Above ``MAX_INDEX_BYTES`` the
     index raises ``DatasetError`` before allocating.
     The rows are built one attribute's column at a time, from its L
     distinct values: int rows in plain Python, by two walks over the
@@ -74,17 +91,16 @@ class ConcordanceIndex:
     ``2 * n * n`` float comparisons.
     """
 
-    def __init__(self, d: Dataset) -> None:
+    def __init__(self, d: Dataset, ints: bool = False) -> None:
         self.m = d.m
-        row_bytes = d.n * ((d.n + 7) // 8)
-        row_words = (row_bytes + 7) // 8
+        row_words = _row_words(d.n)
         needed = 2 * d.m * row_words * 8
         if needed > MAX_INDEX_BYTES:
             raise DatasetError(
                 f"a table of n={d.n} objects and m={d.m} attributes needs a "
                 f"{needed}-byte concordance index, over the {MAX_INDEX_BYTES}-byte limit"
             )
-        if row_words * 8 <= INT_ROW_BYTES:
+        if ints or row_words * 8 <= INT_ROW_BYTES:
             self._row_list, self._popcount = _int_rows(d), int.bit_count
         else:
             self._row_list, self._popcount = _array_rows(d, row_words)
@@ -119,19 +135,36 @@ class ConcordanceIndex:
         """Every valid candidate over the index's ``m`` attributes, in
         ascending order, and its concordant pairs.
 
-        The 2m items are walked least significant first, with tail lists
-        as in Eclat: a node ``x`` extends by each item below its lowest
-        one, in ascending order, logs ``x | item`` with one AND and one
-        popcount, and descends into it.  Below an up item its own
-        attribute's down item, the item just before it, is left out, so
-        no conflict is made.  One-item nodes are not logged.  The walk
-        holds one row per depth, at most ``m``.
+        A candidate's highest item is its root.  The down-item roots are
+        walked least significant first, with tail lists as in Eclat: a
+        node ``x`` extends by each item below its lowest one, in
+        ascending order, logs ``x | item`` with one AND and one popcount,
+        and descends into it.  Below an up item its own attribute's down
+        item, the item just before it, is left out, so no conflict is
+        made.  One-item nodes are not logged.  The walk holds one row per
+        depth, at most ``m``.
+
+        Each up-item root's block is mirrored, not walked: a pattern and
+        its complement hold the same pairs.  Read a lower state as a
+        base-3 number ``v`` (down 1, up 2): entry ``v`` of up root
+        ``p + 1``'s block is the complement of entry ``swap(v)`` of down
+        root ``p``'s, where ``swap`` exchanges the digits 1 and 2.  So the
+        up block's candidates are the down block's plus ``1 << p``, and
+        its pairs are the down block's read through one table of ``swap``
+        over ``m - 1`` attributes, whose prefixes serve the lower roots.
         """
         candidates: list[int] = []
         pairs: list[int] = []
         rows = self._row_list[::-1]  # bit p names row 2m - 1 - p
-        for p, row in enumerate(rows):
-            self._extend(1 << p, row, p & ~1, rows, candidates, pairs)
+        swap = _digit_swap(self.m - 1)
+        for p in range(0, 2 * self.m, 2):
+            start = len(pairs)
+            self._extend(1 << p, rows[p], p, rows, candidates, pairs)
+            end = len(pairs)
+            candidates += map((1 << p).__add__, islice(candidates, start, end))
+            # Down-block entry v (from 1) sits at start - 1 + v.
+            entries = islice(swap, 1, end - start + 1)
+            pairs += map(pairs.__getitem__, map((start - 1).__add__, entries))
         return candidates, pairs
 
     def _extend(
@@ -153,6 +186,34 @@ class ConcordanceIndex:
             pairs.append(popcount(h))
             if p > 1:  # an up item p is odd: p & ~1 drops its down item
                 self._extend(y, h, p & ~1, rows, candidates, pairs)
+
+
+def sweep_index(d: Dataset) -> ConcordanceIndex:
+    """The index an exhaustive sweep of ``d`` counts on: ``d.index``
+    when its rows are ints, or when the sweep's ANDs exceed
+    ``SWEEP_INT_BYTES``; otherwise an index of int rows built for this
+    sweep alone and not cached, so the sweep needs no numpy and a later
+    search of ``d`` still counts on arrays."""
+    row_bytes = 8 * _row_words(d.n)
+    if row_bytes <= INT_ROW_BYTES or valid_candidate_count(d.m) * row_bytes > SWEEP_INT_BYTES:
+        return d.index
+    return ConcordanceIndex(d, ints=True)
+
+
+def _row_words(n: int) -> int:
+    # 64-bit words of one row: n lines of ceil(n / 8) bytes.
+    return (n * ((n + 7) // 8) + 7) // 8
+
+
+def _digit_swap(j: int) -> array:
+    # Entry v is v with its base-3 digits 1 and 2 swapped, for every v
+    # below 3^j: F_{k+1} = F_k ++ (F_k + 2 * 3^k) ++ (F_k + 3^k).
+    swap = array("q", [0])
+    for k in range(j):
+        t = 3**k
+        swap.extend(map((2 * t).__add__, islice(swap, t)))
+        swap.extend(map(t.__add__, islice(swap, t)))
+    return swap
 
 
 def _int_rows(d: Dataset) -> list[int]:

@@ -55,6 +55,7 @@ from .encoding import (
     invalid_reason,
     to_pattern,
 )
+from .fitness import sweep_index
 
 if TYPE_CHECKING:
     import numpy as np
@@ -488,10 +489,14 @@ def _pso(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConf
 #: Largest attribute count the exhaustive sweep accepts.  The sweep keeps
 #: two trajectory lists (its iteration column is a range), about 48 bytes
 #: per candidate, 3x more per attribute.  Measured in-process at n=40,
-#: sigma=0.5, on a 2-vCPU x86-64 host (time, RSS growth): m=11 0.08-0.14
-#: s, 9 MiB; m=12 0.22-0.23 s, 25 MiB; m=13 0.67-1.05 s, 74 MiB; m=14
-#: 1.9-2.2 s, 220 MiB (4,782,940 candidates); m=16 would take 2 GiB.
-#: So the guard bounds the sweep's memory.
+#: sigma=0.5, on a 2-vCPU x86-64 host (time, RSS growth): m=11 0.07 s,
+#: 9 MiB; m=12 0.21-0.22 s, 26 MiB; m=13 0.70 s, 77 MiB; m=14 1.8-2.5 s,
+#: 232 MiB (4,782,940 candidates; 12 MiB of it the mirror's swap table);
+#: m=16 would take 2 GiB.
+#: So the guard bounds the columns' memory, not the decoded output's:
+#: at sigma=0 every candidate with a pair is frequent and decoded, and a
+#: ``gradmine mine`` child at m=14 printed 2,753,786 lines in 45.6 s and
+#: peaked at 1,175 MiB.
 MAX_ENUM_ATTRIBUTES = 14
 
 
@@ -544,9 +549,11 @@ def run_miner(algorithm: str, d: Dataset, s: SearchSpace, c: SearchConfig) -> Se
             raise EnumerationLimitError(
                 f"cannot enumerate candidates for {d.m} attributes (guard: {MAX_ENUM_ATTRIBUTES})"
             )
-        # A sweep of int rows (n <= 219) never imports numpy, 67 ms of a
-        # 151 ms ``gradmine mine`` of a 160 x 8 table (2-vCPU x86-64 host).
-        candidates, pairs = d.index.count_all()
+        # Int rows while the ANDs fit fitness.SWEEP_INT_BYTES, so no numpy:
+        # a fresh ``gradmine mine`` of a 560 x 6 table took 109-150 ms and
+        # peaked at 16.5 MiB, against 243-345 ms and 29.7 MiB when it
+        # imported numpy for array rows (2-vCPU x86-64 host).
+        candidates, pairs = sweep_index(d).count_all()
         iterations, best = range(1, len(candidates) + 1), None
     else:
         import numpy as np

@@ -744,8 +744,10 @@ def _main(*argv: str) -> str:
     return f"from gradmine.cli import main; assert main({list(argv)!r}) == 0"
 
 
-#: Start-up cases: numpy is loaded only to draw (ga) or for array rows
-#: (n >= 220), not to import, load or sweep a table of int rows.
+#: Start-up cases: numpy is loaded only to draw (ga) or for array rows,
+#: not to import, load or sweep a table.  A sweep of n >= 220 counts on
+#: int rows of its own while its ANDs fit ``fitness.SWEEP_INT_BYTES``;
+#: with that budget at 0 it counts on the dataset's arrays.
 _NUMPY_CASES = {
     "import gradmine": (lambda table: "import gradmine", False),
     "import gradmine.cli": (lambda table: "import gradmine.cli", False),
@@ -754,20 +756,26 @@ _NUMPY_CASES = {
     "mine": (lambda table: _main("mine", "--data", table), False),
     "mine n=219": (lambda table: _main("mine", "--data", table), False),
     "mine --algo ga": (lambda table: _main("mine", "--data", table, "--algo", "ga"), True),
-    "mine n=220": (lambda table: _main("mine", "--data", table), True),
+    "mine n=220": (lambda table: _main("mine", "--data", table), False),
+    "mine n=220 arrays": (
+        lambda table: "import gradmine.fitness; gradmine.fitness.SWEEP_INT_BYTES = 0\n"
+        + _main("mine", "--data", table),
+        True,
+    ),
 }
 
 
 @pytest.mark.parametrize("case", _NUMPY_CASES)
 def test_numpy_loads_only_to_draw_or_for_array_rows(case, course_csv, tmp_path):
-    # Importing numpy takes 67 ms of a 151 ms exhaustive ``gradmine mine``
-    # on a 2-vCPU x86-64 host.  The seeded tables are on either side of
-    # the int-row cutoff; each is swept, its three attributes auto-picking
+    # A fresh exhaustive ``gradmine mine`` of a 560 x 6 table took
+    # 243-345 ms with numpy's import and 109-150 ms without it on a
+    # 2-vCPU x86-64 host.  The seeded tables are on either side of the
+    # int-row cutoff; each is swept, its three attributes auto-picking
     # graank.
     make_code, loads = _NUMPY_CASES[case]
     table = course_csv
     if case.startswith("mine n="):
-        n = int(case.removeprefix("mine n="))
+        n = int(case.split()[1].removeprefix("n="))
         table = tmp_path / f"seeded{n}.csv"
         write_csv(table, ("a", "b", "c"), np.random.default_rng(n).normal(size=(n, 3)).tolist())
     assert _loads_numpy(make_code(str(table))) is loads

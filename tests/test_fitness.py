@@ -134,6 +134,26 @@ def index_in_form(d: Dataset, int_row_bytes: int) -> ConcordanceIndex:
     return index
 
 
+def plain_walk(index: ConcordanceIndex) -> tuple[list[int], list[int]]:
+    """``index.count_all()``'s columns by the tail walk without the
+    mirror: every root, down and up, is walked."""
+    candidates: list[int] = []
+    pairs: list[int] = []
+    rows = index._row_list[::-1]
+
+    def extend(x, holds, stop):
+        for p in range(stop):
+            y, h = x | 1 << p, holds & rows[p]
+            candidates.append(y)
+            pairs.append(index._popcount(h))
+            if p > 1:
+                extend(y, h, p & ~1)
+
+    for p, row in enumerate(rows):
+        extend(1 << p, row, p & ~1)
+    return candidates, pairs
+
+
 #: Ns at the build's edges: line and word padding (mod 8 and 64) and both
 #: sides of the int-row cutoff (n = 219).
 _EDGE_NS = (2, 7, 8, 9, 63, 64, 65, 127, 128, 129, 191, 192, 193, 219, 220, 230)
@@ -232,6 +252,18 @@ class TestPackedIndex:
         candidates, pairs = index.count_all()
         assert candidates == list(enumerate_valid(build_space(m)))
         assert pairs == [index.count_candidate(x) for x in candidates]
+
+    @ROW_FORMS
+    @settings(max_examples=40, deadline=None)
+    @given(tied_tables(max_m=8))
+    @example(Dataset(tuple("abcdefgh"), np.zeros((9, 8))))
+    @example(random_dataset(np.random.default_rng(8), 19, 8, ties=True))
+    def test_count_all_mirror_matches_the_plain_walk(self, int_row_bytes, d):
+        # Each up-item root's block is mirrored from its down-item
+        # partner's; the columns must equal a walk of every root, in
+        # order, for m = 2..8, on tied tables and all-equal ones.
+        index = index_in_form(d, int_row_bytes)
+        assert index.count_all() == plain_walk(index)
 
     @ROW_FORMS
     @pytest.mark.parametrize("m", [6, 8, 10])

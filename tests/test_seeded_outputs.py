@@ -11,9 +11,12 @@ output, with the CSV path replaced by ``{data}``.  ``bench`` holds
 SHA-256 digests of what one ``gradmine bench`` run writes, with timing
 and memory figures left out and the run's directory replaced by
 ``{tmp}``.  ``graank`` holds SHA-256 digests of the exhaustive sweep's
-trajectory, frequent set and best on two tied tables, one on each row
-form that ``ConcordanceIndex.count_all`` walks: Python ints at n = 160
-and arrays at n = 600.
+trajectory, frequent set and best on two tied tables, recorded when
+n = 160 swept int rows and n = 600 arrays.  ``run_miner`` now sweeps
+both on int rows (n = 600 on rows of its own, its ANDs being under
+``fitness.SWEEP_INT_BYTES``), so each digest is checked twice: as
+``run_miner`` routes it, and with that budget at 0, where n = 600
+sweeps the dataset's arrays.
 """
 
 import contextlib
@@ -27,8 +30,10 @@ import numpy as np
 import pytest
 
 from conftest import COURSE_NAMES, COURSE_ROWS, random_dataset, write_csv
+import gradmine.fitness
 from gradmine import Dataset, SearchConfig, SpaceKind, build_space, encode, run_miner
 from gradmine.cli import main
+from gradmine.fitness import sweep_index
 
 PINNED = json.loads(Path(__file__).with_name("seeded_outputs.json").read_text(encoding="utf-8"))
 
@@ -121,18 +126,30 @@ def test_bench_artefacts(tmp_path):
     assert bench_digests(tmp_path) == PINNED["bench"]
 
 
-# (seed, n, m) of the tied tables; the sweep walks int rows on the first
-# and arrays on the second.
+# (seed, n, m) of the tied tables.
 GRAANK_TABLES = {"tied160x9": (9, 160, 9), "tied600x7": (7, 600, 7)}
 
 
-@pytest.mark.parametrize("table", sorted(PINNED["graank"]))
-def test_graank_sweep(table):
+def graank_digests(table: str, form: type) -> dict:
+    """Digest the sweep of a tied table, checked to count on ``form`` rows."""
     seed, n, m = GRAANK_TABLES[table]
     d = random_dataset(np.random.default_rng(seed), n, m, ties=True)
+    assert type(sweep_index(d)._row_list[0]) is form
     r = run_miner("graank", d, build_space(m), SearchConfig(sigma=0.1))
     steps = "".join(f"{s.iteration} {s.candidate} {s.fitness!r} {s.valid}\n" for s in r.trajectory.steps)
     frequent = "".join(f"{encode(p, m)} {support!r}\n" for p, support in r.frequent_patterns)
     best = f"{encode(r.best_pattern, m)} {r.best_support!r} {r.best_fitness!r}\n"
-    digests = {"trajectory": _sha256(steps), "frequent": _sha256(frequent), "best": _sha256(best)}
-    assert digests == PINNED["graank"][table]
+    return {"trajectory": _sha256(steps), "frequent": _sha256(frequent), "best": _sha256(best)}
+
+
+@pytest.mark.parametrize("table", sorted(PINNED["graank"]))
+def test_graank_sweep(table):
+    assert graank_digests(table, int) == PINNED["graank"][table]
+
+
+@pytest.mark.parametrize("table", sorted(PINNED["graank"]))
+def test_graank_sweep_without_an_int_budget(table, monkeypatch):
+    # With no AND budget for int rows, n = 600 sweeps the dataset's arrays.
+    monkeypatch.setattr(gradmine.fitness, "SWEEP_INT_BYTES", 0)
+    form = np.ndarray if GRAANK_TABLES[table][1] > 219 else int
+    assert graank_digests(table, form) == PINNED["graank"][table]
