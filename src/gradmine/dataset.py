@@ -110,8 +110,8 @@ class Dataset:
 
     @cached_property
     def index(self) -> ConcordanceIndex:
-        """The concordance index of this dataset, built on first use and
-        then shared by every count against it."""
+        """This dataset's one concordance index, built on first use (its
+        row form chosen there) and then shared by every miner's counts."""
         from .fitness import ConcordanceIndex
 
         return ConcordanceIndex(self)

@@ -8,16 +8,15 @@ maximises support, and the miners compare the counts themselves.
 Candidates that decode to no pattern, or to a pattern with zero concordant
 pairs, count 0: searchers compare against them but never keep them.
 
-The miners count through :class:`ConcordanceIndex` (bit-packed, built once
-per dataset as ``Dataset.index``), whose rows are Python ints when they
-are small and arrays otherwise: the searchers one candidate
-at a time (:meth:`ConcordanceIndex.count_candidate`), the exhaustive
-sweep by one ascending walk that carries each candidate's AND down to
-the candidates that extend it and mirrors half of them by complement
-(:meth:`ConcordanceIndex.count_all`), on int rows while its ANDs are
-small enough (:func:`sweep_index`).  A
-run logs the pair counts; fitness is derived from them only where it is
-read.
+All five miners count through one :class:`ConcordanceIndex` per dataset
+(bit-packed, built once as ``Dataset.index``), whose rows are Python ints
+when they are small, or when numpy is not loaded and a whole sweep's ANDs
+are small, and arrays otherwise: the searchers one candidate at a time
+(:meth:`ConcordanceIndex.count_candidate`), the exhaustive sweep by one
+ascending walk that carries each candidate's AND down to the candidates
+that extend it and mirrors half of them by complement
+(:meth:`ConcordanceIndex.count_all`).  A run logs the pair counts;
+fitness is derived from them only where it is read.
 :func:`concordant_count_brute`, a literal pair-by-pair scan, stays beside
 it as the reference the index is tested against and the benchmark's
 support spot check.
@@ -25,6 +24,7 @@ support spot check.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from itertools import islice
 from typing import TYPE_CHECKING, Callable
@@ -53,15 +53,16 @@ MAX_INDEX_BYTES = 2 * 2**30
 INT_ROW_BYTES = 6 * 2**10
 
 #: Largest sweep, in bytes ANDed (``valid_candidate_count(m)`` times one
-#: row's bytes), that :func:`sweep_index` counts on Python ints where the
-#: index's rows are arrays (n >= 220): below it the ints' slower ANDs
-#: cost less than numpy's import.  On a 2-vCPU x86-64 host a cold
-#: ``import numpy`` pinned to one vCPU took 56-80 ms, and a whole
-#: :meth:`~ConcordanceIndex.count_all` (fastest of five) cost more on
-#: ints than on arrays by 21 ms at 400 x 8 (125 MiB), 24 ms at 1200 x 6
-#: (123 MiB) and 41 ms at 560 x 8 (245 MiB), with 1-6 ms more to build
-#: the int rows: break-even lies near 300 MiB, and 128 MiB leaves room for
-#: a slower host.  perfbench's ``sweep_b`` (560 x 6) sweeps 27 MiB.
+#: row's bytes) for which :class:`ConcordanceIndex` keeps rows past
+#: ``INT_ROW_BYTES`` as ints while numpy is not loaded (once it is, arrays
+#: are faster): below it the ints' slower ANDs cost less than numpy's
+#: import.  On a 2-vCPU x86-64 host a cold ``import numpy`` pinned to one
+#: vCPU took 56-80 ms, and a whole :meth:`~ConcordanceIndex.count_all`
+#: (fastest of five) cost more on ints than on arrays by 21 ms at 400 x 8
+#: (125 MiB), 24 ms at 1200 x 6 (123 MiB) and 41 ms at 560 x 8 (245 MiB),
+#: with 1-6 ms more to build the int rows: break-even lies near 300 MiB,
+#: and 128 MiB leaves room for a slower host.  perfbench's ``sweep_b``
+#: (560 x 6) sweeps 27 MiB.
 SWEEP_INT_BYTES = 128 * 2**20
 
 
@@ -79,9 +80,14 @@ class ConcordanceIndex:
     index takes ``2 * m * n * ceil(n / 8)`` bytes plus at most 7 per row.
     Each row is held in one form, the one :meth:`count_candidate` and
     :meth:`count_all` AND: a Python int when it is at most
-    ``INT_ROW_BYTES`` or when ``ints`` is set (as :func:`sweep_index`
-    does), an array otherwise.  Above ``MAX_INDEX_BYTES`` the
-    index raises ``DatasetError`` before allocating.
+    ``INT_ROW_BYTES``, or when numpy is not loaded yet and
+    ``valid_candidate_count(m)`` rows fit ``SWEEP_INT_BYTES``; an array
+    otherwise.  So searchers (``run_miner`` imports numpy first) and
+    ``bench`` (the harness imports it) get arrays, and a fresh
+    ``gradmine mine`` sweep gets ints.  A later search of a ``Dataset``
+    swept that way counts its int rows, 2-3x slower at n = 560 (see
+    ``INT_ROW_BYTES``).  Above ``MAX_INDEX_BYTES`` the index raises
+    ``DatasetError`` before allocating.
     The rows are built one attribute's column at a time, from its L
     distinct values: int rows in plain Python, by two walks over the
     objects sorted by value, so a table of them never loads numpy; array
@@ -91,16 +97,20 @@ class ConcordanceIndex:
     ``2 * n * n`` float comparisons.
     """
 
-    def __init__(self, d: Dataset, ints: bool = False) -> None:
+    def __init__(self, d: Dataset) -> None:
         self.m = d.m
         row_words = _row_words(d.n)
-        needed = 2 * d.m * row_words * 8
+        row_bytes = 8 * row_words
+        needed = 2 * d.m * row_bytes
         if needed > MAX_INDEX_BYTES:
             raise DatasetError(
                 f"a table of n={d.n} objects and m={d.m} attributes needs a "
                 f"{needed}-byte concordance index, over the {MAX_INDEX_BYTES}-byte limit"
             )
-        if ints or row_words * 8 <= INT_ROW_BYTES:
+        if row_bytes <= INT_ROW_BYTES or (
+            "numpy" not in sys.modules
+            and valid_candidate_count(d.m) * row_bytes <= SWEEP_INT_BYTES
+        ):
             self._row_list, self._popcount = _int_rows(d), int.bit_count
         else:
             self._row_list, self._popcount = _array_rows(d, row_words)
@@ -186,18 +196,6 @@ class ConcordanceIndex:
             pairs.append(popcount(h))
             if p > 1:  # an up item p is odd: p & ~1 drops its down item
                 self._extend(y, h, p & ~1, rows, candidates, pairs)
-
-
-def sweep_index(d: Dataset) -> ConcordanceIndex:
-    """The index an exhaustive sweep of ``d`` counts on: ``d.index``
-    when its rows are ints, or when the sweep's ANDs exceed
-    ``SWEEP_INT_BYTES``; otherwise an index of int rows built for this
-    sweep alone and not cached, so the sweep needs no numpy and a later
-    search of ``d`` still counts on arrays."""
-    row_bytes = 8 * _row_words(d.n)
-    if row_bytes <= INT_ROW_BYTES or valid_candidate_count(d.m) * row_bytes > SWEEP_INT_BYTES:
-        return d.index
-    return ConcordanceIndex(d, ints=True)
 
 
 def _row_words(n: int) -> int:

@@ -307,7 +307,7 @@ def run_benchmark(spec: BenchSpec, scatter_dir: str | Path | None = None) -> Ben
         name = Path(path).stem
         try:
             d = load_dataset(path, delimiter=spec.delimiter, has_header=spec.has_header)
-            d.index  # built here, so cell wall times cover the search alone
+            d.index  # every cell counts on it; built here, so wall times cover the search alone
         except DatasetError as exc:
             failures.append(DatasetFailure(dataset=name, path=str(path), error=str(exc)))
             continue

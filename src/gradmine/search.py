@@ -55,7 +55,6 @@ from .encoding import (
     invalid_reason,
     to_pattern,
 )
-from .fitness import sweep_index
 
 if TYPE_CHECKING:
     import numpy as np
@@ -549,11 +548,11 @@ def run_miner(algorithm: str, d: Dataset, s: SearchSpace, c: SearchConfig) -> Se
             raise EnumerationLimitError(
                 f"cannot enumerate candidates for {d.m} attributes (guard: {MAX_ENUM_ATTRIBUTES})"
             )
-        # Int rows while the ANDs fit fitness.SWEEP_INT_BYTES, so no numpy:
-        # a fresh ``gradmine mine`` of a 560 x 6 table took 109-150 ms and
-        # peaked at 16.5 MiB, against 243-345 ms and 29.7 MiB when it
-        # imported numpy for array rows (2-vCPU x86-64 host).
-        candidates, pairs = sweep_index(d).count_all()
+        # Built here before numpy loads, d.index holds int rows while the
+        # ANDs fit fitness.SWEEP_INT_BYTES: a fresh ``gradmine mine`` of a
+        # 560 x 6 table took 109-150 ms and peaked at 16.5 MiB, against
+        # 243-345 ms and 29.7 MiB with numpy (2-vCPU x86-64 host).
+        candidates, pairs = d.index.count_all()
         iterations, best = range(1, len(candidates) + 1), None
     else:
         import numpy as np

@@ -272,6 +272,32 @@ def course_csv(tmp_path):
     return path
 
 
+@dataclass
+class IndexSpy:
+    """Every ``ConcordanceIndex`` built, and every one swept, in order."""
+
+    builds: list
+    swept: list
+
+
+@pytest.fixture
+def index_spy(monkeypatch) -> IndexSpy:
+    spy = IndexSpy([], [])
+    init, count_all = ConcordanceIndex.__init__, ConcordanceIndex.count_all
+
+    def logging_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        spy.builds.append(self)
+
+    def logging_count_all(self):
+        spy.swept.append(self)
+        return count_all(self)
+
+    monkeypatch.setattr(ConcordanceIndex, "__init__", logging_init)
+    monkeypatch.setattr(ConcordanceIndex, "count_all", logging_count_all)
+    return spy
+
+
 @pytest.fixture(params=["undecodable", "oversized-field"])
 def unreadable_csv(request, tmp_path):
     """A file the csv module cannot read: a byte that is not UTF-8, or a

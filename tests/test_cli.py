@@ -745,9 +745,9 @@ def _main(*argv: str) -> str:
 
 
 #: Start-up cases: numpy is loaded only to draw (ga) or for array rows,
-#: not to import, load or sweep a table.  A sweep of n >= 220 counts on
-#: int rows of its own while its ANDs fit ``fitness.SWEEP_INT_BYTES``;
-#: with that budget at 0 it counts on the dataset's arrays.
+#: not to import, load or sweep a table.  Built without numpy, the index
+#: of n >= 220 holds int rows while a sweep's ANDs fit
+#: ``fitness.SWEEP_INT_BYTES``; with that budget at 0 it holds arrays.
 _NUMPY_CASES = {
     "import gradmine": (lambda table: "import gradmine", False),
     "import gradmine.cli": (lambda table: "import gradmine.cli", False),
@@ -779,6 +779,21 @@ def test_numpy_loads_only_to_draw_or_for_array_rows(case, course_csv, tmp_path):
         table = tmp_path / f"seeded{n}.csv"
         write_csv(table, ("a", "b", "c"), np.random.default_rng(n).normal(size=(n, 3)).tolist())
     assert _loads_numpy(make_code(str(table))) is loads
+
+
+@pytest.mark.parametrize("numpy_first", [False, True], ids=["without numpy", "numpy loaded"])
+def test_index_row_form_follows_numpy(numpy_first, tmp_path):
+    # Past INT_ROW_BYTES (n = 220), a table whose sweep fits
+    # SWEEP_INT_BYTES gets int rows until numpy is loaded, arrays after.
+    table = tmp_path / "seeded220.csv"
+    write_csv(table, ("a", "b", "c"), np.random.default_rng(220).normal(size=(220, 3)).tolist())
+    form = "ndarray" if numpy_first else "int"
+    _run_fresh(
+        ("import numpy\n" if numpy_first else "")
+        + f"import sys, gradmine; rows = gradmine.load_dataset({str(table)!r}).index._row_list\n"
+        + f"assert type(rows[0]).__name__ == {form!r}, type(rows[0])\n"
+        + f"assert ('numpy' in sys.modules) is {numpy_first}"
+    )
 
 
 #: Modules that only ``bench`` uses (and ``mine --out json``, for json).

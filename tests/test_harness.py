@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from conftest import COURSE_NAMES, COURSE_ROWS, write_csv
+from conftest import COURSE_NAMES, COURSE_ROWS, random_dataset, write_csv
 from gradmine import (
     ALGORITHMS,
     BenchCell,
@@ -361,6 +361,21 @@ class TestRunBenchmark:
         assert len(report.cells) == 2 * 5
         runs = 2 * 2 * 2 + 1
         assert events == ["build n=4"] + ["run n=4"] * runs + ["build n=6"] + ["run n=6"] * runs
+
+    def test_graank_cell_counts_on_the_one_index(self, tmp_path, index_spy):
+        # Past int rows (n >= 220) the harness's index holds arrays; the
+        # exhaustive cell (one run) sweeps it and rs's runs search it.
+        d = random_dataset(np.random.default_rng(220), 220, 3, ties=True)
+        path = tmp_path / "t220.csv"
+        write_csv(path, d.attribute_names, d.values.tolist())
+        spec = BenchSpec(
+            datasets=(str(path),), algorithms=("graank", "rs"), repetitions=2, max_iterations=5
+        )
+        report = run_benchmark(spec)
+        assert not any(c.error for c in report.cells)
+        (index,) = index_spy.builds
+        assert index_spy.swept == [index]
+        assert all(type(row) is np.ndarray for row in index._row_list)
 
     def test_load_failure_recorded(self, two_csvs):
         spec = BenchSpec(

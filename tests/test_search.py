@@ -28,6 +28,7 @@ from gradmine import (
     build_space,
     concordant_count_brute,
     encode,
+    graank_mine,
     invalid_reason,
     object_pair_count,
     run_miner,
@@ -971,43 +972,24 @@ class TestRunMiner:
             run_miner("graank", d, build_space(15), SearchConfig())
         assert "index" not in d.__dict__
 
-    @pytest.mark.parametrize(
-        "n, sweep_int_bytes, form, cached",
-        [
-            (219, gradmine.fitness.SWEEP_INT_BYTES, int, True),
-            (220, gradmine.fitness.SWEEP_INT_BYTES, int, False),
-            (220, 0, np.ndarray, True),
-        ],
-        ids=["dataset int rows", "sweep int rows", "dataset arrays"],
-    )
-    def test_graank_counts_on_one_routed_index(self, n, sweep_int_bytes, form, cached, monkeypatch):
-        # Int rows (n <= 219) are the dataset's own index.  Past them, a
-        # sweep whose ANDs fit SWEEP_INT_BYTES builds int rows of its own
-        # and caches nothing, so a later search still gets arrays; one
-        # over it counts on the dataset's arrays.  Either way one index
-        # is built, and the columns are the array index's counts.
-        monkeypatch.setattr(gradmine.fitness, "SWEEP_INT_BYTES", sweep_int_bytes)
-        builds, swept = [], []
-        init, count_all = ConcordanceIndex.__init__, ConcordanceIndex.count_all
-
-        def counting_init(self, d, ints=False):
-            init(self, d, ints)
-            builds.append(self)
-
-        def spying_count_all(self):
-            swept.append(self)
-            return count_all(self)
-
-        monkeypatch.setattr(ConcordanceIndex, "__init__", counting_init)
-        monkeypatch.setattr(ConcordanceIndex, "count_all", spying_count_all)
+    @pytest.mark.parametrize("n, form", [(219, int), (220, np.ndarray)], ids=["ints", "arrays"])
+    def test_graank_counts_on_the_dataset_index(self, n, form, index_spy, monkeypatch):
+        # numpy is loaded, so rows past INT_ROW_BYTES (n >= 220) are
+        # arrays.  Either way the sweep counts on d.index, built once and
+        # cached, and its columns are the array index's counts.
         d = random_dataset(np.random.default_rng(n), n, 3, ties=True)
         r = run_miner("graank", d, build_space(3), SearchConfig())
-        assert len(builds) == 1 and swept == builds
-        assert all(type(row) is form for row in builds[0]._row_list)
-        assert ("index" in d.__dict__) is cached
+        assert index_spy.builds == index_spy.swept == [d.__dict__["index"]]
+        assert all(type(row) is form for row in d.index._row_list)
         monkeypatch.setattr(gradmine.fitness, "INT_ROW_BYTES", 0)
         arrays = ConcordanceIndex(d)
         assert r.trajectory.pairs == [arrays.count_candidate(x) for x in r.trajectory.candidates]
+
+    def test_graank_mine_builds_one_index(self, index_spy):
+        d = random_dataset(np.random.default_rng(220), 220, 3, ties=True)
+        for sigma in (0.1, 0.3, 0.5):
+            graank_mine(d, sigma)
+        assert index_spy.builds == [d.index] and index_spy.swept == [d.index] * 3
 
 
 class TestConfigValidation:

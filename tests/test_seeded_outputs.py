@@ -12,11 +12,10 @@ SHA-256 digests of what one ``gradmine bench`` run writes, with timing
 and memory figures left out and the run's directory replaced by
 ``{tmp}``.  ``graank`` holds SHA-256 digests of the exhaustive sweep's
 trajectory, frequent set and best on two tied tables, recorded when
-n = 160 swept int rows and n = 600 arrays.  ``run_miner`` now sweeps
-both on int rows (n = 600 on rows of its own, its ANDs being under
-``fitness.SWEEP_INT_BYTES``), so each digest is checked twice: as
-``run_miner`` routes it, and with that budget at 0, where n = 600
-sweeps the dataset's arrays.
+n = 160 swept int rows and n = 600 arrays.  The sweep counts on the
+dataset's one index, whose rows are ints or arrays by
+``fitness.INT_ROW_BYTES`` here, where numpy is loaded; each digest is
+checked on that form and, with the cutoff moved, on the other.
 """
 
 import contextlib
@@ -29,11 +28,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import COURSE_NAMES, COURSE_ROWS, random_dataset, write_csv
+from conftest import COURSE_NAMES, COURSE_ROWS, random_dataset, row_bytes, write_csv
 import gradmine.fitness
 from gradmine import Dataset, SearchConfig, SpaceKind, build_space, encode, run_miner
 from gradmine.cli import main
-from gradmine.fitness import sweep_index
 
 PINNED = json.loads(Path(__file__).with_name("seeded_outputs.json").read_text(encoding="utf-8"))
 
@@ -134,7 +132,7 @@ def graank_digests(table: str, form: type) -> dict:
     """Digest the sweep of a tied table, checked to count on ``form`` rows."""
     seed, n, m = GRAANK_TABLES[table]
     d = random_dataset(np.random.default_rng(seed), n, m, ties=True)
-    assert type(sweep_index(d)._row_list[0]) is form
+    assert type(d.index._row_list[0]) is form
     r = run_miner("graank", d, build_space(m), SearchConfig(sigma=0.1))
     steps = "".join(f"{s.iteration} {s.candidate} {s.fitness!r} {s.valid}\n" for s in r.trajectory.steps)
     frequent = "".join(f"{encode(p, m)} {support!r}\n" for p, support in r.frequent_patterns)
@@ -142,14 +140,20 @@ def graank_digests(table: str, form: type) -> dict:
     return {"trajectory": _sha256(steps), "frequent": _sha256(frequent), "best": _sha256(best)}
 
 
+def _has_int_rows(table: str) -> bool:
+    return row_bytes(GRAANK_TABLES[table][1]) <= gradmine.fitness.INT_ROW_BYTES
+
+
 @pytest.mark.parametrize("table", sorted(PINNED["graank"]))
 def test_graank_sweep(table):
-    assert graank_digests(table, int) == PINNED["graank"][table]
+    # n = 160 sweeps int rows, n = 600 arrays.
+    form = int if _has_int_rows(table) else np.ndarray
+    assert graank_digests(table, form) == PINNED["graank"][table]
 
 
 @pytest.mark.parametrize("table", sorted(PINNED["graank"]))
-def test_graank_sweep_without_an_int_budget(table, monkeypatch):
-    # With no AND budget for int rows, n = 600 sweeps the dataset's arrays.
-    monkeypatch.setattr(gradmine.fitness, "SWEEP_INT_BYTES", 0)
-    form = np.ndarray if GRAANK_TABLES[table][1] > 219 else int
-    assert graank_digests(table, form) == PINNED["graank"][table]
+def test_graank_sweep_in_the_other_row_form(table, monkeypatch):
+    # The cutoff at 0 gives n = 160 arrays; raised, it gives n = 600 ints.
+    ints = not _has_int_rows(table)
+    monkeypatch.setattr(gradmine.fitness, "INT_ROW_BYTES", 2**40 if ints else 0)
+    assert graank_digests(table, int if ints else np.ndarray) == PINNED["graank"][table]
