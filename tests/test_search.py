@@ -164,13 +164,13 @@ class TestWideSpaces:
     @given(st.integers(0, 2**52 - 1), st.floats(-1e6, 1e6))
     def test_step_below_two_pow_52_rounds_as_float(self, x, u):
         s = build_space(26, SpaceKind.BITMAP)  # [0, 2**52 - 1]
-        assert _round_clamp(x, u, s) == _clamp(int(round(x + u)), s)
+        assert _round_clamp(x, u, s.lower, s.upper) == _clamp(int(round(x + u)), s.lower, s.upper)
 
     @given(st.integers(0, 2**80 - 1), st.floats(-1e6, 1e6))
     def test_step_lands_within_one_of_exact_sum(self, x, u):
         s = build_space(41, SpaceKind.BITMAP)  # [0, 2**82 - 1]
         exact = Fraction(x) + Fraction(u)
-        assert abs(_round_clamp(x, u, s) - min(max(exact, 0), s.upper)) <= 1
+        assert abs(_round_clamp(x, u, s.lower, s.upper) - min(max(exact, 0), s.upper)) <= 1
 
     @pytest.mark.parametrize("algo", ["ga", "pso"])
     @pytest.mark.parametrize("kind", list(SpaceKind))
@@ -579,7 +579,7 @@ def _mutate(rng, candidate, s, c):
     """The reference mutation: bit flips first, then the nudge; both
     respect the interval by rounding and clamping."""
     mask, nudge = _mutation_draws(rng, s, c)
-    return _round_clamp(candidate ^ mask, nudge, s)
+    return _round_clamp(candidate ^ mask, nudge, s.lower, s.upper)
 
 
 def _per_call_moves(rng, s, c):
@@ -614,8 +614,8 @@ def _heapq_ga(rec, rng, s, c):
         (_, x1), (_, x2) = heapq.nsmallest(2, pop)
         if float(rng.random()) < c.crossover_rate:
             low = (1 << (nbits - int(rng.integers(1, nbits)))) - 1
-            c1 = _clamp((x1 & ~low) | (x2 & low), s)
-            c2 = _clamp((x2 & ~low) | (x1 & low), s)
+            c1 = _clamp((x1 & ~low) | (x2 & low), s.lower, s.upper)
+            c2 = _clamp((x2 & ~low) | (x1 & low), s.lower, s.upper)
         else:
             c1, c2 = x1, x2
         for x in (c1, c2, _mutate(rng, c1, s, c), _mutate(rng, c2, s, c)):
@@ -631,7 +631,9 @@ def _packbits_mutate(rng, candidate, s, c):
     the nudge drawn by ``rng.normal(0.0, scale)``."""
     flips = np.packbits(rng.random(2 * s.m) < c.mutation_rate)
     mask = int.from_bytes(flips.tobytes(), "big") >> ((-2 * s.m) % 8)
-    return _round_clamp(candidate ^ mask, float(rng.normal(0.0, c.mutation_scale)), s)
+    return _round_clamp(
+        candidate ^ mask, float(rng.normal(0.0, c.mutation_scale)), s.lower, s.upper
+    )
 
 
 #: 2m not a multiple of 8 (3, 5, 13), masks past 64 bits (40) and past
@@ -806,7 +808,7 @@ def _per_iteration_pso(rec, rng, s, c):
             if v != v:
                 v = _exact_velocity(c, velocities[i], rp, dp, rg, dg)
             velocities[i] = min(max(v, -c.max_velocity), c.max_velocity)
-            positions[i] = _round_clamp(positions[i], velocities[i], s)
+            positions[i] = _round_clamp(positions[i], velocities[i], s.lower, s.upper)
     return (pg, gbest) if pg else _NO_BEST
 
 
